@@ -129,18 +129,18 @@ def write_random_edge_file(
     uniform extras, ``n = max(2, m // 4)``) but generated and written
     ``slice_size`` records at a time, so the writer's RSS stays at
     O(slice), never O(m).  REDG1 stores the edge block and the weight
-    block separately, so each slice is two positioned writes.
+    block separately, so each slice is two positioned writes.  The file
+    is written atomically, like :func:`repro.io.edgefile.write_edge_file`.
     """
+    from repro.io import atomic_write, pack_header
     from repro.io.edgefile import EDGEFILE_HEADER_BYTES, EDGEFILE_MAGIC
 
     if m < 1:
         raise ValueError(f"need at least one edge, got {m}")
     n = max(2, m // 4)
     weight_off = EDGEFILE_HEADER_BYTES + 16 * m
-    with open(path, "wb") as fh:
-        fh.write(EDGEFILE_MAGIC)
-        fh.write(np.int64(n).tobytes())
-        fh.write(np.int64(m).tobytes())
+    with atomic_write(path) as fh:
+        fh.write(pack_header(EDGEFILE_MAGIC, n, m))
         for start in range(0, m, slice_size):
             stop = min(m, start + slice_size)
             rng = np.random.default_rng((seed, start))
@@ -154,9 +154,9 @@ def write_random_edge_file(
             v[on_path] = idx[on_path] + 1
             weights = rng.random(count, dtype=np.float64)
             fh.seek(EDGEFILE_HEADER_BYTES + 16 * start)
-            np.column_stack([u, v]).tofile(fh)
+            fh.write(np.column_stack([u, v]))
             fh.seek(weight_off + 8 * start)
-            weights.tofile(fh)
+            fh.write(weights)
     return n
 
 

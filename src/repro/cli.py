@@ -12,15 +12,15 @@ Commands
 ``bench``
     Run one of the paper-reproduction experiment harnesses.
 ``snapshot``
-    Precompute the query-ready serving artifact (mmap-able ``.npz``) of a
-    tree's dendrogram.
+    Precompute the query-ready serving artifact (an mmap-able
+    ``repro-dendro-snapshot/2`` file) of a tree's dendrogram.
 ``serve`` / ``query``
     Answer dendrogram queries over a snapshot: ``serve`` is a line-oriented
     REPL on stdin, ``query`` executes a batch file (grouping vectorizable
     queries) and can self-check the snapshot against the brute-force
     oracle.
 ``info``
-    Describe a saved tree or dendrogram archive.
+    Describe a saved tree or dendrogram archive, or a snapshot.
 ``check``
     Run the repo invariant lint (RPR codes) and the round-race battery.
 ``fuzz``
@@ -148,12 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     snap.add_argument("--scheme", default="perm")
     snap.add_argument("--seed", type=int, default=0)
     snap.add_argument("--algorithm", default="rctt")
-    snap.add_argument("--out", required=True, help="output snapshot .npz path")
+    snap.add_argument("--out", required=True, help="output snapshot path")
 
     serve = sub.add_parser(
         "serve", help="answer dendrogram queries line by line on stdin"
     )
-    serve.add_argument("snapshot", help="snapshot .npz written by 'snapshot'")
+    serve.add_argument("snapshot", help="snapshot file written by 'snapshot'")
     serve.add_argument(
         "--no-mmap", action="store_true", help="materialize slabs instead of mmap"
     )
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser(
         "query", help="execute a batch of dendrogram queries against a snapshot"
     )
-    query.add_argument("snapshot", help="snapshot .npz written by 'snapshot'")
+    query.add_argument("snapshot", help="snapshot file written by 'snapshot'")
     query.add_argument(
         "--batch",
         metavar="FILE",
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("right")
     cmp_.add_argument("--ks", default="2,4,8", help="comma-separated cut sizes for the B_k curve")
 
-    info = sub.add_parser("info", help="describe a saved archive")
+    info = sub.add_parser("info", help="describe a saved archive or snapshot")
     info.add_argument("path")
 
     check = sub.add_parser(
@@ -482,7 +482,7 @@ def _cmd_serve(args) -> int:
 
     try:
         engine = _load_engine(args.snapshot, mmap=not args.no_mmap, cache=args.cache)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
     for response in serve_lines(engine, sys.stdin):
@@ -498,7 +498,7 @@ def _cmd_query(args) -> int:
         return 2
     try:
         engine = _load_engine(args.snapshot, mmap=not args.no_mmap)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:
         print(f"repro query: {exc}", file=sys.stderr)
         return 2
 
@@ -633,6 +633,18 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from repro.dendrogram.snapshot import SNAPSHOT_SCHEMA, load_snapshot
+    from repro.io import FormatError
+
+    try:
+        snap = load_snapshot(args.path)
+    except FormatError:
+        pass  # not a snapshot: describe it as an .npz archive below
+    else:
+        print(f"{args.path}: {SNAPSHOT_SCHEMA} n={snap.n} nodes={snap.m} levels={snap.levels}")
+        stamp = "unstamped" if snap.generation < 0 else f"generation {snap.generation}"
+        print(f"  dynamic-engine stamp: {stamp}")
+        return 0
     with np.load(args.path, allow_pickle=False) as data:
         kind = str(data["kind"]) if "kind" in data else "<unknown>"
         print(f"{args.path}: kind={kind}")
@@ -646,12 +658,6 @@ def _cmd_info(args) -> int:
 
             dend = load_dendrogram(args.path)
             print(f"  height h = {dend.height}, root = edge {dend.root}")
-        if "schema" in data.files:
-            print(f"  schema = {str(data['schema'])}")
-        if "generation" in data.files:
-            gen = int(data["generation"])
-            stamp = "unstamped" if gen < 0 else f"generation {gen}"
-            print(f"  dynamic-engine stamp: {stamp}")
     return 0
 
 

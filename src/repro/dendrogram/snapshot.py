@@ -3,69 +3,107 @@
 A snapshot is the serving-layer artifact of a computed dendrogram: the
 flat int32/float64 slabs every query needs (tree edges/weights/ranks,
 parent array, per-vertex leaf attachment) plus the precomputed
-binary-lifting index (node depths and the ``up`` ancestor table), all in
-one schema-versioned ``.npz``.  Saving pays the ``O(m log h)`` index
-construction once; loading is a zero-copy warm start.
+binary-lifting index (node depths and the ``up`` ancestor table).
+Saving pays the ``O(m log h)`` index construction once; loading is a
+zero-copy warm start.
 
-Zero-copy loading
------------------
-``np.savez`` stores members uncompressed (``ZIP_STORED``), so every array
-sits as a contiguous ``.npy`` byte range inside the archive.
-:func:`load_snapshot` locates each member's absolute data offset (local
-zip header + npy header) and maps it with ``np.memmap(mode="r")`` -- the
-OS pages slabs in on demand and shares them between processes, which is
-what lets many query workers serve one artifact.  Pass ``mmap=False`` to
-materialize plain in-memory arrays instead.
+File layout (``repro-dendro-snapshot/2``)
+-----------------------------------------
+A 64-byte header -- the 8-byte magic ``RSNAP2\\0\\0``, then little-endian
+int64 ``n``, ``m``, ``levels`` and ``generation``, zero-padded -- followed
+by the seven slabs in :data:`_SLAB_DTYPES` order, little-endian and
+C-order, each starting on a 64-byte boundary.  The file ends exactly at
+the last slab, so the header fixes the file size.
+
+:func:`load_snapshot` checks the header and the size, maps the file once
+and cuts aligned read-only ``np.memmap`` views out of it: the OS pages
+slabs in on demand and shares them between processes, and every gather
+takes numpy's aligned path.  Pass ``mmap=False`` to read the same
+offsets into plain in-memory arrays instead.  :func:`save_snapshot`
+writes through :func:`repro.io.atomic_write`: a failed save leaves the
+previous file in place, and an engine serving a mapped snapshot keeps
+its own dendrogram when the path is saved over.
 
 Error contract
 --------------
 :func:`load_snapshot` raises :class:`~repro.io.FormatError` for anything
-that is not a well-formed snapshot: unreadable bytes, a wrong or missing
-``schema`` tag, missing members, compressed members, dtype or shape
-mismatches, and cross-field inconsistencies (``up[0] != parents``,
+that is not a well-formed snapshot: a wrong magic (a
+``repro-dendro-snapshot/1`` ``.npz`` archive is named as such), a short
+header, header fields that disagree (``m != max(0, n - 1)``,
+``levels < 1``), a file size other than the header requires, and
+cross-field inconsistencies of the slabs (``up[0] != parents``,
 out-of-range indices).  Missing files raise ``OSError`` as usual.
 """
 
 from __future__ import annotations
 
-import zipfile
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
 from repro.dendrogram.lca import lifting_table
-from repro.dendrogram.linkage import leaf_parents
-from repro.dendrogram.metrics import node_depths
 from repro.dendrogram.structure import Dendrogram
-from repro.io import FormatError
-from repro.trees.weights import ranks_of
+from repro.io import FormatError, atomic_write, pack_header, read_header
 from repro.trees.wtree import WeightedTree
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
     "DendrogramSnapshot",
     "build_snapshot",
-    "build_snapshot_from_slabs",
     "save_snapshot",
     "load_snapshot",
 ]
 
-#: Format tag stored under the ``schema`` key; bump on layout changes.
-SNAPSHOT_SCHEMA = "repro-dendro-snapshot/1"
+#: Format tag; bump on layout changes.
+SNAPSHOT_SCHEMA = "repro-dendro-snapshot/2"
 
-#: Array members and their required dtypes.  Shapes are checked
-#: relationally in :meth:`DendrogramSnapshot.validate`.
-_SLAB_DTYPES: dict[str, type] = {
-    "edges": np.int32,
-    "weights": np.float64,
-    "ranks": np.int32,
-    "parents": np.int32,
-    "leaf_parent": np.int32,
-    "depth": np.int32,
-    "up": np.int32,
+_MAGIC = b"RSNAP2\0\0"
+#: What a ``repro-dendro-snapshot/1`` file (a zip archive) starts with.
+_ZIP_MAGIC = b"PK\x03\x04"
+#: Header bytes and slab alignment.
+_ALIGN = 64
+
+#: Slabs in file order and their dtypes.  Shapes follow from the header
+#: (:func:`_shapes`) and are checked in :meth:`DendrogramSnapshot.validate`.
+_SLAB_DTYPES: dict[str, np.dtype] = {
+    "edges": np.dtype("<i4"),
+    "weights": np.dtype("<f8"),
+    "ranks": np.dtype("<i4"),
+    "parents": np.dtype("<i4"),
+    "leaf_parent": np.dtype("<i4"),
+    "depth": np.dtype("<i4"),
+    "up": np.dtype("<i4"),
 }
+
+
+def _shapes(n: int, m: int, levels: int) -> dict[str, tuple[int, ...]]:
+    return {
+        "edges": (m, 2),
+        "weights": (m,),
+        "ranks": (m,),
+        "parents": (m,),
+        "leaf_parent": (n,),
+        "depth": (m,),
+        "up": (levels, m),
+    }
+
+
+def _layout(n: int, m: int, levels: int) -> tuple[dict[str, int], int]:
+    """Byte offset of each slab, and the file size."""
+    offsets: dict[str, int] = {}
+    end = _ALIGN
+    for name, shape in _shapes(n, m, levels).items():
+        offsets[name] = -(-end // _ALIGN) * _ALIGN
+        end = offsets[name] + _SLAB_DTYPES[name].itemsize * math.prod(shape)
+    return offsets, end
+
+
+def _file_bytes(n: int, m: int, levels: int, generation: int) -> int:
+    if n < 1 or m != max(0, n - 1) or levels < 1:
+        raise ValueError("need n >= 1, m = max(0, n - 1) and levels >= 1")
+    return _layout(n, m, levels)[1]
 
 
 @dataclass
@@ -114,21 +152,11 @@ class DendrogramSnapshot:
             raise FormatError(f"snapshot: n={n} is inconsistent with m={m} nodes")
         for name, dtype in _SLAB_DTYPES.items():
             arr = getattr(self, name)
-            if arr.dtype != np.dtype(dtype):
+            if arr.dtype != dtype:
                 raise FormatError(
-                    f"snapshot: member {name!r} has dtype {arr.dtype}, "
-                    f"expected {np.dtype(dtype)}"
+                    f"snapshot: member {name!r} has dtype {arr.dtype}, expected {dtype}"
                 )
-        shapes = {
-            "edges": (m, 2),
-            "weights": (m,),
-            "ranks": (m,),
-            "parents": (m,),
-            "leaf_parent": (n,),
-            "depth": (m,),
-            "up": (self.levels, m),
-        }
-        for name, expected in shapes.items():
+        for name, expected in _shapes(n, m, self.levels).items():
             got = tuple(getattr(self, name).shape)
             if got != expected:
                 raise FormatError(
@@ -163,28 +191,55 @@ class DendrogramSnapshot:
 def build_snapshot(dend: Dendrogram, generation: int = -1) -> DendrogramSnapshot:
     """Precompute the query slabs of ``dend`` (the save-time O(m log h) pass).
 
+    Every pass is vectorized: leaf attachments by one min-rank scatter,
+    node depths by pointer doubling, then the lifting table.  The leaf
+    pass runs first and its temporaries are freed before the table is
+    allocated, so peak memory is the table plus a few ``O(n)`` slabs.
+
     ``generation`` stamps the snapshot with the producing
     :class:`~repro.core.dynamic.DynamicSLD`'s update counter so serving
     layers can detect staleness; leave it at ``-1`` for static sources.
     """
     tree = dend.tree
-    if tree.n >= 2**31:
-        raise ValueError(f"snapshot slabs are int32; n={tree.n} does not fit")
-    m = dend.m
+    n, m = tree.n, dend.m
+    if n >= 2**31:
+        raise ValueError(f"snapshot slabs are int32; n={n} does not fit")
+    edges = tree.edges.astype(np.int32)
+    ranks = tree.ranks.astype(np.int32)
     parents = dend.parents.astype(np.int32)
     if m:
-        depth = node_depths(dend.parents, tree.ranks).astype(np.int32)
+        # Leaf attachments: vertex v hangs off its min-rank incident edge,
+        # i.e. the edge at rank min(ranks of v's edges).
+        best = np.full(n, m, dtype=np.int32)
+        np.minimum.at(best, edges[:, 0], ranks)
+        np.minimum.at(best, edges[:, 1], ranks)
+        by_rank = np.empty(m, dtype=np.int32)
+        by_rank[ranks] = np.arange(m, dtype=np.int32)
+        leaf_parent = by_rank[best]
+        del best, by_rank
+        # Depths by pointer doubling: d counts the hops to anc, and the
+        # root's self-loop absorbs overshoot, so O(log h) rounds suffice.
+        d = (parents != np.arange(m, dtype=np.int32)).astype(np.int32)
+        anc = parents
+        while True:  # noqa: RPR102 -- pointer-jumping, O(log h) hops
+            anc2 = anc[anc]
+            if np.array_equal(anc2, anc):
+                break
+            d += d[anc]
+            anc = anc2
+        del anc, anc2
+        depth = d + 1
+        del d
         up = lifting_table(parents, depth)
-        leaf_parent = leaf_parents(tree).astype(np.int32)
     else:
         depth = np.zeros(0, dtype=np.int32)
         up = np.zeros((1, 0), dtype=np.int32)
-        leaf_parent = np.full(tree.n, -1, dtype=np.int32)
+        leaf_parent = np.full(n, -1, dtype=np.int32)
     snap = DendrogramSnapshot(
-        n=tree.n,
-        edges=tree.edges.astype(np.int32),
+        n=n,
+        edges=edges,
         weights=np.asarray(tree.weights, dtype=np.float64),
-        ranks=tree.ranks.astype(np.int32),
+        ranks=ranks,
         parents=parents,
         leaf_parent=leaf_parent,
         depth=depth,
@@ -195,220 +250,46 @@ def build_snapshot(dend: Dendrogram, generation: int = -1) -> DendrogramSnapshot
     return snap
 
 
-def build_snapshot_from_slabs(
-    n: int,
-    edges: np.ndarray,
-    weights: np.ndarray,
-    parents: np.ndarray,
-    generation: int = -1,
-) -> DendrogramSnapshot:
-    """Build a snapshot straight from flat slabs -- no object tree.
-
-    The array pipeline's twin of :func:`build_snapshot`: takes the MST
-    slabs (``edges``/``weights``) and the dendrogram ``parents`` array as
-    produced by the ``backend="array"`` kernels and computes the query
-    index with vectorized passes (pointer-doubling depths, one lexsort
-    for the leaf attachments) instead of the per-vertex/per-edge Python
-    loops of the object path.  Output is identical to
-    ``build_snapshot(Dendrogram(WeightedTree(...), parents))``.
-    """
-    if n >= 2**31:
-        raise ValueError(f"snapshot slabs are int32; n={n} does not fit")
-    edges = np.asarray(edges, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    parents = np.asarray(parents, dtype=np.int64)
-    m = int(parents.shape[0])
-    ranks = ranks_of(weights)
-    if m:
-        # Depths by pointer doubling: (anc, d) with d = hops to anc; the
-        # root's self-loop absorbs the recursion in O(log h) rounds.
-        eids = np.arange(m, dtype=np.int64)
-        d = (parents != eids).astype(np.int64)
-        anc = parents.copy()
-        while True:  # noqa: RPR102 -- pointer-jumping, O(log h) hops
-            d2 = d + d[anc]
-            anc2 = anc[anc]
-            if np.array_equal(anc2, anc):
-                break
-            d = d2
-            anc = anc2
-        depth = (d + 1).astype(np.int32)
-        up = lifting_table(parents.astype(np.int32), depth)
-        # Leaf attachments: each vertex hangs off its min-rank incident
-        # edge -- first occurrence per vertex after one (vertex, rank)
-        # lexsort over both edge directions.
-        verts = np.concatenate((edges[:, 0], edges[:, 1]))
-        rk2 = np.concatenate((ranks, ranks))
-        order = np.lexsort((rk2, verts))
-        verts_s = verts[order]
-        first = np.empty(verts_s.size, dtype=bool)
-        first[0] = True
-        first[1:] = verts_s[1:] != verts_s[:-1]
-        leaf_parent = np.empty(n, dtype=np.int32)
-        leaf_parent[verts_s[first]] = (order[first] % m).astype(np.int32)
-    else:
-        depth = np.zeros(0, dtype=np.int32)
-        up = np.zeros((1, 0), dtype=np.int32)
-        leaf_parent = np.full(n, -1, dtype=np.int32)
-    snap = DendrogramSnapshot(
-        n=int(n),
-        edges=edges.astype(np.int32),
-        weights=weights,
-        ranks=ranks.astype(np.int32),
-        parents=parents.astype(np.int32),
-        leaf_parent=leaf_parent,
-        depth=depth,
-        up=up,
-        generation=int(generation),
-    )
-    snap.validate()
-    return snap
-
-
 def save_snapshot(path: str | Path, source: Dendrogram | DendrogramSnapshot) -> None:
-    """Write a snapshot archive (uncompressed ``.npz``, mmap-able).
+    """Write a snapshot file to exactly ``path``, atomically.
 
     ``source`` may be a :class:`Dendrogram` (the slabs are built here) or a
     prebuilt :class:`DendrogramSnapshot`.
     """
     snap = source if isinstance(source, DendrogramSnapshot) else build_snapshot(source)
     snap.validate()
-    np.savez(
-        path,
-        schema=np.array(SNAPSHOT_SCHEMA),
-        n=np.array(snap.n, dtype=np.int64),
-        generation=np.array(snap.generation, dtype=np.int64),
-        **{name: getattr(snap, name) for name in _SLAB_DTYPES},
-    )
+    offsets, _ = _layout(snap.n, snap.m, snap.levels)
+    with atomic_write(path) as fh:
+        fh.write(pack_header(_MAGIC, snap.n, snap.m, snap.levels, snap.generation, size=_ALIGN))
+        for name, offset in offsets.items():
+            fh.write(bytes(offset - fh.tell()))
+            fh.write(np.ascontiguousarray(getattr(snap, name), dtype=_SLAB_DTYPES[name]))
 
 
 def load_snapshot(path: str | Path, mmap: bool = True) -> DendrogramSnapshot:
-    """Load (and validate) a snapshot archive saved by :func:`save_snapshot`.
+    """Load (and validate) a snapshot file written by :func:`save_snapshot`.
 
-    With ``mmap=True`` (default) every slab is a read-only ``np.memmap``
-    over the archive bytes -- no copy, warm start.  With ``mmap=False``
-    plain arrays are materialized.
+    With ``mmap=True`` (default) every slab is an aligned read-only
+    ``np.memmap`` view of the file -- no copy, warm start.  With
+    ``mmap=False`` plain in-memory arrays are read from the same offsets.
     """
-    meta = _load_meta(path)
-    schema = meta.get("schema")
-    if schema != SNAPSHOT_SCHEMA:
-        raise FormatError(
-            f"{path}: expected schema {SNAPSHOT_SCHEMA!r}, found {schema!r}"
+    with open(path, "rb") as fh:
+        if fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
+            raise FormatError(
+                f"{path}: a zip archive, as written by repro-dendro-snapshot/1; "
+                f"this version reads {SNAPSHOT_SCHEMA} only -- save the dendrogram again"
+            )
+        fh.seek(0)
+        n, m, levels, generation = read_header(
+            fh, path, SNAPSHOT_SCHEMA, _MAGIC, ("n", "m", "levels", "generation"), _file_bytes
         )
-    arrays = (
-        _mmap_members(path, tuple(_SLAB_DTYPES))
-        if mmap
-        else _read_members(path, tuple(_SLAB_DTYPES))
-    )
-    snap = DendrogramSnapshot(
-        n=int(meta["n"]), generation=int(meta["generation"]), **arrays
-    )
+        base = np.memmap(fh, dtype=np.uint8, mode="r")
+    offsets, _ = _layout(n, m, levels)
+    arrays = {}
+    for name, shape in _shapes(n, m, levels).items():
+        dtype, offset = _SLAB_DTYPES[name], offsets[name]
+        view = base[offset : offset + dtype.itemsize * math.prod(shape)].view(dtype)
+        arrays[name] = view.reshape(shape) if mmap else np.array(view.reshape(shape))
+    snap = DendrogramSnapshot(n=n, generation=generation, **arrays)
     snap.validate()
     return snap
-
-
-def _load_meta(path: str | Path) -> dict[str, Any]:
-    """The scalar members (``schema``, ``n``) plus a member census."""
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            names = set(data.files)
-            missing = sorted(({"schema", "n"} | set(_SLAB_DTYPES)) - names)
-            if missing:
-                raise FormatError(f"{path}: snapshot archive is missing members {missing}")
-            return {
-                "schema": str(data["schema"]),
-                "n": int(data["n"]),
-                # optional: archives written before the stamp existed (and
-                # stamps from static sources) read back as "unstamped"
-                "generation": int(data["generation"]) if "generation" in names else -1,
-            }
-    except FileNotFoundError:
-        raise
-    except FormatError:
-        raise
-    except Exception as exc:
-        raise FormatError(
-            f"{path}: not a readable snapshot archive ({type(exc).__name__}: {exc})"
-        ) from exc
-
-
-def _npy_spec(fh: Any, path: str | Path, name: str) -> tuple[tuple[int, ...], bool, np.dtype, int]:
-    """Parse the npy header at the file's current offset.
-
-    Returns ``(shape, fortran_order, dtype, data_offset)`` with the file
-    positioned immediately after the header.
-    """
-    try:
-        version = np.lib.format.read_magic(fh)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(fh)
-        else:
-            raise FormatError(
-                f"{path}: member {name!r} uses unsupported npy version {version}"
-            )
-    except FormatError:
-        raise
-    except Exception as exc:
-        raise FormatError(
-            f"{path}: member {name!r} has a malformed npy header ({exc})"
-        ) from exc
-    return tuple(shape), bool(fortran), dtype, int(fh.tell())
-
-
-def _member_data_offset(fh: Any, info: zipfile.ZipInfo, path: str | Path) -> int:
-    """Absolute offset of a stored member's payload within the archive.
-
-    The central directory records where the member's *local* header
-    starts; the payload follows the 30-byte fixed header plus the local
-    (not central!) filename and extra fields.
-    """
-    fh.seek(info.header_offset)
-    local = fh.read(30)
-    if len(local) != 30 or local[:4] != b"PK\x03\x04":
-        raise FormatError(f"{path}: member {info.filename!r} has a corrupt local header")
-    name_len = int.from_bytes(local[26:28], "little")
-    extra_len = int.from_bytes(local[28:30], "little")
-    return info.header_offset + 30 + name_len + extra_len
-
-
-def _mmap_members(path: str | Path, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Read-only ``np.memmap`` views of the named ``.npz`` members."""
-    out: dict[str, np.ndarray] = {}
-    try:
-        zf = zipfile.ZipFile(path)
-    except Exception as exc:
-        raise FormatError(f"{path}: not a zip archive ({exc})") from exc
-    with zf, open(path, "rb") as fh:
-        infos = {i.filename: i for i in zf.infolist()}
-        for name in names:
-            info = infos.get(name + ".npy")
-            if info is None:
-                raise FormatError(f"{path}: snapshot archive is missing members ['{name}']")
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise FormatError(
-                    f"{path}: member {name!r} is compressed; snapshots must be "
-                    "saved uncompressed (np.savez) to be mmap-able"
-                )
-            fh.seek(_member_data_offset(fh, info, path))
-            shape, fortran, dtype, data_off = _npy_spec(fh, path, name)
-            if int(np.prod(shape)) == 0:
-                out[name] = np.zeros(shape, dtype=dtype)
-            else:
-                arr = np.memmap(
-                    path,
-                    dtype=dtype,
-                    mode="r",
-                    offset=data_off,
-                    shape=shape,
-                    order="F" if fortran else "C",
-                )
-                out[name] = arr
-    return out
-
-
-def _read_members(path: str | Path, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Materialized copies of the named members (the non-mmap path)."""
-    with np.load(path, allow_pickle=False) as data:
-        return {name: np.array(data[name]) for name in names}

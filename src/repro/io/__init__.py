@@ -7,6 +7,13 @@ loader.
 * tree archive:        ``kind="tree"``, ``n``, ``edges (m,2)``, ``weights (m,)``
 * dendrogram archive:  ``kind="dendrogram"``, the tree fields, ``parents (m,)``
 
+The raw binary formats (REDG1 edge files in :mod:`repro.io.edgefile`,
+dendrogram snapshots in :mod:`repro.dendrogram.snapshot`) share two
+helpers: :func:`atomic_write`, which makes a file appear whole or not at
+all, and a fixed header of a magic plus little-endian int64 fields
+(:func:`pack_header` / :func:`read_header`) whose fields determine the
+exact file size.
+
 Error contract
 --------------
 Every loader in this module raises :class:`FormatError` for any input that
@@ -28,6 +35,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import struct
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any
 
@@ -44,11 +55,77 @@ __all__ = [
     "load_dendrogram",
     "export_linkage_csv",
     "load_edges_csv",
+    "atomic_write",
+    "pack_header",
+    "read_header",
 ]
 
 
 class FormatError(ReproError):
     """The archive is not in the expected repro format."""
+
+
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[IO[bytes]]:
+    """Write ``path`` whole or not at all.
+
+    Yields a binary file opened on a fresh temp file in ``path``'s
+    directory.  When the block exits cleanly the temp file is flushed,
+    fsynced and moved onto ``path`` with ``os.replace``; readers see the
+    previous file or the new one, never a partial write.  A reader that
+    has the previous file open or mapped keeps seeing the previous bytes.
+    On any exception the temp file is unlinked and ``path`` is untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def pack_header(magic: bytes, *fields: int, size: int = 0) -> bytes:
+    """``magic`` then each field as a little-endian int64, zero-padded to ``size`` bytes."""
+    return (magic + struct.pack(f"<{len(fields)}q", *fields)).ljust(size, b"\x00")
+
+
+def read_header(
+    fh: IO[bytes],
+    path: str | Path,
+    kind: str,
+    magic: bytes,
+    names: Sequence[str],
+    file_size: Callable[..., int],
+) -> tuple[int, ...]:
+    """Read a :func:`pack_header` header from the start of ``fh``.
+
+    Returns the int64 fields named by ``names``.  ``file_size(*fields)``
+    returns the exact byte count the file must have, or raises
+    ``ValueError`` for fields it rejects.  A wrong magic, a short header,
+    rejected fields or any other file size raise :class:`FormatError`
+    naming ``path``.
+    """
+    need = len(magic) + 8 * len(names)
+    head = fh.read(need)
+    if not head.startswith(magic):
+        raise FormatError(f"{path}: not a {kind} (bad magic)")
+    if len(head) < need:
+        raise FormatError(f"{path}: truncated {kind} header ({len(head)} of {need} bytes)")
+    fields = struct.unpack_from(f"<{len(names)}q", head, len(magic))
+    try:
+        expected = file_size(*fields)
+    except ValueError as exc:
+        declared = ", ".join(f"{k}={v}" for k, v in zip(names, fields))
+        raise FormatError(f"{path}: {kind} header declares {declared}: {exc}") from None
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise FormatError(f"{path}: file is {size} bytes, its header requires {expected}")
+    return fields
 
 
 def save_tree(path: str | Path | IO[bytes], tree: WeightedTree) -> None:

@@ -4,7 +4,9 @@
 fit in RAM: a fixed 24-byte header (8-byte magic, ``n`` int64, ``m``
 int64) followed by the ``(m, 2)`` int64 endpoint table (C order) and the
 ``(m,)`` float64 weight vector.  Everything streams: the reader yields
-bounded chunks, never materializing the file.
+bounded chunks, never materializing the file.  Files are written with
+:func:`repro.io.atomic_write` and their header is checked by
+:func:`repro.io.read_header`, the idiom the snapshot format shares.
 
 On top of the reader sit the two halves of an external sort by the
 deterministic ``(weight, edge-id)`` rank key:
@@ -30,7 +32,6 @@ which is what lets ``repro.trees.mst.streaming_kruskal_mst`` process
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 from pathlib import Path
 from typing import IO
@@ -38,7 +39,7 @@ from typing import IO
 import numpy as np
 
 from repro.errors import InvalidGraphError
-from repro.io import FormatError
+from repro.io import FormatError, atomic_write, pack_header, read_header
 
 __all__ = [
     "EDGEFILE_MAGIC",
@@ -67,36 +68,30 @@ _EDGE_RECORD_BYTES = 16  # one (u, v) int64 pair
 def write_edge_file(
     path: str | Path, n: int, edges: np.ndarray, weights: np.ndarray
 ) -> None:
-    """Write a REDG1 edge file (no validation beyond shape -- the reader
-    validates, so hostile files exercise the streaming error contract)."""
+    """Write a REDG1 edge file atomically (see :func:`repro.io.atomic_write`).
+
+    No validation beyond shape -- the reader validates, so hostile files
+    exercise the streaming error contract."""
     edges = np.ascontiguousarray(edges, dtype=np.int64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     if edges.ndim != 2 or (edges.size and edges.shape[1] != 2):
         raise InvalidGraphError(f"edges must have shape (m, 2), got {edges.shape}")
     if weights.shape != (edges.shape[0],):
         raise InvalidGraphError("need exactly one weight per edge")
-    with open(path, "wb") as fh:
-        fh.write(EDGEFILE_MAGIC)
-        fh.write(np.int64(n).tobytes())
-        fh.write(np.int64(edges.shape[0]).tobytes())
-        edges.tofile(fh)
-        weights.tofile(fh)
+    with atomic_write(path) as fh:
+        fh.write(pack_header(EDGEFILE_MAGIC, n, edges.shape[0]))
+        fh.write(edges)
+        fh.write(weights)
+
+
+def _edge_file_bytes(n: int, m: int) -> int:
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    return EDGEFILE_HEADER_BYTES + m * (_EDGE_RECORD_BYTES + 8)
 
 
 def _read_header(fh: IO[bytes], path: str | Path) -> tuple[int, int]:
-    header = fh.read(EDGEFILE_HEADER_BYTES)
-    if len(header) != EDGEFILE_HEADER_BYTES or not header.startswith(EDGEFILE_MAGIC):
-        raise FormatError(f"{path}: not a REDG1 edge file")
-    n = int(np.frombuffer(header, dtype=np.int64, count=1, offset=8)[0])
-    m = int(np.frombuffer(header, dtype=np.int64, count=1, offset=16)[0])
-    if n < 1 or m < 0:
-        raise FormatError(f"{path}: header declares n={n}, m={m}")
-    expected = EDGEFILE_HEADER_BYTES + m * (_EDGE_RECORD_BYTES + 8)
-    size = os.fstat(fh.fileno()).st_size
-    if size != expected:
-        raise FormatError(
-            f"{path}: file is {size} bytes, header requires {expected} (m={m})"
-        )
+    n, m = read_header(fh, path, "REDG1 edge file", EDGEFILE_MAGIC, ("n", "m"), _edge_file_bytes)
     return n, m
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,22 @@ TREE_KINDS = {
 }
 
 SEEDED_KINDS = ("knuth", "random")
+
+
+@contextmanager
+def file_size_limit(limit: int) -> Iterator[None]:
+    """Inside the block, a write that would grow any file past ``limit``
+    bytes fails with ``OSError(EFBIG)``: the process's ``RLIMIT_FSIZE``,
+    with ``SIGXFSZ`` ignored so the write fails instead of the process."""
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
 
 
 def make_tree(kind: str, n: int, seed: int = 0) -> WeightedTree:

@@ -95,7 +95,7 @@ def test_bench_selfcheck_listed():
 
 class TestSnapshotServeQuery:
     def _snapshot(self, tmp_path, capsys, n=128):
-        path = tmp_path / "snap.npz"
+        path = tmp_path / "snap.rsnap"
         assert cli_main(
             ["snapshot", "--kind", "random", "--n", str(n), "--seed", "3",
              "--algorithm", "sequf", "--out", str(path)]
@@ -113,7 +113,7 @@ class TestSnapshotServeQuery:
     def test_snapshot_from_saved_tree(self, tmp_path, capsys):
         tree_path = tmp_path / "t.npz"
         cli_main(["generate", "--kind", "knuth", "--n", "60", "--out", str(tree_path)])
-        out_path = tmp_path / "snap.npz"
+        out_path = tmp_path / "snap.rsnap"
         assert cli_main(
             ["snapshot", "--input", str(tree_path), "--out", str(out_path)]
         ) == 0
@@ -140,22 +140,38 @@ class TestSnapshotServeQuery:
         in range) but desynchronizes the query path from the oracle."""
         import numpy as np
 
+        from repro.dendrogram.snapshot import load_snapshot, save_snapshot
+
         path = self._snapshot(tmp_path, capsys, n=32)
-        with np.load(path) as data:
-            members = {k: data[k] for k in data.files}
-        lp = members["leaf_parent"].copy()
-        distinct = np.flatnonzero(lp != lp[0])
-        u = int(distinct[0])
+        snap = load_snapshot(path, mmap=False)
+        lp = snap.leaf_parent
+        u = int(np.flatnonzero(lp != lp[0])[0])
         lp[0], lp[u] = lp[u], lp[0]
-        members["leaf_parent"] = lp
-        np.savez(path, **members)
+        save_snapshot(path, snap)
         assert cli_main(
             ["query", str(path), "--selfcheck", "--queries", "500"]
         ) == 1
         assert "selfcheck FAIL" in capsys.readouterr().err
 
+    def test_snapshot_out_path_is_used_as_given(self, tmp_path, capsys):
+        """``--out x.snap`` writes ``x.snap`` (no suffix appended), and the
+        query command reads it back."""
+        path = tmp_path / "x.snap"
+        assert cli_main(
+            ["snapshot", "--kind", "random", "--n", "64", "--algorithm", "sequf",
+             "--out", str(path)]
+        ) == 0
+        assert f"wrote {path}" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.snap"]
+        assert cli_main(["query", str(path), "--selfcheck", "--queries", "200"]) == 0
+
+    def test_serve_missing_snapshot_is_usage_error(self, tmp_path, capsys):
+        assert cli_main(["serve", str(tmp_path / "missing.snap")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve: ") and len(err.splitlines()) == 1
+
     def test_query_rejects_garbage_snapshot(self, tmp_path, capsys):
-        bad = tmp_path / "bad.npz"
+        bad = tmp_path / "bad.rsnap"
         bad.write_bytes(b"nope")
         assert cli_main(["query", str(bad), "--selfcheck"]) == 2
         assert "repro query" in capsys.readouterr().err

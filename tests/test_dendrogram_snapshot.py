@@ -1,15 +1,19 @@
-"""Snapshot format: round trip, zero-copy mmap loading, FormatError cases."""
+"""Snapshot format: round trip, zero-copy mmap loading, FormatError cases,
+crash consistency, and the vectorized builder against the object path."""
 
 from __future__ import annotations
 
-import shutil
-import zipfile
+import struct
 
 import numpy as np
 import pytest
 
-from conftest import make_tree
+from conftest import file_size_limit, make_tree
 from repro.core.api import single_linkage_dendrogram
+from repro.dendrogram.lca import DendrogramIndex, lifting_table
+from repro.dendrogram.linkage import leaf_parents
+from repro.dendrogram.metrics import node_depths
+from repro.dendrogram.query import QueryEngine
 from repro.dendrogram.snapshot import (
     SNAPSHOT_SCHEMA,
     DendrogramSnapshot,
@@ -29,36 +33,78 @@ def _dend(kind: str = "random", n: int = 64, seed: int = 0):
     return single_linkage_dendrogram(tree, algorithm="sequf")
 
 
+def _offsets(snap) -> tuple[dict[str, int], int]:
+    """Slab offsets and file size, computed from the format description:
+    a 64-byte header, then each slab in order on the next 64-byte boundary."""
+    offsets, end = {}, 64
+    for name in SLABS:
+        offsets[name] = (end + 63) // 64 * 64
+        end = offsets[name] + getattr(snap, name).nbytes
+    return offsets, end
+
+
+def _patch(path, offset: int, data: bytes) -> None:
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        fh.write(data)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("family", TOPOLOGY_FAMILIES)
     @pytest.mark.parametrize("n", [1, 2, 3, 33])
     def test_lossless_across_topologies(self, tmp_path, family, n):
-        """Every slab survives save -> mmap load bit-identically."""
+        """Every slab survives save -> load bit-identically, in both modes."""
         tree = _make_topology(family, n, np.random.default_rng(7))
         dend = single_linkage_dendrogram(tree, algorithm="sequf")
         built = build_snapshot(dend)
-        path = tmp_path / "snap.npz"
+        path = tmp_path / "snap.rsnap"
         save_snapshot(path, dend)
-        loaded = load_snapshot(path)
-        assert loaded.n == built.n
-        for name in SLABS:
-            np.testing.assert_array_equal(
-                getattr(loaded, name), getattr(built, name), err_msg=name
-            )
+        for mmap in (True, False):
+            loaded = load_snapshot(path, mmap=mmap)
+            assert loaded.n == built.n and loaded.generation == built.generation
+            for name in SLABS:
+                got, want = getattr(loaded, name), getattr(built, name)
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_mmap_load_returns_memmaps(self, tmp_path):
-        path = tmp_path / "snap.npz"
+        path = tmp_path / "snap.rsnap"
         save_snapshot(path, _dend())
         loaded = load_snapshot(path)
         for name in SLABS:
-            assert isinstance(getattr(loaded, name), np.memmap), name
+            slab = getattr(loaded, name)
+            assert isinstance(slab, np.memmap), name
+            assert slab.flags.aligned, name
+            assert not slab.flags.writeable, name
         materialized = load_snapshot(path, mmap=False)
         for name in SLABS:
             assert not isinstance(getattr(materialized, name), np.memmap), name
 
+    def test_layout_matches_header(self, tmp_path):
+        """Header fields, 64-byte slab offsets, little-endian C-order bytes,
+        and a file that ends exactly at the last slab."""
+        snap = build_snapshot(_dend(n=50), generation=5)
+        path = tmp_path / "snap.rsnap"
+        save_snapshot(path, snap)
+        raw = path.read_bytes()
+        assert raw[:8] == b"RSNAP2\0\0"
+        assert struct.unpack_from("<4q", raw, 8) == (50, 49, snap.levels, 5)
+        assert raw[40:64] == bytes(24)
+        offsets, end = _offsets(snap)
+        assert len(raw) == end
+        for name, offset in offsets.items():
+            slab = getattr(snap, name)
+            want = np.ascontiguousarray(slab, dtype=slab.dtype.newbyteorder("<")).tobytes()
+            assert raw[offset : offset + len(want)] == want, name
+
+    def test_save_writes_exactly_the_given_path(self, tmp_path):
+        path = tmp_path / "snap.snap"
+        save_snapshot(path, _dend())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.snap"]
+
     def test_to_dendrogram_reconstructs(self, tmp_path):
         dend = _dend(n=40, seed=3)
-        path = tmp_path / "snap.npz"
+        path = tmp_path / "snap.rsnap"
         save_snapshot(path, dend)
         back = load_snapshot(path).to_dendrogram()
         assert check_same_dendrogram(back.parents, dend.parents)
@@ -67,115 +113,109 @@ class TestRoundTrip:
 
     def test_save_accepts_prebuilt_snapshot(self, tmp_path):
         snap = build_snapshot(_dend())
-        path = tmp_path / "snap.npz"
+        path = tmp_path / "snap.rsnap"
         save_snapshot(path, snap)
         loaded = load_snapshot(path)
         np.testing.assert_array_equal(loaded.up, snap.up)
 
     def test_singleton_tree(self, tmp_path):
-        path = tmp_path / "snap.npz"
+        path = tmp_path / "snap.rsnap"
         save_snapshot(path, _dend(kind="path", n=1))
-        loaded = load_snapshot(path)
-        assert loaded.n == 1 and loaded.m == 0
-        assert loaded.leaf_parent.tolist() == [-1]
+        for mmap in (True, False):
+            loaded = load_snapshot(path, mmap=mmap)
+            assert loaded.n == 1 and loaded.m == 0
+            assert loaded.leaf_parent.tolist() == [-1]
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            load_snapshot(tmp_path / "nope.npz")
+            load_snapshot(tmp_path / "nope.rsnap")
 
 
 class TestFormatErrors:
     @pytest.fixture()
     def snap_path(self, tmp_path):
-        path = tmp_path / "snap.npz"
+        path = tmp_path / "snap.rsnap"
         save_snapshot(path, _dend())
         return path
 
     def test_garbage_bytes(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"this is not a zip archive at all")
-        with pytest.raises(FormatError, match="not a readable snapshot"):
-            load_snapshot(path)
+        path = tmp_path / "junk.rsnap"
+        path.write_bytes(b"this is not a snapshot file at all, nor close to one")
+        for mmap in (True, False):
+            with pytest.raises(FormatError, match="bad magic"):
+                load_snapshot(path, mmap=mmap)
 
-    def test_wrong_schema(self, tmp_path, snap_path):
-        bad = tmp_path / "bad.npz"
-        with np.load(snap_path) as data:
-            members = {k: data[k] for k in data.files}
-        members["schema"] = np.array("repro-dendro-snapshot/999")
-        np.savez(bad, **members)
-        with pytest.raises(FormatError, match="expected schema"):
-            load_snapshot(bad)
+    def test_v1_archive_rejected(self, tmp_path):
+        """A zip archive as the previous format wrote it is named as such."""
+        old = tmp_path / "old.npz"
+        snap = build_snapshot(_dend())
+        np.savez(
+            old,
+            schema=np.array("repro-dendro-snapshot/1"),
+            n=np.array(snap.n, dtype=np.int64),
+            **{name: getattr(snap, name) for name in SLABS},
+        )
+        for mmap in (True, False):
+            with pytest.raises(FormatError, match="repro-dendro-snapshot/1"):
+                load_snapshot(old, mmap=mmap)
 
-    def test_missing_member(self, tmp_path, snap_path):
-        bad = tmp_path / "bad.npz"
-        with np.load(snap_path) as data:
-            members = {k: data[k] for k in data.files if k != "depth"}
-        np.savez(bad, **members)
-        with pytest.raises(FormatError, match="missing members.*depth"):
-            load_snapshot(bad)
-
-    def test_compressed_member_rejected_for_mmap(self, tmp_path, snap_path):
-        bad = tmp_path / "bad.npz"
-        with np.load(snap_path) as data:
-            np.savez_compressed(bad, **{k: data[k] for k in data.files})
-        with pytest.raises(FormatError, match="compressed"):
-            load_snapshot(bad)
+    def test_wrong_schema(self, snap_path):
+        """Any other magic (here: a future format version) is rejected."""
+        _patch(snap_path, 0, b"RSNAP9\0\0")
+        with pytest.raises(FormatError, match="bad magic"):
+            load_snapshot(snap_path)
 
     def test_shape_mismatch(self, tmp_path, snap_path):
-        bad = tmp_path / "bad.npz"
-        with np.load(snap_path) as data:
-            members = {k: data[k] for k in data.files}
-        members["weights"] = members["weights"][:-1]
-        np.savez(bad, **members)
-        with pytest.raises(FormatError, match="shape"):
-            load_snapshot(bad)
+        """The header fixes every slab shape: inconsistent n/m/levels fail
+        before anything is mapped."""
+        n, m, levels, _ = struct.unpack_from("<4q", snap_path.read_bytes(), 8)
+        cases = [
+            (8, n + 1, "header declares"),  # n disagrees with m
+            (16, m - 1, "header declares"),  # m disagrees with n
+            (24, 0, "header declares"),  # no lifting level
+            (24, levels + 1, "bytes"),  # consistent, but not the file's size
+            (24, 2**62, "bytes"),  # a size past int64 must not wrap around
+        ]
+        for i, (offset, value, match) in enumerate(cases):
+            bad = tmp_path / f"bad{i}.rsnap"
+            bad.write_bytes(snap_path.read_bytes())
+            _patch(bad, offset, struct.pack("<q", value))
+            with pytest.raises(FormatError, match=match):
+                load_snapshot(bad)
 
-    def test_dtype_mismatch(self, tmp_path, snap_path):
-        bad = tmp_path / "bad.npz"
-        with np.load(snap_path) as data:
-            members = {k: data[k] for k in data.files}
-        members["parents"] = members["parents"].astype(np.int64)
-        members["up"] = members["up"].astype(np.int64)
-        np.savez(bad, **members)
+    def test_dtype_mismatch(self, tmp_path):
+        """The file format fixes dtypes; a hand-built snapshot with a wrong
+        one is refused at save time."""
+        snap = build_snapshot(_dend())
+        snap.parents = snap.parents.astype(np.int64)
         with pytest.raises(FormatError, match="dtype"):
-            load_snapshot(bad)
+            save_snapshot(tmp_path / "bad.rsnap", snap)
+        assert list(tmp_path.iterdir()) == []
 
-    def test_cross_field_inconsistency(self, tmp_path, snap_path):
+    def test_cross_field_inconsistency(self, snap_path):
         """up[0] must equal the parent array."""
-        bad = tmp_path / "bad.npz"
-        with np.load(snap_path) as data:
-            members = {k: data[k] for k in data.files}
-        up = members["up"].copy()
-        up[0, 0] = (up[0, 0] + 1) % up.shape[1]
-        members["up"] = up
-        np.savez(bad, **members)
+        snap = load_snapshot(snap_path, mmap=False)
+        up00 = (int(snap.up[0, 0]) + 1) % snap.m
+        _patch(snap_path, _offsets(snap)[0]["up"], struct.pack("<i", up00))
         with pytest.raises(FormatError, match="up\\[0\\]"):
-            load_snapshot(bad)
+            load_snapshot(snap_path)
 
-    def test_out_of_range_leaf_parent(self, tmp_path, snap_path):
-        bad = tmp_path / "bad.npz"
-        with np.load(snap_path) as data:
-            members = {k: data[k] for k in data.files}
-        lp = members["leaf_parent"].copy()
-        lp[0] = members["parents"].shape[0]  # one past the last node
-        members["leaf_parent"] = lp
-        np.savez(bad, **members)
-        with pytest.raises(FormatError, match="leaf_parent"):
-            load_snapshot(bad)
+    def test_out_of_range_leaf_parent(self, snap_path):
+        snap = load_snapshot(snap_path, mmap=False)
+        offset = _offsets(snap)[0]["leaf_parent"]
+        _patch(snap_path, offset, struct.pack("<i", snap.m))  # one past the last node
+        for mmap in (True, False):
+            with pytest.raises(FormatError, match="leaf_parent"):
+                load_snapshot(snap_path, mmap=mmap)
 
-    def test_truncated_member_payload(self, tmp_path, snap_path):
-        """A corrupt local zip header is reported, not crashed on."""
-        bad = tmp_path / "bad.npz"
-        shutil.copy(snap_path, bad)
-        with zipfile.ZipFile(bad) as zf:
-            offset = next(
-                i.header_offset for i in zf.infolist() if i.filename == "weights.npy"
-            )
-        with open(bad, "r+b") as fh:
-            fh.seek(offset)
-            fh.write(b"XXXX")
-        with pytest.raises(FormatError):
-            load_snapshot(bad)
+    def test_truncated_member_payload(self, snap_path):
+        """A file cut inside a slab payload is reported, not mapped."""
+        snap = load_snapshot(snap_path, mmap=False)
+        cut = _offsets(snap)[0]["weights"] + 12
+        snap_path.write_bytes(snap_path.read_bytes()[:cut])
+        for mmap in (True, False):
+            with pytest.raises(FormatError, match="bytes"):
+                load_snapshot(snap_path, mmap=mmap)
 
     def test_validate_rejects_bad_n(self):
         snap = build_snapshot(_dend(n=8))
@@ -193,53 +233,114 @@ class TestFormatErrors:
             snap.validate()
 
     def test_schema_constant_is_versioned(self):
-        assert SNAPSHOT_SCHEMA.endswith("/1")
+        assert SNAPSHOT_SCHEMA.endswith("/2")
+
+
+class TestCrashConsistency:
+    @pytest.fixture()
+    def previous(self, tmp_path):
+        """A valid snapshot already at the path, and its bytes."""
+        path = tmp_path / "live.rsnap"
+        save_snapshot(path, _dend(n=64, seed=1))
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("where", ["nothing", "header", "up", "one-short"])
+    def test_failed_save_keeps_previous(self, previous, where):
+        """The write dies once k bytes are on disk: the previous snapshot
+        stays byte-identical and loadable, and no temp file is left."""
+        path, before = previous
+        new = build_snapshot(_dend(n=80, seed=2))
+        offsets, size = _offsets(new)
+        k = {"nothing": 0, "header": 20, "up": offsets["up"] + 7, "one-short": size - 1}[where]
+        with file_size_limit(k), pytest.raises(OSError):
+            save_snapshot(path, new)
+        assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file
+        assert path.read_bytes() == before
+        assert load_snapshot(path).n == 64
+
+    def test_mapped_engine_survives_resave(self, tmp_path):
+        """Saving over a path never changes what an engine already serves
+        from it; a fresh load serves the new dendrogram."""
+        tree = make_tree("random", 4000, seed=0)
+        old, new = (
+            single_linkage_dendrogram(
+                tree.with_weights(np.random.default_rng(s).random(tree.m)), algorithm="sequf"
+            )
+            for s in (1, 2)
+        )
+        path = tmp_path / "live.rsnap"
+        save_snapshot(path, old)
+        engine = QueryEngine(load_snapshot(path))
+        pairs = np.random.default_rng(3).integers(0, tree.n, size=(4000, 2))
+        old_heights = DendrogramIndex(old).merge_heights(pairs)
+        new_heights = DendrogramIndex(new).merge_heights(pairs)
+        assert not np.array_equal(old_heights, new_heights)
+        size = path.stat().st_size
+        save_snapshot(path, new)
+        assert path.stat().st_size == size  # same layout: an in-place rewrite would not fault
+        np.testing.assert_array_equal(engine.merge_heights(pairs), old_heights)
+        np.testing.assert_array_equal(
+            QueryEngine(load_snapshot(path)).merge_heights(pairs), new_heights
+        )
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_truncated_or_extended_file_rejected(self, previous, mmap):
+        path, raw = previous
+        snap = load_snapshot(path, mmap=False)
+        offsets, size = _offsets(snap)
+        assert size == len(raw)
+        cuts = {0, 7, 8, 63, 64, size - 1}
+        for offset in offsets.values():
+            cuts |= {offset - 1, offset + 1}
+        bad = path.with_name("bad.rsnap")
+        for data in [raw[:cut] for cut in sorted(cuts)] + [raw + b"\0"]:
+            bad.write_bytes(data)
+            with pytest.raises(FormatError):
+                load_snapshot(bad, mmap=mmap)
 
 
 class TestBuildFromSlabs:
-    """``build_snapshot_from_slabs`` is the array twin of
-    :func:`build_snapshot`: fed the raw pipeline slabs (no intermediate
-    ``Dendrogram`` object), every snapshot field must be bit-identical."""
+    """:func:`build_snapshot` runs vectorized passes over the flat slabs;
+    the object path -- per-node ``node_depths``, per-vertex
+    ``leaf_parents``, then ``lifting_table`` -- is its oracle, and every
+    snapshot field must be bit-identical."""
+
+    @staticmethod
+    def _object_path(dend) -> dict[str, np.ndarray]:
+        tree = dend.tree
+        parents = dend.parents.astype(np.int32)
+        depth = node_depths(dend.parents, tree.ranks).astype(np.int32)
+        return {
+            "edges": tree.edges.astype(np.int32),
+            "weights": np.asarray(tree.weights, dtype=np.float64),
+            "ranks": tree.ranks.astype(np.int32),
+            "parents": parents,
+            "leaf_parent": leaf_parents(tree).astype(np.int32),
+            "depth": depth,
+            "up": lifting_table(parents, depth),
+        }
 
     @pytest.mark.parametrize("kind", ["path", "star", "random", "caterpillar", "broom", "binary"])
     @pytest.mark.parametrize("n", [2, 3, 33, 97])
     def test_matches_object_path(self, kind, n):
-        from repro.core.api import ALGORITHMS
-        from repro.dendrogram.snapshot import build_snapshot_from_slabs
-
         rng = np.random.default_rng(n * 31 + len(kind))
         tree = make_tree(kind, n).with_weights(
             rng.integers(0, max(1, n // 4), size=n - 1).astype(np.float64)
         )
-        parents = ALGORITHMS["sequf"](tree)
         dend = single_linkage_dendrogram(tree, algorithm="sequf")
-        expected = build_snapshot(dend)
-        got = build_snapshot_from_slabs(tree.n, tree.edges, tree.weights, parents)
-        for slab in SLABS:
-            a, b = getattr(got, slab), getattr(expected, slab)
-            assert a.dtype == b.dtype, slab
-            assert np.array_equal(a, b), (kind, n, slab)
-        assert got.n == expected.n and got.generation == expected.generation
+        got = build_snapshot(dend)
+        for slab, expected in self._object_path(dend).items():
+            a = getattr(got, slab)
+            assert a.dtype == expected.dtype, slab
+            assert np.array_equal(a, expected), (kind, n, slab)
+        assert got.n == tree.n and got.generation == -1
 
     def test_generation_stamp_forwarded(self):
-        from repro.dendrogram.snapshot import build_snapshot_from_slabs
-
         tree = make_tree("path", 5).with_weights(np.arange(4, dtype=np.float64))
-        from repro.core.api import ALGORITHMS
-
-        parents = ALGORITHMS["sequf"](tree)
-        snap = build_snapshot_from_slabs(
-            tree.n, tree.edges, tree.weights, parents, generation=7
-        )
+        snap = build_snapshot(single_linkage_dendrogram(tree, algorithm="sequf"), generation=7)
         assert snap.generation == 7
 
     def test_single_edge(self):
-        from repro.dendrogram.snapshot import build_snapshot_from_slabs
-
-        snap = build_snapshot_from_slabs(
-            2,
-            np.array([[0, 1]], dtype=np.int64),
-            np.ones(1),
-            np.zeros(1, dtype=np.int64),
-        )
+        tree = make_tree("path", 2)
+        snap = build_snapshot(single_linkage_dendrogram(tree, algorithm="sequf"))
         assert snap.m == 1 and snap.leaf_parent.tolist() == [0, 0]

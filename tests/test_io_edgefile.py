@@ -114,6 +114,18 @@ class TestErrorContract:
         with pytest.raises(FormatError, match="bytes"):
             read_edge_header(padded)
 
+    def test_failed_write_keeps_previous_file(self, sample):
+        """A write that dies midway leaves the previous file and no temp file."""
+        from conftest import file_size_limit
+
+        path, n, edges, weights = sample
+        before = path.read_bytes()
+        with file_size_limit(EDGEFILE_HEADER_BYTES + 100), pytest.raises(OSError):
+            write_edge_file(path, n, edges[::-1], weights[::-1])
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        assert path.read_bytes() == before
+        assert read_edge_header(path) == (n, edges.shape[0])
+
     def test_header_sizes(self, sample):
         path, _, _, _ = sample
         assert EDGEFILE_HEADER_BYTES == len(EDGEFILE_MAGIC) + 16
