@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.api import ALGORITHMS
+from repro.core.api import resolve_algorithm
 from repro.datasets.ladders import FAMILY_BUILDERS
 from repro.datasets.synthetic_graphs import preferential_attachment_graph
 from repro.runtime.cost_model import CostTracker
@@ -55,8 +55,10 @@ class Kernel:
         return self.build(self.quick_size if quick else self.size)
 
 
-def _algo_runner(name: str, **options: Any) -> Callable[[Any, CostTracker | None], np.ndarray]:
-    fn = ALGORITHMS[name]
+def _algo_runner(
+    name: str, backend: str = "reference", **options: Any
+) -> Callable[[Any, CostTracker | None], np.ndarray]:
+    fn = resolve_algorithm(name, backend)
 
     def run(tree: Any, tracker: CostTracker | None) -> np.ndarray:
         return fn(tree, tracker=tracker, **options)
@@ -292,7 +294,7 @@ KERNELS: tuple[Kernel, ...] = (
         262144,
         16384,
         _ladder_tree,
-        _algo_runner("sequf-fast"),
+        _algo_runner("sequf", "array"),
         ref_run=_algo_runner("sequf"),
         backend="array",
     ),
@@ -301,7 +303,7 @@ KERNELS: tuple[Kernel, ...] = (
         16384,
         4096,
         _ladder_tree,
-        _algo_runner("tree-contraction-fast", seed=0),
+        _algo_runner("tree-contraction", "array", seed=0),
         ref_run=_algo_runner("tree-contraction", seed=0),
         backend="array",
     ),
@@ -310,7 +312,7 @@ KERNELS: tuple[Kernel, ...] = (
         65536,
         8192,
         _ladder_tree,
-        _algo_runner("rctt-fast", seed=0),
+        _algo_runner("rctt", "array", seed=0),
         ref_run=_algo_runner("rctt", seed=0),
         backend="array",
     ),

@@ -3,31 +3,39 @@
 Not a paper table -- a release gate.  The unit tests prove agreement on
 small random trees; this experiment re-proves it at benchmark scale
 (where, e.g., recursion-depth or contraction-round bugs would first
-appear) and prints the algorithm x input matrix.
+appear) and prints the algorithm x input matrix.  The columns are what
+the registry dispatches: every :data:`~repro.core.api.ALGORITHMS` entry
+and every array twin (named by its function), except the ``brute``
+oracle and the path-only ``cartesian``.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.bench.harness import format_table
 from repro.bench.inputs import SYNTHETIC_FAMILIES, bench_sizes, make_input
-from repro.core.api import ALGORITHMS
+from repro.core.api import ALGORITHMS, resolve_algorithm
 
 __all__ = ["run", "main"]
 
-CHECK_ALGORITHMS = (
-    "sequf",
-    "paruf",
-    "paruf-sync",
-    "rctt",
-    "tree-contraction",
-    "tree-contraction-list",
-    "divide-conquer",
-    "weight-dc",
-)
+
+def _registry_columns() -> dict[str, Callable[..., np.ndarray]]:
+    columns: dict[str, Callable[..., np.ndarray]] = {}
+    for name, fn in ALGORITHMS.items():
+        if name in ("brute", "cartesian"):
+            continue
+        columns[name] = fn
+        twin = resolve_algorithm(name, "auto")
+        if twin is not fn:
+            columns[twin.__name__] = twin
+    return columns
+
+
+CHECK_ALGORITHMS = _registry_columns()
 
 
 def run(n: int | None = None, seed: int = 0) -> dict:
@@ -38,11 +46,11 @@ def run(n: int | None = None, seed: int = 0) -> dict:
         tree = make_input(family, n, seed=seed)
         reference = ALGORITHMS["sequf"](tree)
         statuses = {}
-        for alg in CHECK_ALGORITHMS:
+        for alg, fn in CHECK_ALGORITHMS.items():
             if alg == "sequf":
                 statuses[alg] = True
                 continue
-            got = ALGORITHMS[alg](tree)
+            got = fn(tree)
             ok = bool(np.array_equal(got, reference))
             statuses[alg] = ok
             all_ok &= ok

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=1000, help="number of vertices")
     gen.add_argument("--scheme", default="perm", help="weight scheme (see repro.trees.weights)")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True, help="output .npz path")
+    gen.add_argument("--out", required=True, help="output tree archive path (.npz format)")
 
     comp = sub.add_parser("compute", help="compute a single-linkage dendrogram")
     src = comp.add_mutually_exclusive_group()
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--algorithm", default="rctt")
     comp.add_argument("--validate", action="store_true", help="run structural validation")
     comp.add_argument("--render", action="store_true", help="print ASCII dendrogram (small inputs)")
-    comp.add_argument("--out", help="save dendrogram .npz")
+    comp.add_argument("--out", help="save the dendrogram archive (.npz format) to this path")
     comp.add_argument("--linkage-csv", help="export the SciPy linkage matrix as CSV")
 
     clus = sub.add_parser("cluster", help="cluster a synthetic point cloud")
@@ -285,17 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject known mutants and fail unless the fuzzer catches every one",
     )
     fuzz.add_argument(
-        "--threads",
-        type=int,
-        default=4,
-        help="worker threads for the paruf-threaded differential runs",
-    )
-    fuzz.add_argument(
         "--domains",
         default=None,
         metavar="NAMES",
-        help="comma-separated case domains to draw from "
-        "(tree, dynamic, csv, npz; default: the full weighted wheel)",
+        help="comma-separated domains of the registry in repro.fuzz.domains "
+        "to draw from (default: the full weighted wheel)",
     )
     fuzz.add_argument(
         "--no-shrink", action="store_true", help="skip minimization of failing cases"
@@ -478,29 +472,18 @@ def _load_engine(path: str, mmap: bool, cache: int = 32):
 
 def _cmd_serve(args) -> int:
     from repro.dendrogram.service import serve_lines
-    from repro.io import FormatError
 
-    try:
-        engine = _load_engine(args.snapshot, mmap=not args.no_mmap, cache=args.cache)
-    except (FormatError, OSError) as exc:
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
+    engine = _load_engine(args.snapshot, mmap=not args.no_mmap, cache=args.cache)
     for response in serve_lines(engine, sys.stdin):
         print(response, flush=True)
     return 0
 
 
 def _cmd_query(args) -> int:
-    from repro.io import FormatError
-
     if not args.batch and not args.selfcheck:
         print("repro query: nothing to do (pass --batch FILE and/or --selfcheck)")
         return 2
-    try:
-        engine = _load_engine(args.snapshot, mmap=not args.no_mmap)
-    except (FormatError, OSError) as exc:
-        print(f"repro query: {exc}", file=sys.stderr)
-        return 2
+    engine = _load_engine(args.snapshot, mmap=not args.no_mmap)
 
     if args.batch:
         from repro.dendrogram.service import execute_batch
@@ -711,17 +694,12 @@ def _cmd_fuzz(args) -> int:
     corpus_dir = args.corpus if args.corpus is not None else DEFAULT_CORPUS_DIR
     domains = None
     if args.domains is not None:
-        domains = tuple(d.strip() for d in args.domains.split(",") if d.strip())
-        unknown = set(domains) - {"tree", "dynamic", "csv", "npz"}
-        if unknown or not domains:
-            print(f"repro fuzz: unknown domain(s): {sorted(unknown) or args.domains}")
-            return 2
+        domains = [d.strip() for d in args.domains.split(",") if d.strip()]
     report = run_fuzz(
         seed=args.seed,
         budget_s=args.budget,
         max_cases=args.cases,
         corpus_dir=corpus_dir,
-        num_threads=args.threads,
         domains=domains,
         shrink=not args.no_shrink,
         progress=print,
@@ -747,8 +725,18 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  Exit 0 on success and 1 on findings (fuzz,
+    check, bench regressions, failed self-checks); a usage error or any
+    :class:`~repro.errors.ReproError` or ``OSError`` prints one
+    ``repro <cmd>: ...`` line on stderr and exits 2."""
+    from repro.errors import ReproError
+
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ReproError, OSError) as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

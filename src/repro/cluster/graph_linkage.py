@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.api import single_linkage_dendrogram
+from repro.core.api import resolve_algorithm, single_linkage_dendrogram
 from repro.dendrogram.structure import Dendrogram
 from repro.errors import InvalidGraphError
 from repro.structures.unionfind import UnionFind
@@ -55,8 +55,10 @@ def graph_single_linkage(
     edge, so cutting the hierarchy at any real weight recovers the per-
     component clusterings and the top ``n_components - 1`` merges are the
     bridges.  ``backend`` is forwarded to the MST and dendrogram stages
-    (every backend returns a bit-identical result).
+    (every backend returns a bit-identical result); ``(algorithm,
+    backend)`` is checked before any work.
     """
+    resolve_algorithm(algorithm, backend)
     edges = np.asarray(edges, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     if edges.ndim != 2 or (edges.size and edges.shape[1] != 2):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.knn import complete_graph, knn_graph
-from repro.core.api import single_linkage_dendrogram
+from repro.core.api import resolve_algorithm, single_linkage_dendrogram
 from repro.dendrogram.linkage import cut_height, cut_k, to_scipy_linkage
 from repro.dendrogram.structure import Dendrogram
 from repro.trees.mst import minimum_spanning_tree
@@ -69,8 +69,10 @@ def single_linkage(
         Forwarded to both the MST stage and the dendrogram stage
         (``"auto"`` / ``"reference"`` / ``"array"``, see
         :func:`repro.core.api.single_linkage_dendrogram`); every backend
-        returns a bit-identical result.
+        returns a bit-identical result.  ``(algorithm, backend)`` is
+        checked before any work (:class:`~repro.errors.AlgorithmError`).
     """
+    resolve_algorithm(algorithm, backend)
     pts = np.asarray(points, dtype=np.float64)
     if k is None:
         n, edges, weights = complete_graph(pts)

@@ -21,9 +21,9 @@ algorithm           array backend
 if the algorithm has none), and ``"auto"`` (the default) picks the array
 backend when one exists.  The twins themselves delegate to the reference
 whenever instrumentation is active (enabled tracker or shadow-access
-recorder), so ``"auto"`` never loses cost accounting.  The fast twins are
-also registered first-class under ``<name>-fast`` so benchmarks, fuzzing
-and the CLI can address them directly.
+recorder), so ``"auto"`` never loses cost accounting.  A twin has no
+registry name of its own: benchmarks, fuzzing and tests reach it as
+``resolve_algorithm(name, "array")``.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ from repro.core.tree_contraction_sld import sld_tree_contraction
 from repro.core.weight_dc import sld_weight_dc
 from repro.dendrogram.structure import Dendrogram
 from repro.errors import AlgorithmError
+from repro.runtime.cost_model import BACKENDS, check_backend
 from repro.trees.wtree import WeightedTree
 
 __all__ = [
     "ALGORITHMS",
-    "FAST_ALGORITHMS",
     "BACKENDS",
     "resolve_algorithm",
     "single_linkage_dendrogram",
@@ -70,31 +70,24 @@ def _tc_list(tree: WeightedTree, **kw: Any) -> np.ndarray:
 #: Algorithm registry: name -> callable(tree, **options) -> parent array.
 ALGORITHMS: dict[str, Callable[..., np.ndarray]] = {
     "sequf": sequf,
-    "sequf-fast": sequf_fast,
     "paruf": paruf,
     "paruf-sync": paruf_sync,
     "rctt": rctt,
-    "rctt-fast": rctt_fast,
     "tree-contraction": _tc_heap,
-    "tree-contraction-fast": tree_contraction_fast,
     "tree-contraction-list": _tc_list,
     "divide-conquer": sld_divide_and_conquer,
-    "divide-conquer-fast": sld_merge_fast,
     "weight-dc": sld_weight_dc,
     "cartesian": sld_path,
     "brute": brute_force_sld,
 }
 
 #: Reference algorithm name -> its array-backend twin.
-FAST_ALGORITHMS: dict[str, Callable[..., np.ndarray]] = {
+_ARRAY_TWINS: dict[str, Callable[..., np.ndarray]] = {
     "sequf": sequf_fast,
     "rctt": rctt_fast,
     "tree-contraction": tree_contraction_fast,
     "divide-conquer": sld_merge_fast,
 }
-
-#: Recognized values of the ``backend=`` selector.
-BACKENDS = ("auto", "reference", "array")
 
 
 def resolve_algorithm(algorithm: str, backend: str = "auto") -> Callable[..., np.ndarray]:
@@ -104,13 +97,8 @@ def resolve_algorithm(algorithm: str, backend: str = "auto") -> Callable[..., np
     implementation; ``"array"`` returns the fast twin and raises
     :class:`~repro.errors.AlgorithmError` for algorithms without one;
     ``"auto"`` returns the twin when it exists, the reference otherwise.
-    ``<name>-fast`` registry entries resolve like their base name with
-    ``backend="array"``.
     """
-    if backend not in BACKENDS:
-        raise AlgorithmError(
-            f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
-        )
+    check_backend(backend)
     try:
         fn = ALGORITHMS[algorithm]
     except KeyError:
@@ -118,18 +106,14 @@ def resolve_algorithm(algorithm: str, backend: str = "auto") -> Callable[..., np
             f"unknown algorithm {algorithm!r}; expected one of {sorted(ALGORITHMS)}"
         ) from None
     if backend == "reference":
-        if algorithm.endswith("-fast"):
-            return ALGORITHMS[algorithm[: -len("-fast")]]
         return fn
-    twin = FAST_ALGORITHMS.get(algorithm)
+    twin = _ARRAY_TWINS.get(algorithm)
     if twin is not None:
         return twin
-    if algorithm.endswith("-fast"):  # already an array backend
-        return fn
     if backend == "array":
         raise AlgorithmError(
             f"algorithm {algorithm!r} has no array backend; available twins: "
-            f"{sorted(FAST_ALGORITHMS)}"
+            f"{sorted(_ARRAY_TWINS)}"
         )
     return fn
 
@@ -170,9 +154,7 @@ def single_linkage_dendrogram(
         - ``"weight-dc"`` -- divide-and-conquer over weights (Wang et al.
           style, the prior state of the art; option: ``base_size``);
         - ``"cartesian"`` -- path inputs only (option: ``method``);
-        - ``"brute"`` -- O(n^2) definitional oracle (tests/small inputs);
-        - ``"sequf-fast"``/``"rctt-fast"``/``"tree-contraction-fast"`` --
-          the array backends, addressable directly.
+        - ``"brute"`` -- O(n^2) definitional oracle (tests/small inputs).
     validate:
         Run structural validation on the result before returning.
     backend:

@@ -18,7 +18,6 @@ Format: ``repro-fuzz-corpus/1``.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 from pathlib import Path
@@ -26,22 +25,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.fuzz.generators import (
-    CsvCase,
-    DynamicCase,
-    FuzzCase,
-    GraphCase,
-    NpzCase,
-    TreeCase,
-)
-from repro.fuzz.oracles import (
-    Finding,
-    differential_check,
-    dynamic_check,
-    io_csv_check,
-    io_npz_check,
-    mst_check,
-)
+from repro.fuzz.domains import domain_named, domain_of
+from repro.fuzz.generators import NpzCase
+from repro.fuzz.oracles import Finding
 
 __all__ = [
     "CORPUS_FORMAT",
@@ -60,105 +46,9 @@ CORPUS_FORMAT = "repro-fuzz-corpus/1"
 DEFAULT_CORPUS_DIR = Path("tests") / "fixtures" / "corpus"
 
 
-def _case_payload(case: FuzzCase) -> dict[str, Any]:
-    if isinstance(case, TreeCase):
-        return {
-            "kind": "tree",
-            "n": case.n,
-            "edges": [[int(u), int(v)] for u, v in case.edges],
-            "weights": [float(w).hex() for w in case.weights],
-            "label": case.label,
-        }
-    if isinstance(case, DynamicCase):
-        return {
-            "kind": "dynamic",
-            "n": case.n,
-            "edges": [[int(u), int(v)] for u, v in case.edges],
-            "weights": [float(w).hex() for w in case.weights],
-            "batches": [
-                {
-                    "inserts": [[int(u), int(v), float(w).hex()] for u, v, w in ins],
-                    "deletes": [[int(u), int(v)] for u, v in dels],
-                }
-                for ins, dels in case.batches
-            ],
-            "label": case.label,
-        }
-    if isinstance(case, GraphCase):
-        return {
-            "kind": "graph",
-            "n": case.n,
-            "edges": [[int(u), int(v)] for u, v in case.edges],
-            "weights": [float(w).hex() for w in case.weights],
-            "chunk": case.chunk,
-            "label": case.label,
-        }
-    if isinstance(case, CsvCase):
-        return {
-            "kind": "csv",
-            "text": case.text,
-            "has_header": case.has_header,
-            "label": case.label,
-        }
-    return {
-        "kind": "npz",
-        "data_base64": base64.b64encode(case.data).decode("ascii"),
-        "label": case.label,
-    }
-
-
-def _case_from_payload(payload: dict[str, Any]) -> FuzzCase:
-    kind = payload["kind"]
-    if kind == "tree":
-        return TreeCase(
-            n=int(payload["n"]),
-            edges=np.asarray(payload["edges"], dtype=np.int64).reshape(-1, 2),
-            weights=np.array(
-                [float.fromhex(w) for w in payload["weights"]], dtype=np.float64
-            ),
-            label=payload.get("label", ""),
-        )
-    if kind == "dynamic":
-        return DynamicCase(
-            n=int(payload["n"]),
-            edges=np.asarray(payload["edges"], dtype=np.int64).reshape(-1, 2),
-            weights=np.array(
-                [float.fromhex(w) for w in payload["weights"]], dtype=np.float64
-            ),
-            batches=tuple(
-                (
-                    tuple(
-                        (int(u), int(v), float.fromhex(w))
-                        for u, v, w in batch["inserts"]
-                    ),
-                    tuple((int(u), int(v)) for u, v in batch["deletes"]),
-                )
-                for batch in payload["batches"]
-            ),
-            label=payload.get("label", ""),
-        )
-    if kind == "graph":
-        return GraphCase(
-            n=int(payload["n"]),
-            edges=np.asarray(payload["edges"], dtype=np.int64).reshape(-1, 2),
-            weights=np.array(
-                [float.fromhex(w) for w in payload["weights"]], dtype=np.float64
-            ),
-            chunk=int(payload["chunk"]),
-            label=payload.get("label", ""),
-        )
-    if kind == "csv":
-        return CsvCase(
-            text=payload["text"],
-            has_header=payload["has_header"],
-            label=payload.get("label", ""),
-        )
-    if kind == "npz":
-        return NpzCase(
-            data=base64.b64decode(payload["data_base64"]),
-            label=payload.get("label", ""),
-        )
-    raise ValueError(f"unknown corpus case kind {kind!r}")
+def _case_payload(case: Any) -> dict[str, Any]:
+    domain = domain_of(case)
+    return {"kind": domain.name, **domain.encode(case)}
 
 
 def entry_bytes(finding: Finding) -> bytes:
@@ -175,8 +65,7 @@ def entry_bytes(finding: Finding) -> bytes:
 def entry_filename(finding: Finding) -> str:
     blob = entry_bytes(finding)
     digest = hashlib.sha256(blob).hexdigest()[:12]
-    kind = _case_payload(finding.case)["kind"]
-    return f"{kind}-{digest}.json"
+    return f"{domain_of(finding.case).name}-{digest}.json"
 
 
 def save_finding(finding: Finding, corpus_dir: str | Path) -> Path:
@@ -188,34 +77,22 @@ def save_finding(finding: Finding, corpus_dir: str | Path) -> Path:
     return path
 
 
-def load_entry(path: str | Path) -> tuple[str, str, FuzzCase]:
+def load_entry(path: str | Path) -> tuple[str, str, Any]:
     """Read one entry; returns ``(check, message, case)``."""
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != CORPUS_FORMAT:
         raise ValueError(f"{path}: not a {CORPUS_FORMAT} entry")
-    return payload["check"], payload["message"], _case_from_payload(payload["case"])
+    case = payload["case"]
+    return payload["check"], payload["message"], domain_named(case["kind"]).decode(case)
 
 
 def replay_entry(path: str | Path) -> list[Finding]:
     """Re-run the full battery for the entry's domain; [] means fixed."""
     _, _, case = load_entry(path)
-    if isinstance(case, TreeCase):
-        from repro.fuzz.oracles import FUZZ_ALGORITHMS as algorithms
-        from repro.fuzz.relations import relations_check
-
-        findings = differential_check(case)
-        # Fixed seed: replay must be deterministic run to run.
-        digest = hashlib.sha256(Path(path).read_bytes()).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        findings += relations_check(case, dict(algorithms), rng)
-        return findings
-    if isinstance(case, DynamicCase):
-        return dynamic_check(case)
-    if isinstance(case, GraphCase):
-        return mst_check(case)
-    if isinstance(case, CsvCase):
-        return io_csv_check(case)
-    return io_npz_check(case)
+    # Seeded from the entry's bytes: replay is deterministic run to run.
+    digest = hashlib.sha256(Path(path).read_bytes()).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    return domain_of(case).check(case, rng)
 
 
 def replay_corpus(corpus_dir: str | Path) -> list[tuple[Path, list[Finding]]]:

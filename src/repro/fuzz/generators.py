@@ -1,6 +1,7 @@
 """Deterministic adversarial input generation for the fuzzer.
 
-Three case domains:
+One case type and one generator per domain (the registry that wires them
+to their checks lives in :mod:`repro.fuzz.domains`):
 
 * :class:`TreeCase` -- a weighted tree drawn from the topology families the
   paper evaluates on (path/star/knuth/...) crossed with adversarial weight
@@ -55,7 +56,6 @@ __all__ = [
     "NpzCase",
     "TreeCase",
     "case_rng",
-    "gen_case",
     "gen_csv_case",
     "gen_dynamic_case",
     "gen_graph_case",
@@ -129,9 +129,6 @@ class GraphCase:
     weights: np.ndarray  # (m,) float64
     chunk: int
     label: str = ""
-
-
-FuzzCase = TreeCase | CsvCase | NpzCase | DynamicCase | GraphCase
 
 
 def case_rng(seed: int, index: int) -> np.random.Generator:
@@ -414,30 +411,3 @@ def gen_npz_case(rng: np.random.Generator) -> NpzCase:
         blob[pos] ^= 1 << int(rng.integers(8))
         return NpzCase(data=bytes(blob), label="npz/bitflip")
     return NpzCase(data=_valid_tree_npz(rng), label="npz/valid")
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-#: Domain mix per case index: trees dominate (they exercise the seven
-#: algorithms); dynamic-update streams, MST graphs, and the io domains
-#: ride along.
-_DOMAIN_WHEEL = ("tree",) * 5 + ("dynamic",) * 2 + ("graph",) * 2 + ("csv",) * 2 + ("npz",)
-
-
-def gen_case(rng: np.random.Generator, domains: tuple[str, ...] | None = None) -> FuzzCase:
-    """Draw one case; ``domains`` restricts the wheel (e.g. ``("csv",)``)."""
-    wheel = _DOMAIN_WHEEL if domains is None else tuple(d for d in _DOMAIN_WHEEL if d in domains)
-    if not wheel:
-        wheel = domains or _DOMAIN_WHEEL
-    domain = wheel[int(rng.integers(len(wheel)))]
-    if domain == "tree":
-        return gen_tree_case(rng)
-    if domain == "dynamic":
-        return gen_dynamic_case(rng)
-    if domain == "graph":
-        return gen_graph_case(rng)
-    if domain == "csv":
-        return gen_csv_case(rng)
-    return gen_npz_case(rng)

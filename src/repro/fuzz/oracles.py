@@ -22,35 +22,24 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 import io as _stdio
 import os
 import tempfile
+from typing import Any
 
 import numpy as np
 
+from repro.core.api import ALGORITHMS, resolve_algorithm
 from repro.core.brute import brute_force_sld
-from repro.core.fast import sequf_fast
-from repro.core.fast_contraction import rctt_fast, tree_contraction_fast
-from repro.core.paruf import paruf
-from repro.core.paruf_sync import paruf_sync
 from repro.core.paruf_threaded import paruf_threaded
-from repro.core.rctt import rctt
-from repro.core.sequf import sequf
-from repro.core.tree_contraction_sld import sld_tree_contraction
 from repro.errors import (
     InvalidGraphError,
     InvalidWeightsError,
     NotConnectedError,
     ReproError,
 )
-from repro.fuzz.generators import (
-    CsvCase,
-    DynamicCase,
-    FuzzCase,
-    GraphCase,
-    NpzCase,
-    TreeCase,
-)
+from repro.fuzz.generators import CsvCase, DynamicCase, GraphCase, NpzCase, TreeCase
 
 __all__ = [
     "FUZZ_ALGORITHMS",
@@ -75,43 +64,39 @@ class Finding:
 
     check: str
     message: str
-    case: FuzzCase
+    case: Any
 
     def describe(self) -> str:
         label = getattr(self.case, "label", "")
         return f"{self.check}: {self.message}" + (f" [{label}]" if label else "")
 
 
-def _sld_merge(tree, **kw):  # type: ignore[no-untyped-def]
-    from repro.core.merge import sld_divide_and_conquer
+def _differential_algorithms() -> dict[str, Callable[..., np.ndarray]]:
+    algorithms: dict[str, Callable[..., np.ndarray]] = {}
+    for name, fn in ALGORITHMS.items():
+        if name in ("brute", "cartesian"):  # the oracle itself; path inputs only
+            continue
+        algorithms[name] = fn
+        twin = resolve_algorithm(name, "auto")
+        if twin is not fn:
+            algorithms[twin.__name__] = twin
+    algorithms["paruf-threaded"] = partial(paruf_threaded, num_threads=4)
+    return algorithms
 
-    return sld_divide_and_conquer(tree, **kw)
 
-
-#: Algorithms under differential test: the paper's production algorithms
-#: plus the genuinely-threaded ParUF variant (which the public
-#: ``ALGORITHMS`` registry omits because its signature takes no tracker)
-#: and the flat-array fast backends.  The fuzzer calls these tracker-less,
-#: which is exactly the configuration where the array twins take their
-#: batched paths instead of delegating to the reference.
-FUZZ_ALGORITHMS: dict[str, Callable[..., np.ndarray]] = {
-    "sequf": sequf,
-    "paruf": paruf,
-    "paruf-sync": paruf_sync,
-    "paruf-threaded": lambda tree, num_threads=4: paruf_threaded(tree, num_threads=num_threads),
-    "rctt": rctt,
-    "tree-contraction": lambda tree: sld_tree_contraction(tree, mode="heap"),
-    "sld-merge": _sld_merge,
-    "sequf-fast": sequf_fast,
-    "rctt-fast": rctt_fast,
-    "tree-contraction-fast": tree_contraction_fast,
-}
+#: Algorithms under differential test: what the registry dispatches --
+#: every :data:`~repro.core.api.ALGORITHMS` entry and every array twin
+#: (named by its function, e.g. ``sequf_fast``) -- except the brute
+#: oracle and the path-only ``cartesian``, plus the genuinely threaded
+#: ParUF variant, which the registry omits because it takes no tracker.
+#: The fuzzer calls these tracker-less, which is exactly the configuration
+#: where the array twins take their batched paths instead of delegating
+#: to the reference.
+FUZZ_ALGORITHMS = _differential_algorithms()
 
 
 def differential_check(
-    case: TreeCase,
-    algorithms: dict[str, Callable[..., np.ndarray]] | None = None,
-    num_threads: int = 4,
+    case: TreeCase, algorithms: dict[str, Callable[..., np.ndarray]] | None = None
 ) -> list[Finding]:
     """Run every algorithm on the case and compare against the brute oracle."""
     tree = case.tree()
@@ -119,10 +104,7 @@ def differential_check(
     findings: list[Finding] = []
     for name, fn in (algorithms if algorithms is not None else FUZZ_ALGORITHMS).items():
         try:
-            if name == "paruf-threaded":
-                got = fn(tree, num_threads=num_threads)
-            else:
-                got = fn(tree)
+            got = fn(tree)
         except Exception as exc:
             findings.append(
                 Finding(
@@ -147,17 +129,12 @@ def differential_check(
 # MST oracles: array Boruvka + streaming Kruskal vs. in-memory Kruskal
 # ---------------------------------------------------------------------------
 
-#: Injection-point signatures for :func:`mst_check` (the selftest's
-#: mutants replace these; production runs use the real engines).
-BoruvkaFn = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-StreamingFn = Callable[["str", int], "tuple[int, np.ndarray]"]
+#: Streaming-engine signature for :func:`mst_check` (the selftest's
+#: streaming mutant replaces it; production runs use the real engine).
+StreamingFn = Callable[[str, int], "tuple[int, np.ndarray]"]
 
 
-def mst_check(
-    case: GraphCase,
-    boruvka_fn: BoruvkaFn | None = None,
-    streaming_fn: StreamingFn | None = None,
-) -> list[Finding]:
+def mst_check(case: GraphCase, streaming_fn: StreamingFn | None = None) -> list[Finding]:
     """Differential check of the fast MST engines on one graph case.
 
     In-memory :func:`~repro.trees.mst.kruskal_mst` is the oracle (its
@@ -175,8 +152,6 @@ def mst_check(
     from repro.trees.boruvka import boruvka_mst
     from repro.trees.mst import kruskal_mst, streaming_kruskal_mst
 
-    if boruvka_fn is None:
-        boruvka_fn = lambda n, e, w: boruvka_mst(n, e, w, backend="array")  # noqa: E731
     if streaming_fn is None:
         streaming_fn = lambda path, chunk: streaming_kruskal_mst(path, chunk=chunk)  # noqa: E731
 
@@ -187,7 +162,7 @@ def mst_check(
     findings: list[Finding] = []
 
     try:
-        got = np.asarray(boruvka_fn(case.n, case.edges, case.weights))
+        got = boruvka_mst(case.n, case.edges, case.weights, backend="array")
         if not np.array_equal(np.sort(got), np.sort(expected)):
             findings.append(
                 Finding(

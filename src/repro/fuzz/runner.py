@@ -1,14 +1,12 @@
 """The fuzzing driver behind ``python -m repro fuzz``.
 
-One loop, five domains (trees / dynamic-update streams / MST graphs /
-CSV text / npz bytes), deterministic per ``(seed, case index)``.  Tree cases run the
-differential oracle and the metamorphic relations; dynamic cases run the
-batch-dynamic engine against its shadow-model dynamic-vs-recompute
-oracle; graph cases run the MST oracles (array Boruvka and streaming
-Kruskal vs. in-memory Kruskal); io cases run the loader contract
-checks.  The first
-finding per distinct check name is shrunk and written to the corpus;
-repeats are only counted, so a single bug cannot flood the corpus.
+One loop over the domain registry (:mod:`repro.fuzz.domains`: trees,
+dynamic-update streams, MST graphs, CSV text, npz bytes), deterministic
+per ``(seed, case index)``.  Each case is judged by its domain's
+``check`` and a failing case is minimized by its domain's ``shrink``; the
+loop itself knows no domain.  The first finding per distinct check name
+is shrunk and written to the corpus; repeats are only counted, so a
+single bug cannot flood the corpus.
 
 The loop stops at ``max_cases``, at the wall-clock ``budget_s``, or -- when
 neither is given -- at :data:`DEFAULT_MAX_CASES`.  A budget never changes
@@ -19,38 +17,18 @@ produces (the determinism contract the CLI documents).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 import time
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from repro.fuzz.corpus import save_finding
-from repro.fuzz.generators import (
-    CsvCase,
-    DynamicCase,
-    FuzzCase,
-    GraphCase,
-    NpzCase,
-    TreeCase,
-    case_rng,
-    gen_case,
-)
-from repro.fuzz.oracles import (
-    FUZZ_ALGORITHMS,
-    BoruvkaFn,
-    Finding,
-    LoadEdgesCsv,
-    StreamingFn,
-    differential_check,
-    dynamic_check,
-    io_csv_check,
-    io_npz_check,
-    mst_check,
-)
-from repro.fuzz.relations import relations_check
-from repro.fuzz.shrink import shrink_case
+from repro.fuzz.domains import Domain, draw_case, select_domains
+from repro.fuzz.generators import case_rng
+from repro.fuzz.oracles import Finding
 
 __all__ = ["DEFAULT_MAX_CASES", "FuzzReport", "run_fuzz"]
 
@@ -85,58 +63,25 @@ class FuzzReport:
         return lines
 
 
-def _checks_for(
-    case: FuzzCase,
-    rng: np.random.Generator,
-    algorithms: dict[str, Callable[..., np.ndarray]],
-    loader: LoadEdgesCsv | None,
-    tree_checks: tuple[str, ...],
-    num_threads: int,
-    engine_factory: Callable[..., object] | None = None,
-    boruvka_fn: BoruvkaFn | None = None,
-    streaming_fn: StreamingFn | None = None,
-) -> list[Finding]:
-    if isinstance(case, TreeCase):
-        findings: list[Finding] = []
-        if "differential" in tree_checks:
-            findings += differential_check(case, algorithms, num_threads=num_threads)
-        if "relations" in tree_checks:
-            findings += relations_check(case, algorithms, rng)
-        return findings
-    if isinstance(case, DynamicCase):
-        return dynamic_check(case, engine_factory=engine_factory)
-    if isinstance(case, GraphCase):
-        return mst_check(case, boruvka_fn=boruvka_fn, streaming_fn=streaming_fn)
-    if isinstance(case, CsvCase):
-        return io_csv_check(case, loader=loader)
-    assert isinstance(case, NpzCase)
-    return io_npz_check(case)
-
-
 def run_fuzz(
     seed: int = 0,
     budget_s: float | None = None,
     max_cases: int | None = None,
     corpus_dir: str | Path | None = None,
-    algorithms: dict[str, Callable[..., np.ndarray]] | None = None,
-    loader: LoadEdgesCsv | None = None,
-    domains: tuple[str, ...] | None = None,
-    tree_checks: tuple[str, ...] = ("differential", "relations"),
-    num_threads: int = 4,
+    domains: Sequence[Domain | str] | None = None,
     shrink: bool = True,
     stop_on_finding: bool = False,
     progress: Callable[[str], None] | None = None,
-    engine_factory: Callable[..., object] | None = None,
-    boruvka_fn: BoruvkaFn | None = None,
-    streaming_fn: StreamingFn | None = None,
 ) -> FuzzReport:
     """Run the fuzz loop; see the module docstring for the protocol.
 
-    ``algorithms``/``loader``/``engine_factory``/``boruvka_fn``/
-    ``streaming_fn`` exist as injection points for the selftest's
-    mutants; production runs leave them at their defaults.
+    ``domains`` narrows the wheel to registry domains, by name or as
+    :class:`~repro.fuzz.domains.Domain` records (the selftest passes
+    registry domains with a mutant ``check``); see
+    :func:`~repro.fuzz.domains.select_domains`.  ``None`` is the whole
+    registry.
     """
-    algs = dict(algorithms if algorithms is not None else FUZZ_ALGORITHMS)
+    wheel = select_domains(domains)
     report = FuzzReport(seed=seed)
     if max_cases is None and budget_s is None:
         max_cases = DEFAULT_MAX_CASES
@@ -148,23 +93,13 @@ def run_fuzz(
         if deadline is not None and time.monotonic() >= deadline:
             break
         rng = case_rng(seed, index)
-        case = gen_case(rng, domains=domains)
+        domain, case = draw_case(wheel, rng)
         # One derived stream per purpose so shrinking can replay relations
         # with the exact RNG the failing evaluation used.
         relation_seed = int(rng.integers(2**63))
 
-        def evaluate(c: FuzzCase) -> list[Finding]:
-            return _checks_for(
-                c,
-                np.random.default_rng(relation_seed),
-                algs,
-                loader,
-                tree_checks,
-                num_threads,
-                engine_factory,
-                boruvka_fn,
-                streaming_fn,
-            )
+        def evaluate(c: Any) -> list[Finding]:
+            return domain.check(c, np.random.default_rng(relation_seed))
 
         findings = evaluate(case)
         for finding in findings:
@@ -177,10 +112,10 @@ def run_fuzz(
             target_check = finding.check
             if shrink:
 
-                def still_fails(c: FuzzCase) -> bool:
+                def still_fails(c: Any) -> bool:
                     return any(f.check == target_check for f in evaluate(c))
 
-                small = shrink_case(finding.case, still_fails)
+                small = domain.shrink(finding.case, still_fails)
                 finding = Finding(check=finding.check, message=finding.message, case=small)
             report.findings.append(finding)
             if corpus_dir is not None:

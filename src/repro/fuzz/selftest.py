@@ -3,10 +3,12 @@
 A fuzzer that silently stops finding bugs is worse than none, so
 ``python -m repro fuzz --selftest`` resurrects eleven known bug patterns
 -- five algorithmic, two dynamic-engine, one streaming-MST, three being
-the exact io bugs this subsystem originally caught -- injects them
-through the runner's ``algorithms``/``loader``/``engine_factory``/
-``streaming_fn`` injection points, and requires the standard battery to
-flag each one within a bounded number of cases.
+the exact io bugs this subsystem originally caught -- and requires the
+standard battery to flag each one within a bounded number of cases.  A
+mutant is a domain override: the registry domain
+(:mod:`repro.fuzz.domains`) with its ``check`` replaced by one that runs
+the same oracle against the buggy implementation, so the generator, the
+shrinker and the corpus codec are exactly the production ones.
 
 Algorithm mutants:
 
@@ -71,13 +73,24 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.fast_contraction import tree_contraction_fast
 from repro.core.sequf import sequf
+from repro.fuzz.domains import CSV, DYNAMIC, GRAPH, TREE, Domain
+from repro.fuzz.generators import TreeCase
+from repro.fuzz.oracles import (
+    LoadEdgesCsv,
+    differential_check,
+    dynamic_check,
+    io_csv_check,
+    mst_check,
+)
+from repro.fuzz.relations import relations_check
 from repro.fuzz.runner import run_fuzz
 from repro.structures.heap_pool import HeapPool
 from repro.trees.wtree import WeightedTree
@@ -384,72 +397,48 @@ def _strict_cells(row: list[str], path: str | Path, i: int) -> tuple[int, int, f
 @dataclass
 class Mutant:
     name: str
-    kwargs: dict  # run_fuzz overrides injecting the mutant
+    domain: Domain  # a registry domain whose check runs the buggy code
     max_cases: int
 
 
-def _alg_mutant(name: str, fn: Callable[[WeightedTree], np.ndarray], **extra: object) -> Mutant:
-    kwargs: dict = {
-        "algorithms": {name: fn},
-        "domains": ("tree",),
-        "tree_checks": ("differential",),
-    }
-    kwargs.update(extra)
-    return Mutant(name=name, kwargs=kwargs, max_cases=150)
+def _override(
+    name: str, domain: Domain, oracle: Callable[..., list], max_cases: int = 150, **kw: object
+) -> Mutant:
+    """``domain`` judged by ``oracle(case, **kw)``, which wraps the buggy code."""
+
+    def check(case: object, rng: np.random.Generator) -> list:
+        return oracle(case, **kw)
+
+    return Mutant(name=name, domain=replace(domain, check=check), max_cases=max_cases)
+
+
+def _differential(name: str, fn: Callable[[WeightedTree], np.ndarray]) -> Mutant:
+    return _override(name, TREE, differential_check, algorithms={name: fn})
+
+
+def _label_tiebreak_relations(case: TreeCase, rng: np.random.Generator) -> list:
+    return relations_check(case, {"label-tiebreak": mutant_label_tiebreak}, rng)
+
+
+def _csv(name: str, loader: LoadEdgesCsv) -> Mutant:
+    return _override(name, CSV, io_csv_check, max_cases=400, loader=loader)
 
 
 MUTANTS: tuple[Mutant, ...] = (
-    _alg_mutant("dropped-tiebreak", mutant_dropped_tiebreak),
-    _alg_mutant("grandparent-reattach", mutant_grandparent_reattach),
+    _differential("dropped-tiebreak", mutant_dropped_tiebreak),
+    _differential("grandparent-reattach", mutant_grandparent_reattach),
     # Oracle disabled: the leaf-relabeling relation alone must catch it.
-    _alg_mutant("label-tiebreak", mutant_label_tiebreak, tree_checks=("relations",)),
-    _alg_mutant("heap-pool-broken-carry", mutant_heap_pool_broken_carry),
-    _alg_mutant("windowed-lost-update", mutant_windowed_lost_update),
-    Mutant(
-        name="dynamic-stale-suffix",
-        kwargs={"engine_factory": _stale_suffix_engine, "domains": ("dynamic",)},
-        max_cases=150,
+    Mutant("label-tiebreak", replace(TREE, check=_label_tiebreak_relations), 150),
+    _differential("heap-pool-broken-carry", mutant_heap_pool_broken_carry),
+    _differential("windowed-lost-update", mutant_windowed_lost_update),
+    _override("dynamic-stale-suffix", DYNAMIC, dynamic_check, engine_factory=_stale_suffix_engine),
+    _override("dynamic-no-rollback", DYNAMIC, dynamic_check, engine_factory=_no_rollback_engine),
+    _override(
+        "streaming-dropped-window", GRAPH, mst_check, streaming_fn=_streaming_dropped_window
     ),
-    Mutant(
-        name="dynamic-no-rollback",
-        kwargs={"engine_factory": _no_rollback_engine, "domains": ("dynamic",)},
-        max_cases=150,
-    ),
-    Mutant(
-        name="streaming-dropped-window",
-        kwargs={"streaming_fn": _streaming_dropped_window, "domains": ("graph",)},
-        max_cases=150,
-    ),
-    Mutant(
-        name="csv-header-kept",
-        kwargs={
-            "loader": lambda path, has_header: _buggy_load_edges_csv(
-                path, has_header, header_bug=True
-            ),
-            "domains": ("csv",),
-        },
-        max_cases=400,
-    ),
-    Mutant(
-        name="csv-valueerror-leak",
-        kwargs={
-            "loader": lambda path, has_header: _buggy_load_edges_csv(
-                path, has_header, leak_bug=True
-            ),
-            "domains": ("csv",),
-        },
-        max_cases=400,
-    ),
-    Mutant(
-        name="csv-selfloop-accepted",
-        kwargs={
-            "loader": lambda path, has_header: _buggy_load_edges_csv(
-                path, has_header, loop_bug=True
-            ),
-            "domains": ("csv",),
-        },
-        max_cases=400,
-    ),
+    _csv("csv-header-kept", partial(_buggy_load_edges_csv, header_bug=True)),
+    _csv("csv-valueerror-leak", partial(_buggy_load_edges_csv, leak_bug=True)),
+    _csv("csv-selfloop-accepted", partial(_buggy_load_edges_csv, loop_bug=True)),
 )
 
 
@@ -491,9 +480,9 @@ def run_selftest(
             seed=seed,
             max_cases=mutant.max_cases,
             corpus_dir=corpus_dir,
+            domains=(mutant.domain,),
             shrink=shrink,
             stop_on_finding=True,
-            **mutant.kwargs,
         )
         if sub.findings:
             report.caught[mutant.name] = sub.findings[0].check

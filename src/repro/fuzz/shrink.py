@@ -12,7 +12,10 @@ keeps every one the predicate confirms:
 * **npz byte streams** -- truncate from the end by halves;
 * **dynamic-update streams** -- drop whole batches, then single ops
   within a batch, then initial graph edges (candidates that disconnect
-  the graph simply fail the predicate and are discarded).
+  the graph simply fail the predicate and are discarded);
+* **MST graphs** -- drop edges, then shrink the chunk size toward 1.
+
+Each domain in :mod:`repro.fuzz.domains` names its shrinker.
 
 The total number of predicate evaluations is capped; within the cap the
 result is minimal with respect to the moves above (no single further move
@@ -28,18 +31,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.fuzz.generators import (
-    CsvCase,
-    DynamicCase,
-    FuzzCase,
-    GraphCase,
-    NpzCase,
-    TreeCase,
-)
+from repro.fuzz.generators import CsvCase, DynamicCase, GraphCase, NpzCase, TreeCase
 from repro.trees.weights import ranks_of
 
 __all__ = [
-    "shrink_case",
     "shrink_csv_case",
     "shrink_dynamic_case",
     "shrink_graph_case",
@@ -191,6 +186,13 @@ def shrink_npz_case(
     return current
 
 
+def _drop_edge(case: DynamicCase | GraphCase, i: int) -> DynamicCase | GraphCase:
+    """``case`` without edge row ``i`` (and its weight)."""
+    keep = np.ones(case.edges.shape[0], dtype=bool)
+    keep[i] = False
+    return replace(case, edges=case.edges[keep].copy(), weights=case.weights[keep].copy())
+
+
 def shrink_dynamic_case(
     case: DynamicCase,
     predicate: Callable[[DynamicCase], bool],
@@ -243,13 +245,7 @@ def shrink_dynamic_case(
         for i in range(current.edges.shape[0]):  # drop initial edges
             if not budget.spend():
                 return current
-            keep = np.ones(current.edges.shape[0], dtype=bool)
-            keep[i] = False
-            candidate = replace(
-                current,
-                edges=current.edges[keep].copy(),
-                weights=current.weights[keep].copy(),
-            )
+            candidate = _drop_edge(current, i)
             if predicate(candidate):
                 current = candidate
                 improved = True
@@ -276,13 +272,7 @@ def shrink_graph_case(
         for i in range(current.edges.shape[0]):
             if not budget.spend():
                 return current
-            keep = np.ones(current.edges.shape[0], dtype=bool)
-            keep[i] = False
-            candidate = replace(
-                current,
-                edges=current.edges[keep].copy(),
-                weights=current.weights[keep].copy(),
-            )
+            candidate = _drop_edge(current, i)
             if predicate(candidate):
                 current = candidate
                 improved = True
@@ -297,16 +287,3 @@ def shrink_graph_case(
             current = candidate
             break
     return current
-
-
-def shrink_case(case: FuzzCase, predicate: Callable[[FuzzCase], bool]) -> FuzzCase:
-    """Dispatch on the case domain; returns the (possibly unchanged) minimum."""
-    if isinstance(case, TreeCase):
-        return shrink_tree_case(case, predicate)
-    if isinstance(case, CsvCase):
-        return shrink_csv_case(case, predicate)
-    if isinstance(case, DynamicCase):
-        return shrink_dynamic_case(case, predicate)
-    if isinstance(case, GraphCase):
-        return shrink_graph_case(case, predicate)
-    return shrink_npz_case(case, predicate)

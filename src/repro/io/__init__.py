@@ -7,10 +7,11 @@ loader.
 * tree archive:        ``kind="tree"``, ``n``, ``edges (m,2)``, ``weights (m,)``
 * dendrogram archive:  ``kind="dendrogram"``, the tree fields, ``parents (m,)``
 
-The raw binary formats (REDG1 edge files in :mod:`repro.io.edgefile`,
-dendrogram snapshots in :mod:`repro.dendrogram.snapshot`) share two
-helpers: :func:`atomic_write`, which makes a file appear whole or not at
-all, and a fixed header of a magic plus little-endian int64 fields
+Archives, REDG1 edge files (:mod:`repro.io.edgefile`) and dendrogram
+snapshots (:mod:`repro.dendrogram.snapshot`) are written through
+:func:`atomic_write`: they appear whole or not at all, at exactly the path
+given (no suffix is appended).  The two raw binary formats also share a
+fixed header of a magic plus little-endian int64 fields
 (:func:`pack_header` / :func:`read_header`) whose fields determine the
 exact file size.
 
@@ -128,9 +129,19 @@ def read_header(
     return fields
 
 
+def _save_archive(path: str | Path | IO[bytes], **arrays: np.ndarray) -> None:
+    """``np.savez_compressed`` onto a file object, or atomically onto
+    exactly ``path`` (never ``path + ".npz"``)."""
+    if not isinstance(path, (str, Path)):
+        np.savez_compressed(path, **arrays)
+        return
+    with atomic_write(path) as fh:
+        np.savez_compressed(fh, **arrays)
+
+
 def save_tree(path: str | Path | IO[bytes], tree: WeightedTree) -> None:
-    """Write a weighted tree to ``path`` (``.npz``)."""
-    np.savez_compressed(
+    """Write a weighted tree archive (``.npz`` format) to ``path``."""
+    _save_archive(
         path,
         kind=np.array("tree"),
         n=np.array(tree.n, dtype=np.int64),
@@ -152,9 +163,9 @@ def load_tree(path: str | Path | IO[bytes]) -> WeightedTree:
 
 
 def save_dendrogram(path: str | Path | IO[bytes], dend: Dendrogram) -> None:
-    """Write a dendrogram (tree + parents) to ``path`` (``.npz``)."""
+    """Write a dendrogram archive (tree + parents, ``.npz`` format) to ``path``."""
     tree = dend.tree
-    np.savez_compressed(
+    _save_archive(
         path,
         kind=np.array("dendrogram"),
         n=np.array(tree.n, dtype=np.int64),

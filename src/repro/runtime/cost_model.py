@@ -37,16 +37,18 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import SchedulerError
+from repro.errors import AlgorithmError, SchedulerError
 from repro.util import log2ceil
 
 if TYPE_CHECKING:
     from repro.checkers.access import RoundRecorder
 
 __all__ = [
+    "BACKENDS",
     "WorkDepth",
     "CostTracker",
     "active_tracker",
+    "check_backend",
     "combine_parallel",
     "combine_serial",
     "log_cost",
@@ -257,6 +259,17 @@ def active_tracker(tracker: CostTracker | None) -> CostTracker | None:
     if tracker is not None and tracker.enabled:
         return tracker
     return None
+
+
+#: Recognized values of every ``backend=`` selector: the dendrogram
+#: dispatcher, the MST entry points and both clustering pipelines.
+BACKENDS = ("auto", "reference", "array")
+
+
+def check_backend(backend: str) -> None:
+    """Raise :class:`~repro.errors.AlgorithmError` unless ``backend`` is in :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise AlgorithmError(f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}")
 
 
 #: A shared always-disabled tracker for hot paths that want zero accounting.

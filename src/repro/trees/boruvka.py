@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkers import access as _access
-from repro.errors import AlgorithmError, NotConnectedError
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker
+from repro.errors import NotConnectedError
+from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker, check_backend
 from repro.structures.unionfind import UnionFind
 from repro.trees.boruvka_fast import boruvka_select_contract
 from repro.trees.mst import _check_graph
@@ -28,10 +28,6 @@ from repro.trees.wtree import WeightedTree
 from repro.util import log2ceil
 
 __all__ = ["boruvka_mst", "boruvka_rounds", "boruvka_tree"]
-
-#: Recognized ``backend=`` values (mirrors ``repro.core.api.BACKENDS``;
-#: kept local to avoid an import cycle through the algorithm registry).
-_BACKENDS = ("auto", "reference", "array")
 
 
 def boruvka_mst(
@@ -64,10 +60,7 @@ def boruvka_rounds(
     backends select identical edges in identical rounds: ranks are a
     permutation, so min-edge selection has no ties.
     """
-    if backend not in _BACKENDS:
-        raise AlgorithmError(
-            f"unknown backend {backend!r}; expected one of {sorted(_BACKENDS)}"
-        )
+    check_backend(backend)
     edges, weights = _check_graph(n, edges, weights)
     ranks = ranks_of(weights)
     tracker = active_tracker(tracker)
@@ -130,52 +123,6 @@ def _boruvka_loop(
                 added += 1
         if tracker is not None:
             tracker.add(WorkDepth(float(alive.size), float(log2ceil(n) + 1)))
-        if added == 0:
-            break
-    return chosen, rounds
-
-
-def _boruvka_loop_fast(
-    uf: UnionFind, edges: np.ndarray, ranks: np.ndarray, n: int
-) -> tuple[list[int], int]:
-    """Half-vectorized round loop: batch finds + lexsort selection.
-
-    Superseded as the production fast path by the fully vectorized
-    :func:`repro.trees.boruvka_fast.boruvka_select_contract`; kept as a
-    mid-level differential oracle (tests/fuzz) sitting between the scalar
-    reference and the slab kernel.  Must select the same edges in the same
-    rounds as :func:`_boruvka_loop` (``ranks`` is a permutation, so each
-    component's min-rank incident edge is unique).
-    """
-    chosen: list[int] = []
-    alive = np.arange(edges.shape[0], dtype=np.int64)
-    rounds = 0
-    while uf.num_sets > 1:
-        rounds += 1
-        roots_u = uf.find_many(edges[alive, 0])
-        roots_v = uf.find_many(edges[alive, 1])
-        cross = roots_u != roots_v
-        alive = alive[cross]
-        roots_u = roots_u[cross]
-        roots_v = roots_v[cross]
-        if alive.size == 0:
-            break
-        # Min-rank incident edge per component: sort (component, rank) pairs
-        # over both endpoint directions and keep each component's first row.
-        comp = np.concatenate([roots_u, roots_v])
-        eid = np.concatenate([alive, alive])
-        order = np.lexsort((ranks[eid], comp))
-        comp_s = comp[order]
-        first = np.r_[True, comp_s[1:] != comp_s[:-1]]
-        sel = np.unique(eid[order[first]])
-        sel = sel[np.argsort(ranks[sel])]
-        added = 0
-        for e in sel.tolist():
-            u, v = int(edges[e, 0]), int(edges[e, 1])
-            if uf.find(u) != uf.find(v):
-                uf.union(u, v)
-                chosen.append(e)
-                added += 1
         if added == 0:
             break
     return chosen, rounds

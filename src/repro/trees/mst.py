@@ -27,7 +27,7 @@ from repro.checkers.bounds import cost_bound
 from repro.checkers.contracts import slab_contract
 from repro.errors import InvalidGraphError, NotConnectedError
 from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker
+from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker, check_backend
 from repro.structures.unionfind import UnionFind
 from repro.trees.weights import ranks_of
 from repro.trees.wtree import WeightedTree
@@ -343,11 +343,6 @@ def _scan_rank_batch(
 
 _METHODS = {"kruskal": kruskal_mst, "prim": prim_mst, "scipy": scipy_mst}
 
-#: ``backend=`` values accepted by :func:`minimum_spanning_tree` (mirrors
-#: ``repro.core.api.BACKENDS``; local to avoid the registry import cycle).
-_MST_BACKENDS = ("auto", "reference", "array")
-
-
 def minimum_spanning_tree(
     n: int,
     edges: np.ndarray,
@@ -366,10 +361,7 @@ def minimum_spanning_tree(
     ``"array"``/``"auto"`` kernel); the other methods pick their fast
     path from instrumentation state and accept but ignore it.
     """
-    if backend not in _MST_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {sorted(_MST_BACKENDS)}"
-        )
+    check_backend(backend)
     edge_arr = np.asarray(edges, dtype=np.int64)
     weight_arr = np.asarray(weights, dtype=np.float64)
     if method == "boruvka":

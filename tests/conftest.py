@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repro.core.api import ALGORITHMS, resolve_algorithm
 from repro.trees.generators import (
     balanced_binary,
     broom,
@@ -34,6 +35,22 @@ TREE_KINDS = {
 }
 
 SEEDED_KINDS = ("knuth", "random")
+
+#: Registry names that have an array twin, reached as ``resolve_algorithm(name, "array")``.
+TWINNED = tuple(
+    name for name, fn in ALGORITHMS.items() if resolve_algorithm(name, "auto") is not fn
+)
+
+
+def algorithm_backends(names: list[str]) -> list:
+    """``pytest.param(name, backend)`` for each of ``names`` on the reference
+    backend, plus one on the array backend for each twinned name (test id
+    ``<name>-fast``), so every implementation the registry dispatches runs."""
+    return [
+        pytest.param(name, backend, id=name if backend == "reference" else f"{name}-fast")
+        for name in names
+        for backend in (("reference", "array") if name in TWINNED else ("reference",))
+    ]
 
 
 @contextmanager

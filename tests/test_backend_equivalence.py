@@ -17,16 +17,13 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import TREE_KINDS, make_tree
-from repro.core.api import ALGORITHMS
+from conftest import TREE_KINDS, TWINNED, make_tree
+from repro.core.api import resolve_algorithm
 from repro.runtime.cost_model import CostTracker
 
-PAIRS = (
-    ("sequf", "sequf-fast", {}),
-    ("rctt", "rctt-fast", {"seed": 0}),
-    ("tree-contraction", "tree-contraction-fast", {"seed": 0}),
-    ("divide-conquer", "divide-conquer-fast", {}),
-)
+#: Options pinning the seeded twins so both backends contract identically.
+_OPTIONS = {"rctt": {"seed": 0}, "tree-contraction": {"seed": 0}}
+PAIRS = tuple((name, _OPTIONS.get(name, {})) for name in TWINNED)
 
 SIZES = (2, 3, 33, 97)
 
@@ -68,23 +65,21 @@ def test_array_backend_bit_identical(kind, family, tracker_mode):
     for n in SIZES:
         rng = np.random.default_rng(zlib.crc32(f"{kind}:{family}:{n}".encode()))
         tree = make_tree(kind, n).with_weights(weights_of(n - 1, rng))
-        for ref_name, fast_name, opts in PAIRS:
-            expected = ALGORITHMS[ref_name](tree, tracker=None, **opts)
-            got = ALGORITHMS[fast_name](
+        for name, opts in PAIRS:
+            expected = resolve_algorithm(name, "reference")(tree, tracker=None, **opts)
+            got = resolve_algorithm(name, "array")(
                 tree, tracker=TRACKER_MODES[tracker_mode](), **opts
             )
-            assert np.array_equal(got, expected), (
-                kind, family, tracker_mode, n, fast_name,
-            )
+            assert np.array_equal(got, expected), (kind, family, tracker_mode, n, name)
 
 
-@pytest.mark.parametrize("ref_name,fast_name,opts", PAIRS, ids=[p[1] for p in PAIRS])
-def test_array_backend_instrumented_accounting_matches_reference(ref_name, fast_name, opts):
+@pytest.mark.parametrize("name,opts", PAIRS, ids=[f"{name}-fast" for name, _ in PAIRS])
+def test_array_backend_instrumented_accounting_matches_reference(name, opts):
     """With an enabled tracker the twin delegates: identical work/depth."""
     tree = make_tree("random", 64).with_weights(_duplicate(63, np.random.default_rng(7)))
     t_ref, t_fast = CostTracker(), CostTracker()
-    ref = ALGORITHMS[ref_name](tree, tracker=t_ref, **opts)
-    fast = ALGORITHMS[fast_name](tree, tracker=t_fast, **opts)
+    ref = resolve_algorithm(name, "reference")(tree, tracker=t_ref, **opts)
+    fast = resolve_algorithm(name, "array")(tree, tracker=t_fast, **opts)
     assert np.array_equal(ref, fast)
     assert (t_fast.work, t_fast.depth) == (t_ref.work, t_ref.depth)
     assert t_ref.work > 0.0

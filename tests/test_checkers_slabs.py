@@ -213,12 +213,13 @@ class TestContractPresence:
     """Acceptance: every fast kernel and pool method carries a contract."""
 
     def test_fast_algorithms_all_declared(self):
+        from conftest import TWINNED
         from repro.checkers.contracts import get_contract
-        from repro.core.api import FAST_ALGORITHMS
+        from repro.core.api import resolve_algorithm
 
-        for name, fn in FAST_ALGORITHMS.items():
-            contract = get_contract(fn)
-            assert contract is not None, f"FAST_ALGORITHMS[{name!r}] lacks @slab_contract"
+        for name in TWINNED:
+            contract = get_contract(resolve_algorithm(name, "array"))
+            assert contract is not None, f"the {name!r} array twin lacks @slab_contract"
             assert contract.dtypes.get("tree.edges") == ("int64",)
             assert contract.dtypes.get("tree.weights") == ("float64",)
 

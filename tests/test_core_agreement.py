@@ -12,43 +12,42 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import arbitrary_weighted_trees, make_tree, weighted_trees, TREE_KINDS
+from conftest import (
+    TREE_KINDS,
+    algorithm_backends,
+    arbitrary_weighted_trees,
+    make_tree,
+    weighted_trees,
+)
 from repro.core.brute import brute_force_sld
-from repro.core.api import ALGORITHMS, single_linkage_dendrogram
+from repro.core.api import ALGORITHMS, resolve_algorithm, single_linkage_dendrogram
 from repro.trees.weights import WEIGHT_SCHEMES, apply_scheme
 
-GENERAL_ALGORITHMS = (
-    "sequf",
-    "sequf-fast",
-    "paruf",
-    "paruf-sync",
-    "rctt",
-    "rctt-fast",
-    "tree-contraction",
-    "tree-contraction-fast",
-    "tree-contraction-list",
-    "divide-conquer",
-    "weight-dc",
+#: Every (algorithm, backend) the registry dispatches, except the path-only
+#: ``cartesian`` and the ``brute`` oracle itself.
+GENERAL_ALGORITHMS = algorithm_backends(
+    [name for name in ALGORITHMS if name not in ("cartesian", "brute")]
 )
 
 
-@pytest.mark.parametrize("algorithm", GENERAL_ALGORITHMS)
+@pytest.mark.parametrize("algorithm,backend", GENERAL_ALGORITHMS)
 @pytest.mark.parametrize("kind", sorted(TREE_KINDS))
 @pytest.mark.parametrize("scheme", sorted(WEIGHT_SCHEMES))
-def test_algorithm_matches_oracle_grid(algorithm, kind, scheme):
+def test_algorithm_matches_oracle_grid(algorithm, backend, kind, scheme):
     """Deterministic grid: every topology x weight scheme x algorithm."""
     tree = make_tree(kind, 23, seed=7).with_weights(apply_scheme(scheme, 22, seed=11))
     expected = brute_force_sld(tree)
-    got = ALGORITHMS[algorithm](tree)
+    got = resolve_algorithm(algorithm, backend)(tree)
     np.testing.assert_array_equal(got, expected)
 
 
-@pytest.mark.parametrize("algorithm", GENERAL_ALGORITHMS)
+@pytest.mark.parametrize("algorithm,backend", GENERAL_ALGORITHMS)
 @settings(max_examples=60, deadline=None)
 @given(tree=weighted_trees(max_n=32))
-def test_algorithm_matches_oracle_property(algorithm, tree):
+def test_algorithm_matches_oracle_property(algorithm, backend, tree):
     """Property: random topology/weights, per algorithm."""
-    np.testing.assert_array_equal(ALGORITHMS[algorithm](tree), brute_force_sld(tree))
+    got = resolve_algorithm(algorithm, backend)(tree)
+    np.testing.assert_array_equal(got, brute_force_sld(tree))
 
 
 @settings(max_examples=60, deadline=None)
@@ -56,27 +55,29 @@ def test_algorithm_matches_oracle_property(algorithm, tree):
 def test_all_algorithms_agree_on_tied_weights(tree):
     """Ties broken by edge id: all algorithms must still agree exactly."""
     expected = brute_force_sld(tree)
-    for algorithm in GENERAL_ALGORITHMS:
-        got = ALGORITHMS[algorithm](tree)
-        np.testing.assert_array_equal(got, expected, err_msg=algorithm)
+    for param in GENERAL_ALGORITHMS:
+        got = resolve_algorithm(*param.values)(tree)
+        np.testing.assert_array_equal(got, expected, err_msg=param.id)
 
 
-@pytest.mark.parametrize("algorithm", GENERAL_ALGORITHMS)
-def test_two_vertex_tree(algorithm):
+@pytest.mark.parametrize("algorithm,backend", GENERAL_ALGORITHMS)
+def test_two_vertex_tree(algorithm, backend):
     tree = make_tree("path", 2)
-    parents = ALGORITHMS[algorithm](tree)
+    parents = resolve_algorithm(algorithm, backend)(tree)
     np.testing.assert_array_equal(parents, [0])
 
 
-@pytest.mark.parametrize("algorithm", GENERAL_ALGORITHMS + ("cartesian", "brute"))
-def test_single_vertex_tree(algorithm):
+@pytest.mark.parametrize(
+    "algorithm,backend", GENERAL_ALGORITHMS + algorithm_backends(["cartesian", "brute"])
+)
+def test_single_vertex_tree(algorithm, backend):
     tree = make_tree("path", 1)
-    parents = ALGORITHMS[algorithm](tree)
+    parents = resolve_algorithm(algorithm, backend)(tree)
     assert parents.shape == (0,)
 
 
-@pytest.mark.parametrize("algorithm", GENERAL_ALGORITHMS)
-def test_three_vertex_trees_exhaustive(algorithm):
+@pytest.mark.parametrize("algorithm,backend", GENERAL_ALGORITHMS)
+def test_three_vertex_trees_exhaustive(algorithm, backend):
     """All weight orders on both 3-vertex topologies (path only; the star on
     3 vertices is the same graph relabeled)."""
     import itertools
@@ -87,7 +88,7 @@ def test_three_vertex_trees_exhaustive(algorithm):
     for w in itertools.permutations([1.0, 2.0]):
         tree = WeightedTree(3, edges, np.array(w))
         np.testing.assert_array_equal(
-            ALGORITHMS[algorithm](tree), brute_force_sld(tree)
+            resolve_algorithm(algorithm, backend)(tree), brute_force_sld(tree)
         )
 
 
@@ -131,16 +132,12 @@ def test_api_rejects_unknown_algorithm():
 def test_algorithms_registry_is_complete():
     assert set(ALGORITHMS) == {
         "sequf",
-        "sequf-fast",
         "paruf",
         "paruf-sync",
         "rctt",
-        "rctt-fast",
         "tree-contraction",
-        "tree-contraction-fast",
         "tree-contraction-list",
         "divide-conquer",
-        "divide-conquer-fast",
         "weight-dc",
         "cartesian",
         "brute",

@@ -10,6 +10,8 @@ rules including the error cases.
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from conftest import make_tree
 from repro.core.api import (
     ALGORITHMS,
     BACKENDS,
-    FAST_ALGORITHMS,
     resolve_algorithm,
     single_linkage_dendrogram,
 )
@@ -147,15 +148,12 @@ def test_resolve_algorithm_matrix():
     from repro.core.fast_merge import sld_merge_fast
 
     assert resolve_algorithm("divide-conquer", "array") is sld_merge_fast
-    assert resolve_algorithm("divide-conquer-fast", "reference") is ALGORITHMS["divide-conquer"]
     # Twin-less algorithms: auto falls back, reference is itself.
     assert resolve_algorithm("brute", "auto") is ALGORITHMS["brute"]
     assert resolve_algorithm("brute", "reference") is ALGORITHMS["brute"]
-    # -fast names: array/auto are themselves, reference strips the suffix.
-    assert resolve_algorithm("sequf-fast", "array") is sequf_fast
-    assert resolve_algorithm("sequf-fast", "auto") is sequf_fast
-    assert resolve_algorithm("sequf-fast", "reference") is ALGORITHMS["sequf"]
-    assert resolve_algorithm("rctt-fast", "reference") is ALGORITHMS["rctt"]
+    # A twin has no registry name of its own.
+    with pytest.raises(AlgorithmError, match="unknown algorithm 'sequf-fast'"):
+        resolve_algorithm("sequf-fast", "array")
 
 
 def test_resolve_algorithm_errors():
@@ -168,9 +166,22 @@ def test_resolve_algorithm_errors():
 
 
 def test_fast_registry_consistent():
-    for base, twin in FAST_ALGORITHMS.items():
-        assert base in ALGORITHMS
-        assert ALGORITHMS[f"{base}-fast"] is twin
+    """The registry holds reference algorithms only; the array twins hang
+    off four of them and are reached through ``resolve_algorithm``."""
+    registered = set(ALGORITHMS.values())
+    with_twin = set()
+    for name, fn in ALGORITHMS.items():
+        assert not name.endswith("-fast")
+        assert resolve_algorithm(name, "reference") is fn
+        try:
+            twin = resolve_algorithm(name, "array")
+        except AlgorithmError:
+            assert resolve_algorithm(name, "auto") is fn
+            continue
+        assert twin not in registered
+        assert resolve_algorithm(name, "auto") is twin
+        with_twin.add(name)
+    assert with_twin == {"sequf", "rctt", "tree-contraction", "divide-conquer"}
 
 
 def test_single_linkage_dendrogram_backend_kwarg():
@@ -184,3 +195,69 @@ def test_single_linkage_dendrogram_backend_kwarg():
     assert np.array_equal(ref.parents, dc.parents)
     with pytest.raises(AlgorithmError):
         single_linkage_dendrogram(tree, algorithm="weight-dc", backend="array")
+
+
+# The pipeline modules (``repro.cluster`` re-exports functions of the same names).
+points_linkage = importlib.import_module("repro.cluster.single_linkage")
+graph_linkage = importlib.import_module("repro.cluster.graph_linkage")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "single_linkage_dendrogram",
+        "boruvka_mst",
+        "minimum_spanning_tree",
+        "single_linkage",
+        "graph_single_linkage",
+    ],
+)
+def test_unknown_backend_is_an_algorithm_error(entry, monkeypatch):
+    """Every ``backend=`` entry point rejects an unknown backend with
+    ``AlgorithmError``; the pipelines do so before any stage runs."""
+    from repro.trees.boruvka import boruvka_mst
+    from repro.trees.mst import minimum_spanning_tree
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a pipeline stage ran before the backend check")
+
+    for module, stage in [
+        (points_linkage, "knn_graph"),
+        (points_linkage, "complete_graph"),
+        (points_linkage, "minimum_spanning_tree"),
+        (graph_linkage, "minimum_spanning_tree"),
+    ]:
+        monkeypatch.setattr(module, stage, no_work)
+    edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+    weights = np.array([1.0, 2.0])
+    calls = {
+        "single_linkage_dendrogram": lambda backend: single_linkage_dendrogram(
+            make_tree("path", 3), backend=backend
+        ),
+        "boruvka_mst": lambda backend: boruvka_mst(3, edges, weights, backend=backend),
+        "minimum_spanning_tree": lambda backend: minimum_spanning_tree(
+            3, edges, weights, backend=backend
+        ),
+        "single_linkage": lambda backend: points_linkage.single_linkage(
+            np.zeros((3, 2)), k=1, backend=backend
+        ),
+        "graph_single_linkage": lambda backend: graph_linkage.graph_single_linkage(
+            3, edges, weights, backend=backend
+        ),
+    }
+    with pytest.raises(AlgorithmError, match="unknown backend 'numpy'"):
+        calls[entry]("numpy")
+
+
+def test_pipelines_check_the_twin_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("k-NN ran before the (algorithm, backend) check")
+
+    monkeypatch.setattr(points_linkage, "knn_graph", no_work)
+    with pytest.raises(AlgorithmError, match="no array backend"):
+        points_linkage.single_linkage(np.zeros((3, 2)), k=1, algorithm="paruf", backend="array")
+    monkeypatch.setattr(graph_linkage, "minimum_spanning_tree", no_work)
+    with pytest.raises(AlgorithmError, match="unknown algorithm"):
+        graph_linkage.graph_single_linkage(
+            2, np.array([[0, 1]]), np.ones(1), algorithm="sequf-fast"
+        )

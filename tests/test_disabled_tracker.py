@@ -16,35 +16,38 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.api import ALGORITHMS
+from conftest import algorithm_backends
+from repro.core.api import ALGORITHMS, resolve_algorithm
 from repro.datasets.ladders import FAMILY_BUILDERS
 from repro.runtime.cost_model import NULL_TRACKER, CostTracker, active_tracker
 from repro.trees.generators import path_tree
 
 SIZES = (2, 17, 96)
 
-#: Options pinning every seeded algorithm so runs are comparable.
+#: Options pinning every seeded algorithm (either backend) so runs are comparable.
 _OPTIONS: dict[str, dict] = {
     "paruf": {"seed": 0},
     "paruf-sync": {"seed": 0},
     "rctt": {"seed": 0},
-    "rctt-fast": {"seed": 0},
     "tree-contraction": {"seed": 0},
-    "tree-contraction-fast": {"seed": 0},
     "tree-contraction-list": {"seed": 0},
 }
 
+#: Every (algorithm, backend) the registry dispatches.
+_PAIRS = algorithm_backends(sorted(ALGORITHMS))
+
 
 def _cases():
-    for name in sorted(ALGORITHMS):
+    for param in _PAIRS:
+        name, backend = param.values
         families = ("path",) if name == "cartesian" else tuple(FAMILY_BUILDERS)
         for family in families:
-            yield name, family
+            yield pytest.param(name, backend, family, id=f"{param.id}-{family}")
 
 
-@pytest.mark.parametrize("name,family", list(_cases()))
-def test_disabled_tracker_bit_identical(name, family):
-    fn = ALGORITHMS[name]
+@pytest.mark.parametrize("name,backend,family", list(_cases()))
+def test_disabled_tracker_bit_identical(name, backend, family):
+    fn = resolve_algorithm(name, backend)
     build = FAMILY_BUILDERS[family]
     opts = _OPTIONS.get(name, {})
     for n in SIZES:
@@ -59,9 +62,9 @@ def test_disabled_tracker_bit_identical(name, family):
         assert enabled.work > 0.0, (name, family, n)
 
 
-@pytest.mark.parametrize("name", sorted(ALGORITHMS))
-def test_disabled_tracker_charges_nothing(name):
-    fn = ALGORITHMS[name]
+@pytest.mark.parametrize("name,backend", _PAIRS)
+def test_disabled_tracker_charges_nothing(name, backend):
+    fn = resolve_algorithm(name, backend)
     tree = path_tree(32) if name == "cartesian" else FAMILY_BUILDERS["random"](32)
     disabled = CostTracker(enabled=False)
     fn(tree, tracker=disabled, **_OPTIONS.get(name, {}))

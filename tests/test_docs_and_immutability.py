@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import weighted_trees
-from repro.core.api import ALGORITHMS
+from conftest import algorithm_backends, weighted_trees
+from repro.core.api import ALGORITHMS, resolve_algorithm
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -88,12 +88,25 @@ class TestStaticAnalysisDocs:
             assert documented == list(dict.fromkeys(targets))
 
 
+class TestFuzzDocs:
+    """docs/API.md's fuzz section lists the domain registry as it is."""
+
+    def test_domain_table_matches_registry(self):
+        from repro.fuzz.domains import DOMAINS
+
+        text = (ROOT / "docs" / "API.md").read_text()
+        start = text.index("## Fuzzing")
+        section = text[start : text.index("\n## ", start + 1)]
+        rows = re.findall(r"^\| `(\w+)` \| (\d+) \|", section, flags=re.M)
+        assert rows == [(d.name, str(d.weight)) for d in DOMAINS]
+
+
 class TestInputImmutability:
     @pytest.mark.parametrize(
-        "algorithm",
-        [a for a in ALGORITHMS if a != "cartesian"],
+        "algorithm,backend",
+        algorithm_backends([a for a in ALGORITHMS if a != "cartesian"]),
     )
-    def test_algorithms_do_not_mutate_input(self, algorithm):
+    def test_algorithms_do_not_mutate_input(self, algorithm, backend):
         from conftest import make_tree
         from repro.trees.weights import apply_scheme
 
@@ -101,7 +114,7 @@ class TestInputImmutability:
         edges_before = tree.edges.copy()
         weights_before = tree.weights.copy()
         ranks_before = tree.ranks.copy()
-        ALGORITHMS[algorithm](tree)
+        resolve_algorithm(algorithm, backend)(tree)
         np.testing.assert_array_equal(tree.edges, edges_before, err_msg=algorithm)
         np.testing.assert_array_equal(tree.weights, weights_before, err_msg=algorithm)
         np.testing.assert_array_equal(tree.ranks, ranks_before, err_msg=algorithm)

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
+import pytest
 
 from repro.cli import main as cli_main
+from repro.core.paruf_threaded import paruf_threaded
+from repro.errors import ReproError
 from repro.fuzz import (
+    DOMAINS,
     FUZZ_ALGORITHMS,
     CsvCase,
     DynamicCase,
@@ -14,19 +21,32 @@ from repro.fuzz import (
     TreeCase,
     case_rng,
     differential_check,
-    gen_case,
+    draw_case,
     relations_check,
     run_fuzz,
     run_selftest,
-    shrink_case,
+    select_domains,
 )
 from repro.fuzz.corpus import entry_bytes, entry_filename, load_entry, save_finding
+from repro.fuzz.domains import CSV, GRAPH, NPZ, TREE
 from repro.fuzz.oracles import Finding, reference_parse_csv
 from repro.fuzz.selftest import (
     MUTANTS,
     mutant_dropped_tiebreak,
     mutant_label_tiebreak,
 )
+
+
+def _gen(seed: int, index: int, domains=None):
+    """Case ``index`` of a run with ``seed`` over the ``domains`` wheel."""
+    return draw_case(select_domains(domains), case_rng(seed, index))[1]
+
+
+def _tree_mutant(fn, check: str = "differential"):
+    """The tree domain judged on ``{"mut": fn}`` by one tree check only."""
+    if check == "differential":
+        return replace(TREE, check=lambda case, rng: differential_check(case, {"mut": fn}))
+    return replace(TREE, check=lambda case, rng: relations_check(case, {"mut": fn}, rng))
 
 
 def _case_equal(a, b) -> bool:
@@ -63,19 +83,19 @@ def _case_equal(a, b) -> bool:
 class TestDeterminism:
     def test_same_seed_same_cases(self):
         for index in range(40):
-            a = gen_case(case_rng(7, index))
-            b = gen_case(case_rng(7, index))
+            a = _gen(7, index)
+            b = _gen(7, index)
             assert _case_equal(a, b), index
 
     def test_seed_changes_the_stream(self):
         diff = sum(
-            not _case_equal(gen_case(case_rng(1, i)), gen_case(case_rng(2, i)))
+            not _case_equal(_gen(1, i), _gen(2, i))
             for i in range(20)
         )
         assert diff > 10
 
     def test_negative_seed_accepted(self):
-        gen_case(case_rng(-3, 0))
+        _gen(-3, 0)
 
     def test_corpus_entries_byte_identical_across_runs(self, tmp_path):
         dirs = (tmp_path / "a", tmp_path / "b")
@@ -84,9 +104,7 @@ class TestDeterminism:
                 seed=0,
                 max_cases=150,
                 corpus_dir=d,
-                algorithms={"mut": mutant_dropped_tiebreak},
-                domains=("tree",),
-                tree_checks=("differential",),
+                domains=(_tree_mutant(mutant_dropped_tiebreak),),
                 stop_on_finding=True,
             )
             assert report.findings
@@ -114,9 +132,7 @@ class TestDetectionPower:
         report = run_fuzz(
             seed=0,
             max_cases=150,
-            algorithms={"mut": mutant_dropped_tiebreak},
-            domains=("tree",),
-            tree_checks=("differential",),
+            domains=(_tree_mutant(mutant_dropped_tiebreak),),
             stop_on_finding=True,
         )
         assert any(f.check == "differential:mut" for f in report.findings)
@@ -125,9 +141,7 @@ class TestDetectionPower:
         report = run_fuzz(
             seed=0,
             max_cases=150,
-            algorithms={"mut": mutant_label_tiebreak},
-            domains=("tree",),
-            tree_checks=("relations",),
+            domains=(_tree_mutant(mutant_label_tiebreak, check="relations"),),
             stop_on_finding=True,
         )
         assert report.findings
@@ -158,11 +172,7 @@ class TestDetectionPower:
 
         healthy = st.Mutant(
             name="healthy",  # a correct algorithm: nothing to catch
-            kwargs={
-                "algorithms": {"healthy": sequf},
-                "domains": ("tree",),
-                "tree_checks": ("differential",),
-            },
+            domain=_tree_mutant(sequf),
             max_cases=10,
         )
         monkeypatch.setattr(st, "MUTANTS", (healthy,))
@@ -176,11 +186,10 @@ class TestOracles:
     def test_paruf_threaded_vs_sequf_stress_8_threads(self):
         """The ISSUE's stress case: the threaded variant through the fuzz
         oracle at 8 OS threads, duplicate-heavy weights included."""
-        algs = {"paruf-threaded": FUZZ_ALGORITHMS["paruf-threaded"]}
+        algs = {"paruf-threaded": partial(paruf_threaded, num_threads=8)}
         for index in range(25):
-            rng = case_rng(97, index)
-            case = gen_case(rng, domains=("tree",))
-            findings = differential_check(case, algs, num_threads=8)
+            case = _gen(97, index, ["tree"])
+            findings = differential_check(case, algs)
             assert findings == [], [f.describe() for f in findings]
 
     def test_reference_parser_matches_loader_on_valid_input(self):
@@ -207,7 +216,7 @@ class TestRelationsOnRealAlgorithms:
     def test_all_relations_clean(self):
         rng = np.random.default_rng(5)
         for index in range(15):
-            case = gen_case(case_rng(5, index), domains=("tree",))
+            case = _gen(5, index, ["tree"])
             findings = relations_check(case, dict(FUZZ_ALGORITHMS), rng)
             assert findings == [], [f.describe() for f in findings]
 
@@ -226,7 +235,7 @@ class TestShrinking:
             return bool(differential_check(c, {"mut": mutant_dropped_tiebreak}))
 
         assert still_fails(case)
-        small = shrink_case(case, still_fails)
+        small = TREE.shrink(case, still_fails)
         assert still_fails(small)
         assert small.n <= 4
         assert small.label.count("~shrunk") == 1
@@ -240,13 +249,13 @@ class TestShrinking:
             status, tag = reference_parse_csv(c.text, c.has_header)
             return status == "error" and tag == "self-loop"
 
-        small = shrink_case(case, still_fails)
+        small = CSV.shrink(case, still_fails)
         assert still_fails(small)
         assert len([ln for ln in small.text.splitlines() if ln]) == 1
 
     def test_npz_shrinks_by_truncation(self):
         case = NpzCase(data=b"\x00" * 4096, label="junk")
-        small = shrink_case(case, lambda c: True)
+        small = NPZ.shrink(case, lambda c: True)
         assert len(small.data) == 0
 
 
@@ -268,6 +277,13 @@ class TestCorpusFormat:
                     ((), ()),
                 ),
                 label="d",
+            ),
+            GraphCase(
+                n=3,
+                edges=np.array([[0, 1], [1, 2], [0, 2]], dtype=np.int64),
+                weights=np.array([0.5, -0.0, 1e308]),
+                chunk=2,
+                label="g",
             ),
             CsvCase(text="0,0\n", has_header=None, label="c"),
             NpzCase(data=b"\x80\x00\xff", label="n"),
@@ -323,6 +339,78 @@ class TestCli:
         assert cli_main(["fuzz", "--selftest", "--no-shrink"]) == 0
         assert "fuzz selftest: OK" in capsys.readouterr().out
 
+    def test_graph_domain_selectable(self, tmp_path, capsys):
+        rc = cli_main(["fuzz", "--domains", "graph", "--cases", "5", "--corpus", str(tmp_path)])
+        assert rc == 0
+        assert "fuzz: OK" in capsys.readouterr().out
+
+    def test_unknown_domain_exit_two(self, capsys):
+        assert cli_main(["fuzz", "--domains", "grpah", "--cases", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unknown fuzz domain 'grpah'" in err
+
+
+class TestRegistry:
+    def test_wheel_matches_the_registry(self):
+        assert [(d.name, d.weight) for d in DOMAINS] == [
+            ("tree", 5),
+            ("dynamic", 2),
+            ("graph", 2),
+            ("csv", 2),
+            ("npz", 1),
+        ]
+
+    def test_unknown_domain_name_raises(self):
+        with pytest.raises(ReproError, match="unknown fuzz domain 'grpah'"):
+            run_fuzz(seed=0, max_cases=5, domains=("grpah",))
+
+    def test_subset_keeps_registry_order(self):
+        for index in range(30):
+            assert _case_equal(_gen(2, index, ["csv", "tree"]), _gen(2, index, ["tree", "csv"]))
+
+    def test_domain_defined_outside_the_package(self, monkeypatch, tmp_path):
+        """A domain added to the registry from this file alone runs through
+        the fuzz loop, the shrinker, the corpus writer and the replay."""
+        from repro.fuzz import domains
+        from repro.fuzz.corpus import replay_corpus
+        from repro.fuzz.domains import Domain
+
+        def integers(threshold: int) -> Domain:
+            def check(case, rng):
+                if case <= threshold:
+                    return []
+                return [Finding(check="int:above", message=f"above {threshold}", case=case)]
+
+            def halve(case, still_fails):
+                while case > 1 and still_fails(case // 2):
+                    case //= 2
+                return case
+
+            return Domain(
+                name="int",
+                weight=1,
+                case_type=int,
+                generate=lambda rng: int(rng.integers(0, 10_000)),
+                check=check,
+                shrink=halve,
+                encode=lambda case: {"value": case},
+                decode=lambda payload: int(payload["value"]),
+            )
+
+        monkeypatch.setattr(domains, "DOMAINS", (*DOMAINS, integers(100)))
+        report = run_fuzz(seed=0, max_cases=20, corpus_dir=tmp_path, domains=["int"])
+        assert [f.check for f in report.findings] == ["int:above"]
+        assert 100 < report.findings[0].case <= 201  # halved as far as it still fails
+        [path] = report.corpus_paths
+        assert path.name.startswith("int-")
+        assert [[f.case for f in found] for _, found in replay_corpus(tmp_path)] == [
+            [report.findings[0].case]
+        ]
+        # With the "bug" fixed, the same entry replays clean.
+        monkeypatch.setattr(domains, "DOMAINS", (*DOMAINS, integers(10_000)))
+        assert replay_corpus(tmp_path) == [(path, [])]
+
 
 class TestGraphDomain:
     def test_clean_engines_produce_no_findings(self):
@@ -349,8 +437,14 @@ class TestGraphDomain:
         report = run_fuzz(
             seed=0,
             max_cases=150,
-            domains=("graph",),
-            streaming_fn=_streaming_dropped_window,
+            domains=(
+                replace(
+                    GRAPH,
+                    check=lambda case, rng: mst_check(
+                        case, streaming_fn=_streaming_dropped_window
+                    ),
+                ),
+            ),
             stop_on_finding=True,
         )
         assert report.findings

@@ -96,3 +96,27 @@ def test_entry_names_are_content_addressed(name_prefix):
     for path in CORPUS_DIR.glob(f"{name_prefix}-*.json"):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
         assert path.name == f"{name_prefix}-{digest}.json"
+
+
+def test_selftest_reproduces_the_committed_corpus(tmp_path):
+    """The selftest at seed 0 writes every committed entry byte for byte,
+    plus the shrunken witnesses of the mutants the corpus does not pin."""
+    from repro.fuzz.selftest import run_selftest
+
+    report = run_selftest(seed=0, corpus_dir=tmp_path)
+    assert report.ok, report.missed
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "csv-2eb2218bea20.json",
+        "csv-a4e4e2be93f8.json",
+        "csv-cb573798ae90.json",
+        "dynamic-c20c33693efe.json",
+        "dynamic-caed5e2fc5b2.json",
+        "graph-dfdc81f0d90c.json",
+        "tree-4043640dc91c.json",
+        "tree-8af54295bfd7.json",
+        "tree-ab93053e30d5.json",
+        "tree-cfad0b91c757.json",
+        "tree-f235281bef05.json",
+    ]
+    for committed in sorted(CORPUS_DIR.glob("*.json")):
+        assert (tmp_path / committed.name).read_bytes() == committed.read_bytes(), committed.name

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.fuzz import case_rng, gen_dynamic_case, run_fuzz
 from repro.fuzz.corpus import load_entry, save_finding
+from repro.fuzz.domains import DYNAMIC
 from repro.fuzz.generators import DynamicCase
 from repro.fuzz.oracles import Finding, dynamic_check
 from repro.fuzz.selftest import _no_rollback_engine, _stale_suffix_engine
 from repro.fuzz.shrink import shrink_dynamic_case
+
+
+def _engine_domain(factory):
+    """The dynamic domain judged against the engine ``factory`` builds."""
+    return replace(DYNAMIC, check=lambda case, rng: dynamic_check(case, engine_factory=factory))
 
 
 def _some_case(seed: int = 11, index: int = 0) -> DynamicCase:
@@ -44,8 +52,7 @@ class TestOracle:
         report = run_fuzz(
             seed=0,
             max_cases=150,
-            domains=("dynamic",),
-            engine_factory=_stale_suffix_engine,
+            domains=(_engine_domain(_stale_suffix_engine),),
             stop_on_finding=True,
             shrink=False,
         )
@@ -56,8 +63,7 @@ class TestOracle:
         report = run_fuzz(
             seed=0,
             max_cases=150,
-            domains=("dynamic",),
-            engine_factory=_no_rollback_engine,
+            domains=(_engine_domain(_no_rollback_engine),),
             stop_on_finding=True,
             shrink=False,
         )

@@ -7,7 +7,7 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import make_tree
+from conftest import file_size_limit, make_tree
 from repro.cli import main as cli_main
 from repro.core.api import single_linkage_dendrogram
 from repro.errors import InvalidDendrogramError
@@ -83,7 +83,52 @@ class TestIO:
         assert int(rows[-1][3]) == tree.n
 
 
+class TestArchiveWrites:
+    """Archive paths are written whole, at exactly the path given."""
+
+    def test_exact_path_no_suffix(self, tmp_path, tree):
+        save_tree(tmp_path / "t.tree", tree)
+        save_dendrogram(tmp_path / "d.dend", single_linkage_dendrogram(tree))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.dend", "t.tree"]
+        assert load_tree(tmp_path / "t.tree").n == tree.n
+        assert load_dendrogram(tmp_path / "d.dend").m == tree.m
+
+    def test_failed_save_keeps_previous_archive(self, tmp_path, tree):
+        path = tmp_path / "d.npz"
+        save_dendrogram(path, single_linkage_dendrogram(tree))
+        before = path.read_bytes()
+        bigger = make_tree("random", 4000, seed=3)
+        with file_size_limit(len(before)), pytest.raises(OSError):
+            save_dendrogram(path, single_linkage_dendrogram(bigger, algorithm="sequf"))
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file
+        assert path.read_bytes() == before
+
+
 class TestCLI:
+    def test_generate_then_compute_any_suffix(self, tmp_path, capsys):
+        tree_path = tmp_path / "x.tree"
+        assert cli_main(["generate", "--kind", "path", "--n", "12", "--out", str(tree_path)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["x.tree"]
+        assert cli_main(["compute", "--input", str(tree_path), "--algorithm", "sequf"]) == 0
+        assert "nodes:      11" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--input", "missing.npz"],
+            ["analyze", "--input", "missing.npz"],
+            ["info", "missing.npz"],
+            ["compute", "--kind", "path", "--n", "5", "--algorithm", "sequf-fast"],
+        ],
+        ids=["compute-missing", "analyze-missing", "info-missing", "compute-unknown-algorithm"],
+    )
+    def test_errors_exit_two_with_one_line(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: ")
+        assert err.count("\n") == 1
+
     def test_generate_and_compute(self, tmp_path, capsys):
         tree_path = tmp_path / "tree.npz"
         assert cli_main(["generate", "--kind", "star", "--n", "50", "--out", str(tree_path)]) == 0

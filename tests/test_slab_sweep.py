@@ -139,11 +139,12 @@ class TestKernelDtypePins:
 
     @pytest.mark.parametrize("kind", ["path", "random", "caterpillar"])
     def test_fast_kernels_return_int64(self, kind):
-        from repro.core.api import FAST_ALGORITHMS
+        from conftest import TWINNED
+        from repro.core.api import resolve_algorithm
 
         tree = make_tree(kind, 128, seed=3)
-        for name, fn in FAST_ALGORITHMS.items():
-            out = fn(tree)
+        for name in TWINNED:
+            out = resolve_algorithm(name, "array")(tree)
             assert out.dtype == np.int64, f"{name} returned {out.dtype}"
 
     def test_build_rc_tree_fast_int64_internals(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InvalidGraphError, NotConnectedError
+from repro.errors import AlgorithmError, InvalidGraphError, NotConnectedError
 from repro.trees.mst import kruskal_mst, minimum_spanning_tree, prim_mst, scipy_mst
 from repro.trees.validation import validate_tree_edges
 
@@ -70,7 +70,7 @@ def test_minimum_spanning_tree_returns_weighted_tree():
 def test_unknown_method():
     with pytest.raises(ValueError, match="MST method"):
         minimum_spanning_tree(2, np.array([[0, 1]]), np.ones(1), method="dijkstra")
-    with pytest.raises(ValueError, match="unknown backend"):
+    with pytest.raises(AlgorithmError, match="unknown backend"):
         minimum_spanning_tree(2, np.array([[0, 1]]), np.ones(1), backend="numpy")
 
 
