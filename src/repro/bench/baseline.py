@@ -19,6 +19,11 @@ calibration probe.  The schema::
       }
     }
 
+A file that is not valid JSON or does not match the schema raises
+:class:`~repro.io.FormatError` naming the path (exit 2 from the CLI, a
+usage error, not a regression).  Files are written through
+:func:`repro.io.atomic_write`.
+
 The gate (:func:`compare`) fails (exit 1 from the CLI) when any kernel's
 calibration-normalized *minimum* wall time regresses more than
 ``tolerance`` (default 15%, plus a small absolute slack for scheduler
@@ -38,6 +43,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.bench.harness import KernelResult
+from repro.io import FormatError, atomic_write
 
 __all__ = [
     "SCHEMA",
@@ -100,30 +106,33 @@ def results_to_payload(
 
 
 def validate_payload(payload: Any, where: str = "payload") -> dict[str, Any]:
-    """Check ``payload`` against the ``repro-bench/1`` schema; return it."""
+    """Check ``payload`` against the ``repro-bench/1`` schema; return it.
+
+    Raises :class:`~repro.io.FormatError` naming ``where`` on any mismatch.
+    """
     if not isinstance(payload, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(payload).__name__}")
+        raise FormatError(f"{where}: expected a JSON object, got {type(payload).__name__}")
     schema = payload.get("schema")
     if schema != SCHEMA:
-        raise ValueError(f"{where}: schema {schema!r} is not {SCHEMA!r}")
+        raise FormatError(f"{where}: schema {schema!r} is not {SCHEMA!r}")
     cal = payload.get("calibration_s")
     if not isinstance(cal, (int, float)) or not math.isfinite(cal) or cal <= 0:
-        raise ValueError(f"{where}: calibration_s must be a positive number, got {cal!r}")
+        raise FormatError(f"{where}: calibration_s must be a positive number, got {cal!r}")
     kernels = payload.get("kernels")
     if not isinstance(kernels, dict) or not kernels:
-        raise ValueError(f"{where}: kernels must be a non-empty object")
+        raise FormatError(f"{where}: kernels must be a non-empty object")
     for name, entry in kernels.items():
         if not isinstance(entry, dict):
-            raise ValueError(f"{where}: kernel {name!r} entry must be an object")
+            raise FormatError(f"{where}: kernel {name!r} entry must be an object")
         for key, types in _REQUIRED_KERNEL_KEYS.items():
             value = entry.get(key)
             if not isinstance(value, types) or isinstance(value, bool):
-                raise ValueError(
+                raise FormatError(
                     f"{where}: kernel {name!r} field {key!r} must be "
                     f"{'/'.join(t.__name__ for t in types)}, got {value!r}"
                 )
             if isinstance(value, (int, float)) and not math.isfinite(float(value)):
-                raise ValueError(f"{where}: kernel {name!r} field {key!r} is not finite")
+                raise FormatError(f"{where}: kernel {name!r} field {key!r} is not finite")
     return payload
 
 
@@ -132,16 +141,17 @@ def save_baseline(path: str | Path, payload: dict[str, Any]) -> None:
     validate_payload(payload, where=str(path))
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_write(p) as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_baseline(path: str | Path) -> dict[str, Any]:
     """Load and schema-validate a ``BENCH_*.json`` file."""
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        payload = json.loads(data)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise FormatError(f"{path}: not valid JSON ({exc})") from None
     return validate_payload(payload, where=str(path))
 
 

@@ -4,7 +4,7 @@ The paper decomposes billion-scale runs into RCTT = Build / Trace / Sort
 and ParUF = Preprocess / Async / Postprocess, observing that RCTT is
 dominated by RC-tree construction (Trace at most ~23%, usually a few
 percent) and that ParUF on knuth-perm is dominated by the Async step.
-The same phase timers instrument this reproduction's wall-clock runs.
+The same phase spans instrument this reproduction's wall-clock runs.
 """
 
 from __future__ import annotations

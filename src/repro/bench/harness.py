@@ -1,8 +1,9 @@
 """Shared benchmark machinery: timed, instrumented algorithm runs.
 
 ``run_algorithm`` executes one dendrogram algorithm with a fresh
-:class:`~repro.runtime.cost_model.CostTracker` and
-:class:`~repro.runtime.instrumentation.PhaseTimer`, measuring wall time.
+:class:`~repro.runtime.cost_model.CostTracker` inside a
+:func:`~repro.runtime.instrumentation.recording` block, measuring wall
+time per phase.
 ``simulated_time`` converts the run into a Brent's-law time at P
 processors, anchored at the measured single-thread wall time (DESIGN.md
 Section 1 explains why this substitution preserves the paper's
@@ -19,7 +20,7 @@ import numpy as np
 from repro.core.api import ALGORITHMS
 from repro.runtime.brent import calibrated_times, time_scale
 from repro.runtime.cost_model import CostTracker
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.instrumentation import recording
 from repro.trees.wtree import WeightedTree
 
 __all__ = [
@@ -62,18 +63,18 @@ def run_algorithm(
     """Run ``algorithm`` on ``tree`` with full instrumentation."""
     fn = ALGORITHMS[algorithm]
     tracker = CostTracker()
-    timer = PhaseTimer(tracker=tracker)
-    start = time.perf_counter()
-    parents = fn(tree, tracker=tracker, timer=timer, **options)
-    wall = time.perf_counter() - start
+    with recording(tracker) as rec:
+        start = time.perf_counter()
+        parents = fn(tree, tracker=tracker, **options)
+        wall = time.perf_counter() - start
     return AlgoRun(
         algorithm=algorithm,
         n=tree.n,
         wall_seconds=wall,
         work=tracker.work,
         depth=tracker.depth,
-        phases=timer.phases,
-        phase_costs=timer.phase_costs,
+        phases=rec.phases,
+        phase_costs=rec.phase_costs,
         parents=parents if keep_parents else None,
     )
 

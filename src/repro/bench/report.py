@@ -14,6 +14,7 @@ import sys
 import time
 
 from repro._version import __version__
+from repro.io import atomic_write
 
 __all__ = ["generate_report", "format_bench_results", "main"]
 
@@ -91,8 +92,8 @@ def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     out_path = args[0] if args else "reproduction_report.md"
     report = generate_report()
-    with open(out_path, "w") as fh:
-        fh.write(report)
+    with atomic_write(out_path) as fh:
+        fh.write(report.encode())
     print(f"wrote {out_path} ({len(report.splitlines())} lines)")
     return 0
 

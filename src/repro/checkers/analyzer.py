@@ -666,7 +666,7 @@ _ARRAY_PRODUCERS = _INT_PRODUCERS | _INHERIT_FNS | _ALLOC_FNS | _CONCAT_FNS | {
 _INPLACE_METHODS = {"sort", "fill", "partition", "put", "setfield", "byteswap"}
 
 #: The instrumentation surface a pure slab kernel must not touch (RPR207).
-_EFFECT_NAMES = {"active_tracker", "record_read", "record_write", "record_atomic", "commit_phase"}
+_EFFECT_NAMES = {"instrumented", "record_read", "record_write", "record_atomic", "commit_phase"}
 _EFFECT_ATTRS = {"RECORDER"}
 
 #: Host-effect builtins forbidden inside contracts (RPR208).

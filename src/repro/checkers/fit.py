@@ -40,6 +40,7 @@ import numpy as np
 from repro.checkers.bounds import CostBound, registered_bounds
 from repro.datasets.ladders import DEFAULT_SIZES, FAMILY_BUILDERS
 from repro.dendrogram.metrics import dendrogram_height
+from repro.io import atomic_write
 from repro.runtime.cost_model import CostTracker
 
 __all__ = [
@@ -132,7 +133,8 @@ class FitReport:
     def write_json(self, path: str | Path) -> Path:
         p = Path(path)
         p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        with atomic_write(p) as fh:
+            fh.write((json.dumps(self.to_dict(), indent=2) + "\n").encode("utf-8"))
         return p
 
     def summary(self) -> str:

@@ -20,7 +20,8 @@ Commands
     queries) and can self-check the snapshot against the brute-force
     oracle.
 ``info``
-    Describe a saved tree or dendrogram archive, or a snapshot.
+    Describe a saved tree or dendrogram archive, a snapshot, or a REDG1
+    edge file.
 ``check``
     Run the repo invariant lint (RPR codes) and the round-race battery.
 ``fuzz``
@@ -111,9 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--out",
-        default="BENCH_pr10.json",
+        default="results/BENCH_latest.json",
         metavar="PATH",
-        help="where to write the fresh benchmark JSON (default: BENCH_pr10.json)",
+        help="where to write the fresh benchmark JSON "
+        "(default: results/BENCH_latest.json)",
     )
     bench.add_argument(
         "--backend",
@@ -202,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("right")
     cmp_.add_argument("--ks", default="2,4,8", help="comma-separated cut sizes for the B_k curve")
 
-    info = sub.add_parser("info", help="describe a saved archive or snapshot")
+    info = sub.add_parser("info", help="describe a saved archive, snapshot or edge file")
     info.add_argument("path")
 
     check = sub.add_parser(
@@ -406,14 +408,14 @@ def _cmd_bench(args) -> int:
     from repro.bench.harness import bench_kernel, calibrate
     from repro.bench.kernels import kernel_names, kernels_for_backend
     from repro.bench.report import format_bench_results
+    from repro.errors import ReproError
 
     selected = kernels_for_backend(args.backend)
     if args.kernels:
         wanted = [k.strip() for k in args.kernels.split(",") if k.strip()]
         unknown = sorted(set(wanted) - set(kernel_names()))
         if unknown:
-            print(f"unknown kernels {unknown}; available: {kernel_names()}")
-            return 2
+            raise ReproError(f"unknown kernels {unknown}; available: {kernel_names()}")
         selected = [k for k in selected if k.name in wanted]
 
     repeats = args.repeats if args.repeats else (3 if args.quick else 5)
@@ -617,8 +619,15 @@ def _cmd_compare(args) -> int:
 
 def _cmd_info(args) -> int:
     from repro.dendrogram.snapshot import SNAPSHOT_SCHEMA, load_snapshot
-    from repro.io import FormatError
+    from repro.io import FormatError, _open_archive
+    from repro.io.edgefile import EDGEFILE_MAGIC, read_edge_header
 
+    with open(args.path, "rb") as fh:
+        is_edge_file = fh.read(len(EDGEFILE_MAGIC)) == EDGEFILE_MAGIC
+    if is_edge_file:
+        n, m = read_edge_header(args.path)
+        print(f"{args.path}: REDG1 edge file n={n} m={m}")
+        return 0
     try:
         snap = load_snapshot(args.path)
     except FormatError:
@@ -628,7 +637,7 @@ def _cmd_info(args) -> int:
         stamp = "unstamped" if snap.generation < 0 else f"generation {snap.generation}"
         print(f"  dynamic-engine stamp: {stamp}")
         return 0
-    with np.load(args.path, allow_pickle=False) as data:
+    with _open_archive(args.path) as data:
         kind = str(data["kind"]) if "kind" in data else "<unknown>"
         print(f"{args.path}: kind={kind}")
         for key in data.files:

@@ -40,7 +40,7 @@ from repro.checkers.bounds import cost_bound
 from repro.checkers.contracts import slab_contract
 from repro.contraction.rctree import KIND_COMPRESS, KIND_RAKE, KIND_ROOT, RCTree
 from repro.contraction.schedule import CompressEvent, RakeEvent
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker
+from repro.runtime.cost_model import CostTracker, WorkDepth
 from repro.trees.wtree import WeightedTree
 from repro.util import check_random_state, log2ceil
 
@@ -76,10 +76,8 @@ def build_rc_tree_fast(
     """
     if priorities not in ("random", "id"):
         raise ValueError(f"unknown priority rule {priorities!r}; expected 'random' or 'id'")
-    # This builder is the hybrid exception to effect purity: it has no
-    # reference twin behind it, so it resolves the ambient tracker once,
-    # host-side, and charges per-round costs itself.
-    tracker = active_tracker(tracker)  # noqa: RPR207 -- integral cost charging
+    # This builder has no reference twin behind it, so it charges its own
+    # per-round costs when given a tracker.
     n = tree.n
     ranks = tree.ranks
     rc_parent = np.arange(n, dtype=np.int64)

@@ -27,7 +27,7 @@ from repro.checkers import access as _access
 from repro.checkers.bounds import cost_bound
 from repro.checkers.races import check_recorder
 from repro.contraction.rctree import KIND_COMPRESS, KIND_RAKE, KIND_ROOT, RCTree
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker
+from repro.runtime.cost_model import CostTracker, WorkDepth
 from repro.trees.wtree import WeightedTree
 from repro.util import check_random_state, log2ceil
 
@@ -139,7 +139,6 @@ def build_rc_tree(
     """
     if priorities not in ("random", "id"):
         raise ValueError(f"unknown priority rule {priorities!r}; expected 'random' or 'id'")
-    tracker = active_tracker(tracker)
     n = tree.n
     ranks = tree.ranks
     rc_parent = np.arange(n, dtype=np.int64)

@@ -20,7 +20,7 @@ algorithm           array backend
 ``"array"`` requires a fast twin (:class:`~repro.errors.AlgorithmError`
 if the algorithm has none), and ``"auto"`` (the default) picks the array
 backend when one exists.  The twins themselves delegate to the reference
-whenever instrumentation is active (enabled tracker or shadow-access
+whenever instrumentation is active (a tracker or a shadow-access
 recorder), so ``"auto"`` never loses cost accounting.  A twin has no
 registry name of its own: benchmarks, fuzzing and tests reach it as
 ``resolve_algorithm(name, "array")``.
@@ -164,7 +164,8 @@ def single_linkage_dendrogram(
         fast twin.  All backends return bit-identical dendrograms.
     options:
         Forwarded to the algorithm (e.g. ``tracker=`` for work/depth
-        accounting, ``timer=`` for phase breakdowns).
+        accounting).  Phase breakdowns come from running the call inside
+        :func:`repro.runtime.instrumentation.recording`.
 
     Returns
     -------

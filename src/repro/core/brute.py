@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkers.bounds import cost_bound
-from repro.runtime.cost_model import CostTracker, active_tracker
+from repro.runtime.cost_model import CostTracker
 from repro.trees.wtree import WeightedTree
 
 __all__ = ["brute_force_sld"]
@@ -37,7 +37,6 @@ def brute_force_sld(tree: WeightedTree, tracker: CostTracker | None = None) -> n
     """
     m = tree.m
     ranks = tree.ranks
-    tracker = active_tracker(tracker)
     parents = np.arange(m, dtype=np.int64)
     offsets, nbr_vertex, nbr_edge = tree.adjacency()
     scanned = 0

@@ -21,7 +21,7 @@ import numpy as np
 from repro.checkers.bounds import cost_bound
 from repro.core.merge import extract_spine, merge_spines
 from repro.errors import AlgorithmError, InvalidTreeError
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker, combine_parallel
+from repro.runtime.cost_model import CostTracker, WorkDepth, combine_parallel
 from repro.trees.wtree import WeightedTree
 
 __all__ = ["cartesian_tree_parents", "sld_path"]
@@ -111,7 +111,6 @@ def sld_path(
     tree: WeightedTree,
     method: str = "stack",
     tracker: CostTracker | None = None,
-    timer: "PhaseTimer | None" = None,
 ) -> np.ndarray:
     """Parent array of the SLD of a *path* tree via Cartesian trees.
 
@@ -122,7 +121,6 @@ def sld_path(
     m = tree.m
     if m == 0:
         return np.arange(0, dtype=np.int64)
-    tracker = active_tracker(tracker)
     degrees = tree.degrees()
     if degrees.max() > 2:
         bad = int(np.argmax(degrees > 2))

@@ -29,8 +29,8 @@ to the reference: the SLD is unique under the (weight, edge-id) rank
 order, and every batched apply replays exactly the reference's merge
 semantics in rank order within each cluster.
 
-With instrumentation active (an enabled tracker, or a shadow-access
-recorder installed) this backend delegates to the reference
+With instrumentation active (a tracker, or a shadow-access recorder
+installed) this backend delegates to the reference
 implementation: the array kernels have no meaningful per-operation cost
 story -- they are a wall-clock backend, and the reference twin owns the
 work/depth accounting.
@@ -40,13 +40,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkers import access as _access
 from repro.checkers.bounds import cost_bound
 from repro.checkers.contracts import slab_contract
 from repro.core.sequf import sequf
 from repro.errors import InvalidTreeError
-from repro.runtime.cost_model import CostTracker, active_tracker
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.cost_model import CostTracker, instrumented
 from repro.trees.wtree import WeightedTree
 
 __all__ = ["sequf_fast"]
@@ -76,7 +74,6 @@ _WIDE_INPUT = 98304
 def sequf_fast(
     tree: WeightedTree,
     tracker: CostTracker | None = None,
-    timer: PhaseTimer | None = None,
     window: int | None = None,
     drain_below: int = 128,
     max_rounds: int = 4,
@@ -88,19 +85,16 @@ def sequf_fast(
     defaults are the measured sweet spot (``window`` adapts to the input
     size when ``None``).
     """
-    if active_tracker(tracker) is not None or _access.RECORDER is not None:
-        return sequf(tree, tracker=tracker, timer=timer)
+    if instrumented(tracker):
+        return sequf(tree, tracker=tracker)
     m = tree.m
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    timer = timer if timer is not None else PhaseTimer()
     if window is None:
         window = 16384 if m >= _WIDE_INPUT else 8192
-    with timer.phase("sort"):
-        order = np.argsort(tree.ranks, kind="stable")
-    with timer.phase("merge"):
-        _merge_windowed(tree, order, parents, window, drain_below, max_rounds)
+    order = np.argsort(tree.ranks, kind="stable")
+    _merge_windowed(tree, order, parents, window, drain_below, max_rounds)
     return parents
 
 

@@ -23,7 +23,7 @@ Two wall-clock twins of the Section 3.2 / Section 4.2 algorithms:
   replaces the two-key lexsort).
 
 Both twins delegate to their reference implementations whenever
-instrumentation is active (enabled tracker, shadow-access recorder, or a
+instrumentation is active (a tracker, a shadow-access recorder, or a
 diagnostic hook like ``protected_log``/``race_check``): the array
 backends are wall-clock backends, and the reference twins own the
 work/depth accounting.
@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkers import access as _access
 from repro.checkers.bounds import cost_bound
 from repro.checkers.contracts import slab_contract
 from repro.core.rctt import rctt
 from repro.core.tree_contraction_sld import sld_tree_contraction
-from repro.runtime.cost_model import CostTracker, active_tracker
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.cost_model import CostTracker, instrumented
 from repro.structures.heap_pool import HeapPool
 from repro.trees.wtree import WeightedTree
 
@@ -65,7 +63,6 @@ def tree_contraction_fast(
     tree: WeightedTree,
     seed: int | np.random.Generator | None = 0,
     tracker: CostTracker | None = None,
-    timer: PhaseTimer | None = None,
     protected_log: dict | None = None,
     pool_cls: type[HeapPool] = HeapPool,
 ) -> np.ndarray:
@@ -75,69 +72,59 @@ def tree_contraction_fast(
     ``pool_cls`` is a test seam (the fuzz selftest injects a sabotaged
     pool through it); production callers never pass it.
     """
-    if (
-        active_tracker(tracker) is not None
-        or _access.RECORDER is not None
-        or protected_log is not None
-    ):
+    if instrumented(tracker) or protected_log is not None:
         return sld_tree_contraction(
-            tree, mode="heap", seed=seed, tracker=tracker, timer=timer,
-            protected_log=protected_log,
+            tree, mode="heap", seed=seed, tracker=tracker, protected_log=protected_log
         )
     m = tree.m
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    timer = timer if timer is not None else PhaseTimer()
+    from repro.contraction.fast import build_rc_tree_fast
 
-    with timer.phase("contract"):
-        from repro.contraction.fast import build_rc_tree_fast
+    rct = build_rc_tree_fast(tree, seed=seed, record_events=False)
 
-        rct = build_rc_tree_fast(tree, seed=seed, record_events=False)
+    # Contracted vertices in round order.  All events targeting a
+    # vertex precede its own contraction (targets survive their event's
+    # round), and events within one round touch disjoint spines, so a
+    # flat round-ordered walk with immediate melds replays the
+    # reference's per-round grouped schedule exactly.
+    rc_edge = rct.edge
+    contracted = np.flatnonzero(rc_edge >= 0)
+    by_round = contracted[np.argsort(rct.round_of[contracted], kind="stable")]
+    # The merge walk is scalar by design: per contracted vertex it does
+    # O(log)-ish pool work keyed by Python ints, so the walk unboxes the
+    # round-ordered columns once instead of per access.
+    vl = by_round.tolist()  # noqa: RPR205 -- scalar merge walk by design
+    ul = rct.parent[by_round].tolist()  # noqa: RPR205 -- scalar merge walk
+    el = rc_edge[by_round].tolist()  # noqa: RPR205 -- scalar merge walk
+    kl = tree.ranks[rc_edge[by_round]].tolist()  # noqa: RPR205 -- scalar merge walk
+    pool = pool_cls(m)
+    spine = [-1] * rct.n
+    out = parents.tolist()  # noqa: RPR205 -- scalar merge walk by design
+    filter_and_insert = pool.filter_and_insert
+    meld = pool.meld
+    for v, u, e, k in zip(vl, ul, el, kl):
+        h, removed = filter_and_insert(spine[v], k, e)
+        spine[v] = -1
+        if removed:
+            # Protected nodes (Claims 3.8/3.9): sorted chain under e.
+            removed.sort()
+            prev = -1
+            for _, a in removed:
+                if prev != -1:
+                    out[prev] = a
+                prev = a
+            out[prev] = e
+        spine[u] = meld(spine[u], h)
 
-    with timer.phase("merge"):
-        # Contracted vertices in round order.  All events targeting a
-        # vertex precede its own contraction (targets survive their event's
-        # round), and events within one round touch disjoint spines, so a
-        # flat round-ordered walk with immediate melds replays the
-        # reference's per-round grouped schedule exactly.
-        rc_edge = rct.edge
-        contracted = np.flatnonzero(rc_edge >= 0)
-        by_round = contracted[np.argsort(rct.round_of[contracted], kind="stable")]
-        # The merge walk is scalar by design: per contracted vertex it does
-        # O(log)-ish pool work keyed by Python ints, so the driver unboxes
-        # the round-ordered columns once instead of per access.
-        vl = by_round.tolist()  # noqa: RPR205 -- scalar merge driver by design
-        ul = rct.parent[by_round].tolist()  # noqa: RPR205 -- scalar merge driver
-        el = rc_edge[by_round].tolist()  # noqa: RPR205 -- scalar merge driver
-        kl = tree.ranks[rc_edge[by_round]].tolist()  # noqa: RPR205 -- scalar driver
-        pool = pool_cls(m)
-        spine = [-1] * rct.n
-        out = parents.tolist()  # noqa: RPR205 -- scalar merge driver by design
-        filter_and_insert = pool.filter_and_insert
-        meld = pool.meld
-        for v, u, e, k in zip(vl, ul, el, kl):
-            h, removed = filter_and_insert(spine[v], k, e)
-            spine[v] = -1
-            if removed:
-                # Protected nodes (Claims 3.8/3.9): sorted chain under e.
-                removed.sort()
-                prev = -1
-                for _, a in removed:
-                    if prev != -1:
-                        out[prev] = a
-                    prev = a
-                out[prev] = e
-            spine[u] = meld(spine[u], h)
-
-    with timer.phase("finalize"):
-        leftover = pool.items(spine[rct.root])
-        if leftover:
-            leftover.sort()
-            ids = [a for _, a in leftover]
-            for a, b in zip(ids, ids[1:]):
-                out[a] = b
-            out[ids[-1]] = ids[-1]
+    leftover = pool.items(spine[rct.root])
+    if leftover:
+        leftover.sort()
+        ids = [a for _, a in leftover]
+        for a, b in zip(ids, ids[1:]):
+            out[a] = b
+        out[ids[-1]] = ids[-1]
     return np.asarray(out, dtype=np.int64)
 
 
@@ -160,60 +147,51 @@ def rctt_fast(
     tree: WeightedTree,
     seed: int | np.random.Generator | None = 0,
     tracker: CostTracker | None = None,
-    timer: PhaseTimer | None = None,
     race_check: bool = False,
 ) -> np.ndarray:
     """Parent array of the SLD, by RC-tree tracing over compacted indices.
 
     Bit-identical to :func:`repro.core.rctt.rctt` for the same seed.
     """
-    if (
-        active_tracker(tracker) is not None
-        or _access.RECORDER is not None
-        or race_check
-    ):
-        return rctt(tree, seed=seed, tracker=tracker, timer=timer, race_check=race_check)
+    if instrumented(tracker) or race_check:
+        return rctt(tree, seed=seed, tracker=tracker, race_check=race_check)
     m = tree.m
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    timer = timer if timer is not None else PhaseTimer()
     edge_ranks = tree.ranks
 
-    with timer.phase("build"):
-        from repro.contraction.fast import build_rc_tree_fast
+    from repro.contraction.fast import build_rc_tree_fast
 
-        rct = build_rc_tree_fast(tree, seed=seed, record_events=False)
+    rct = build_rc_tree_fast(tree, seed=seed, record_events=False)
 
-    with timer.phase("trace"):
-        rc_parent = rct.parent
-        rc_edge = rct.edge
-        root = rct.root
-        node_rank = np.full(rct.n, np.iinfo(np.int64).max, dtype=np.int64)
-        non_root = rc_edge >= 0
-        node_rank[non_root] = edge_ranks[rc_edge[non_root]]
-        # Vectorized inverse association (edge id -> contracted vertex).
-        voe = np.empty(m, dtype=np.int64)
-        voe[rc_edge[non_root]] = np.flatnonzero(non_root)
-        u = rc_parent[voe]
-        idx = np.flatnonzero((u != root) & (node_rank[u] < edge_ranks))
-        while idx.size:
-            hop = rc_parent[u[idx]]
-            u[idx] = hop
-            still = (hop != root) & (node_rank[hop] < edge_ranks[idx])
-            idx = idx[still]
+    rc_parent = rct.parent
+    rc_edge = rct.edge
+    root = rct.root
+    node_rank = np.full(rct.n, np.iinfo(np.int64).max, dtype=np.int64)
+    non_root = rc_edge >= 0
+    node_rank[non_root] = edge_ranks[rc_edge[non_root]]
+    # Vectorized inverse association (edge id -> contracted vertex).
+    voe = np.empty(m, dtype=np.int64)
+    voe[rc_edge[non_root]] = np.flatnonzero(non_root)
+    u = rc_parent[voe]
+    idx = np.flatnonzero((u != root) & (node_rank[u] < edge_ranks))
+    while idx.size:
+        hop = rc_parent[u[idx]]
+        u[idx] = hop
+        still = (hop != root) & (node_rank[hop] < edge_ranks[idx])
+        idx = idx[still]
 
-    with timer.phase("sort"):
-        # bucket-major, rank-minor; ranks are unique so the composite key
-        # is unique and the default (unstable) sort gives the lexsort order.
-        order = np.argsort(u * m + edge_ranks)
-        bucket_of = u[order]
-        same_bucket = bucket_of[1:] == bucket_of[:-1]
-        parents[order[:-1][same_bucket]] = order[1:][same_bucket]
-        tail_pos = np.flatnonzero(~np.r_[same_bucket, False])
-        tails = order[tail_pos]
-        tail_buckets = bucket_of[tail_pos]
-        at_root = tail_buckets == root
-        parents[tails[at_root]] = tails[at_root]
-        parents[tails[~at_root]] = rc_edge[tail_buckets[~at_root]]
+    # bucket-major, rank-minor; ranks are unique so the composite key
+    # is unique and the default (unstable) sort gives the lexsort order.
+    order = np.argsort(u * m + edge_ranks)
+    bucket_of = u[order]
+    same_bucket = bucket_of[1:] == bucket_of[:-1]
+    parents[order[:-1][same_bucket]] = order[1:][same_bucket]
+    tail_pos = np.flatnonzero(~np.r_[same_bucket, False])
+    tails = order[tail_pos]
+    tail_buckets = bucket_of[tail_pos]
+    at_root = tail_buckets == root
+    parents[tails[at_root]] = tails[at_root]
+    parents[tails[~at_root]] = rc_edge[tail_buckets[~at_root]]
     return parents

@@ -38,8 +38,8 @@ component's minimum label, so relabeling stays injective per cluster),
 incident high edge.  Output is **bit-identical** to the reference: the
 SLD is unique under the (weight, edge-id) rank order.
 
-With instrumentation active (an enabled tracker, or a shadow-access
-recorder installed) this backend delegates to the reference
+With instrumentation active (a tracker, or a shadow-access recorder
+installed) this backend delegates to the reference
 implementation, which owns the work/depth accounting.
 """
 
@@ -47,12 +47,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkers import access as _access
 from repro.checkers.bounds import cost_bound
 from repro.checkers.contracts import slab_contract
 from repro.core.merge import sld_divide_and_conquer
-from repro.runtime.cost_model import CostTracker, active_tracker
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.cost_model import CostTracker, instrumented
 from repro.trees.wtree import WeightedTree
 from repro.util import log2ceil
 
@@ -76,25 +74,19 @@ __all__ = ["sld_merge_fast"]
     },
     returns="int64",
 )
-def sld_merge_fast(
-    tree: WeightedTree,
-    tracker: CostTracker | None = None,
-    timer: PhaseTimer | None = None,
-) -> np.ndarray:
+def sld_merge_fast(tree: WeightedTree, tracker: CostTracker | None = None) -> np.ndarray:
     """Parent array of the SLD, by the level-synchronous array merge.
 
     Bit-identical to :func:`repro.core.merge.sld_divide_and_conquer` (and
     every other registered algorithm -- the SLD is unique) on every input.
     """
-    if active_tracker(tracker) is not None or _access.RECORDER is not None:
-        return sld_divide_and_conquer(tree, tracker=tracker, timer=timer)
+    if instrumented(tracker):
+        return sld_divide_and_conquer(tree, tracker=tracker)
     m = tree.m
     parents = np.arange(m, dtype=np.int64)
     if m <= 1:
         return parents
-    timer = timer if timer is not None else PhaseTimer()
-    with timer.phase("solve"):
-        _merge_levels(tree, parents)
+    _merge_levels(tree, parents)
     return parents
 
 

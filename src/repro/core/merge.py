@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkers.bounds import cost_bound
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker, combine_parallel
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.cost_model import CostTracker, WorkDepth, combine_parallel
+from repro.runtime.instrumentation import span
 from repro.trees.wtree import WeightedTree
 
 __all__ = ["merge_spines", "extract_spine", "sld_divide_and_conquer"]
@@ -87,19 +87,13 @@ def merge_spines(
     theorem="Section 3.1 framework over centroid splits: O(log n) levels, "
     "O(segment) split/merge work per node (not the optimal Theorem 3.7 bound)",
 )
-def sld_divide_and_conquer(
-    tree: WeightedTree,
-    tracker: CostTracker | None = None,
-    timer: "PhaseTimer | None" = None,
-) -> np.ndarray:
+def sld_divide_and_conquer(tree: WeightedTree, tracker: CostTracker | None = None) -> np.ndarray:
     """Parent array of the SLD, by centroid divide-and-conquer SLD-Merge."""
     m = tree.m
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    timer = timer if timer is not None else PhaseTimer()
-    tracker = active_tracker(tracker)
-    with timer.phase("solve"):
+    with span("solve"):
         cost = _solve(list(range(m)), tree.edges, tree.ranks, parents)
         if tracker is not None:
             tracker.add(cost)

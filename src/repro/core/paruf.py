@@ -41,8 +41,8 @@ import numpy as np
 from repro.checkers.bounds import cost_bound
 from repro.errors import AlgorithmError
 from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker, log_cost
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.cost_model import CostTracker, WorkDepth, log_cost
+from repro.runtime.instrumentation import span
 from repro.structures import make_heap
 from repro.structures.unionfind import UnionFind
 from repro.trees.wtree import WeightedTree
@@ -80,7 +80,6 @@ def paruf(
     order: str = "fifo",
     seed: int | np.random.Generator | None = None,
     tracker: CostTracker | None = None,
-    timer: PhaseTimer | None = None,
     stats: ParUFStats | None = None,
 ) -> np.ndarray:
     """Parent array of the SLD, by the activation-based ParUF algorithm.
@@ -102,15 +101,13 @@ def paruf(
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    timer = timer if timer is not None else PhaseTimer()
     stats = stats if stats is not None else ParUFStats()
     stats.heap_kind = heap_kind
-    tracker = active_tracker(tracker)
     rng = check_random_state(seed)
     ranks = tree.ranks
 
     # ---- Preprocess: neighbor heaps + initial local minima -----------------
-    with timer.phase("preprocess"):
+    with span("preprocess"):
         offsets, _, nbr_edge = tree.adjacency()
         heaps = []
         for v in range(tree.n):
@@ -147,7 +144,7 @@ def paruf(
     round_max_cost = stats.round_max_cost
     remaining_after_async: list[int] | None = None
 
-    with timer.phase("async"):
+    with span("async"):
         while worklist:
             if order == "fifo":
                 cur = worklist.popleft()
@@ -212,7 +209,7 @@ def paruf(
             tracker.add(WorkDepth(0.0, depth))
 
     # ---- Postprocess: sort the single remaining chain ----------------------
-    with timer.phase("postprocess"):
+    with span("postprocess"):
         if remaining_after_async is not None:
             rem = np.asarray(remaining_after_async, dtype=np.int64)
             rem = rem[np.argsort(ranks[rem], kind="stable")]

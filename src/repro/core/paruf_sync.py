@@ -37,8 +37,8 @@ from repro.checkers.bounds import cost_bound
 from repro.checkers.ownership import owns
 from repro.core.paruf import ParUFStats
 from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker, log_cost
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.cost_model import CostTracker, WorkDepth, log_cost
+from repro.runtime.instrumentation import span
 from repro.runtime.scheduler import Scheduler
 from repro.structures import make_heap
 from repro.structures.unionfind import UnionFind
@@ -60,7 +60,6 @@ def paruf_sync(
     heap_kind: str = "pairing",
     postprocess: bool = True,
     tracker: CostTracker | None = None,
-    timer: PhaseTimer | None = None,
     stats: ParUFStats | None = None,
     race_check: bool = False,
     shuffle: bool = False,
@@ -82,13 +81,11 @@ def paruf_sync(
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    timer = timer if timer is not None else PhaseTimer()
     stats = stats if stats is not None else ParUFStats()
     stats.heap_kind = heap_kind
-    tracker = active_tracker(tracker)
     ranks = tree.ranks
 
-    with timer.phase("preprocess"):
+    with span("preprocess"):
         offsets, _, nbr_edge = tree.adjacency()
         heaps = []
         for v in range(tree.n):
@@ -146,7 +143,7 @@ def paruf_sync(
 
         return task
 
-    with timer.phase("rounds"):
+    with span("rounds"):
         while frontier:
             rounds += 1
             if postprocess and len(frontier) == 1:
@@ -182,7 +179,7 @@ def paruf_sync(
             frontier = next_frontier
         stats.max_round = rounds
 
-    with timer.phase("postprocess"):
+    with span("postprocess"):
         if remaining is not None:
             rem = np.asarray(remaining, dtype=np.int64)
             rem = rem[np.argsort(ranks[rem], kind="stable")]

@@ -30,8 +30,8 @@ import numpy as np
 from repro.checkers.bounds import cost_bound
 from repro.contraction.schedule import build_rc_tree
 from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker, combine_parallel
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.cost_model import CostTracker, WorkDepth, combine_parallel
+from repro.runtime.instrumentation import span
 from repro.trees.wtree import WeightedTree
 from repro.util import log2ceil
 
@@ -49,7 +49,6 @@ def rctt(
     tree: WeightedTree,
     seed: int | np.random.Generator | None = 0,
     tracker: CostTracker | None = None,
-    timer: PhaseTimer | None = None,
     builder: str = "fast",
     race_check: bool = False,
 ) -> np.ndarray:
@@ -69,11 +68,9 @@ def rctt(
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    timer = timer if timer is not None else PhaseTimer()
-    tracker = active_tracker(tracker)
     ranks = tree.ranks
 
-    with timer.phase("build"):
+    with span("build"):
         if race_check:
             # The vectorized builder has no per-event commit loop to
             # instrument; the reference builder yields the same schedule.
@@ -91,7 +88,7 @@ def rctt(
                 f"unknown builder {builder!r}; expected 'fast' or 'reference'"
             )
 
-    with timer.phase("trace"):
+    with span("trace"):
         rc_parent = rct.parent
         rc_edge = rct.edge
         root = rct.root
@@ -116,7 +113,7 @@ def rctt(
         if tracker is not None:
             tracker.add(WorkDepth(float(total_steps), float(max_steps) + log2ceil(m)))
 
-    with timer.phase("sort"):
+    with span("sort"):
         # One lexsort = all per-bucket rank sorts at once: bucket (final
         # rcnode) major, rank minor.
         order = np.lexsort((edge_ranks, u))

@@ -10,8 +10,8 @@ initial sort, which is charged at parallel-sample-sort cost; the merge loop
 is charged sequentially (depth = work).  That is why SeqUF's simulated
 scaling curves stay nearly flat (Figure 6).
 
-Fast path: with instrumentation inactive (``tracker`` absent or disabled
-and no shadow-access recorder installed) the merge loop runs over plain
+Fast path: with instrumentation inactive (no ``tracker`` and no
+shadow-access recorder installed) the merge loop runs over plain
 Python lists with the union-find inlined -- identical semantics (path
 halving, union by size with the same tie-breaking) but none of the numpy
 scalar-indexing or per-call charging overhead, which is worth ~4x on the
@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkers import access as _access
 from repro.checkers.bounds import cost_bound
 from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.cost_model import CostTracker, WorkDepth, instrumented
+from repro.runtime.instrumentation import span
 from repro.structures.unionfind import UnionFind
 from repro.trees.wtree import WeightedTree
 
@@ -40,30 +39,24 @@ __all__ = ["sequf"]
     vars=("n",),
     theorem="Section 1 / Table 1 baseline: O(n log n) sort + sequential merge loop",
 )
-def sequf(
-    tree: WeightedTree,
-    tracker: CostTracker | None = None,
-    timer: PhaseTimer | None = None,
-) -> np.ndarray:
+def sequf(tree: WeightedTree, tracker: CostTracker | None = None) -> np.ndarray:
     """Parent array of the SLD, by sequential union-find merging."""
     m = tree.m
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    timer = timer if timer is not None else PhaseTimer()
-    tracker = active_tracker(tracker)
 
-    with timer.phase("sort"):
+    with span("sort"):
         order = np.argsort(tree.ranks, kind="stable")
         if tracker is not None:
             tracker.add(comparison_sort_cost(m))
 
-    if tracker is None and _access.RECORDER is None:
-        with timer.phase("merge"):
+    if not instrumented(tracker):
+        with span("merge"):
             _merge_fast(tree, order, parents)
         return parents
 
-    with timer.phase("merge"):
+    with span("merge"):
         edges = tree.edges
         uf = UnionFind(tree.n)
         # top[r] = most recent merge node inside the cluster rooted at r.

@@ -33,8 +33,8 @@ from repro.contraction.rctree import RCTree
 from repro.contraction.schedule import RakeEvent, build_rc_tree
 from repro.errors import AlgorithmError
 from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker, log_cost
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.cost_model import CostTracker, WorkDepth, log_cost
+from repro.runtime.instrumentation import span
 from repro.structures.binomial_heap import BinomialHeap
 from repro.trees.wtree import WeightedTree
 from repro.util import log2ceil
@@ -106,7 +106,6 @@ def sld_tree_contraction(
     mode: str = "heap",
     seed: int | np.random.Generator | None = 0,
     tracker: CostTracker | None = None,
-    timer: PhaseTimer | None = None,
     protected_log: dict | None = None,
 ) -> np.ndarray:
     """Parent array of the SLD, by tree contraction with spine containers.
@@ -123,11 +122,9 @@ def sld_tree_contraction(
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    timer = timer if timer is not None else PhaseTimer()
-    tracker = active_tracker(tracker)
     ranks = tree.ranks
 
-    with timer.phase("contract"):
+    with span("contract"):
         rct: RCTree = build_rc_tree(tree, seed=seed, tracker=tracker)
 
     make = BinomialHeap if mode == "heap" else SpineList
@@ -140,7 +137,7 @@ def sld_tree_contraction(
             spines[v] = s
         return s
 
-    with timer.phase("merge"):
+    with span("merge"):
         for kind, events in rct.rounds:
             by_target: dict[int, list] = defaultdict(list)
             for ev in events:
@@ -198,7 +195,7 @@ def sld_tree_contraction(
             if tracker is not None:
                 tracker.add(WorkDepth(round_work, round_depth + log2ceil(max(len(by_target), 1))))
 
-    with timer.phase("finalize"):
+    with span("finalize"):
         final = spines.get(rct.root)
         leftover = sorted(final.items()) if final is not None else []  # type: ignore[union-attr]
         if protected_log is not None and leftover:

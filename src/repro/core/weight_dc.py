@@ -27,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkers.bounds import cost_bound
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker, combine_parallel
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.cost_model import CostTracker, WorkDepth, combine_parallel
+from repro.runtime.instrumentation import span
 from repro.structures.unionfind import UnionFind
 from repro.trees.wtree import WeightedTree
 from repro.util import log2ceil
@@ -46,7 +46,6 @@ __all__ = ["sld_weight_dc"]
 def sld_weight_dc(
     tree: WeightedTree,
     tracker: CostTracker | None = None,
-    timer: "PhaseTimer | None" = None,
     base_size: int = 8,
 ) -> np.ndarray:
     """Parent array of the SLD, by divide-and-conquer over weights.
@@ -61,9 +60,7 @@ def sld_weight_dc(
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    timer = timer if timer is not None else PhaseTimer()
-    tracker = active_tracker(tracker)
-    with timer.phase("solve"):
+    with span("solve"):
         order = np.argsort(tree.ranks)
         # Scratch endpoint table: recursion levels temporarily overwrite the
         # high half's endpoints with contracted supervertex labels and

@@ -28,6 +28,7 @@ import numpy as np
 from repro.fuzz.domains import domain_named, domain_of
 from repro.fuzz.generators import NpzCase
 from repro.fuzz.oracles import Finding
+from repro.io import atomic_write
 
 __all__ = [
     "CORPUS_FORMAT",
@@ -69,11 +70,12 @@ def entry_filename(finding: Finding) -> str:
 
 
 def save_finding(finding: Finding, corpus_dir: str | Path) -> Path:
-    """Write the entry (content-addressed; rewriting is idempotent)."""
+    """Write the entry atomically (content-addressed; rewriting is idempotent)."""
     corpus_dir = Path(corpus_dir)
     corpus_dir.mkdir(parents=True, exist_ok=True)
     path = corpus_dir / entry_filename(finding)
-    path.write_bytes(entry_bytes(finding))
+    with atomic_write(path) as fh:
+        fh.write(entry_bytes(finding))
     return path
 
 

@@ -7,13 +7,14 @@ loader.
 * tree archive:        ``kind="tree"``, ``n``, ``edges (m,2)``, ``weights (m,)``
 * dendrogram archive:  ``kind="dendrogram"``, the tree fields, ``parents (m,)``
 
-Archives, REDG1 edge files (:mod:`repro.io.edgefile`) and dendrogram
-snapshots (:mod:`repro.dendrogram.snapshot`) are written through
-:func:`atomic_write`: they appear whole or not at all, at exactly the path
-given (no suffix is appended).  The two raw binary formats also share a
-fixed header of a magic plus little-endian int64 fields
-(:func:`pack_header` / :func:`read_header`) whose fields determine the
-exact file size.
+Archives, linkage CSVs, REDG1 edge files (:mod:`repro.io.edgefile`),
+dendrogram snapshots (:mod:`repro.dendrogram.snapshot`), benchmark
+baselines, bounds reports, reproduction reports and fuzz corpus entries
+are written through :func:`atomic_write`: they appear whole or not at
+all, at exactly the path given (no suffix is appended).  The two raw
+binary formats also share a fixed header of a magic plus little-endian
+int64 fields (:func:`pack_header` / :func:`read_header`) whose fields
+determine the exact file size.
 
 Error contract
 --------------
@@ -35,6 +36,7 @@ byte streams.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import struct
@@ -190,13 +192,14 @@ def load_dendrogram(path: str | Path | IO[bytes]) -> Dendrogram:
 
 
 def export_linkage_csv(path: str | Path, dend: Dendrogram) -> None:
-    """Write the SciPy-style linkage matrix as CSV with a header row."""
-    Z = dend.to_linkage()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_a", "cluster_b", "distance", "size"])
-        for row in Z:
-            writer.writerow([int(row[0]), int(row[1]), repr(float(row[2])), int(row[3])])
+    """Write the SciPy-style linkage matrix as CSV with a header row (atomically)."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["cluster_a", "cluster_b", "distance", "size"])
+    for row in dend.to_linkage():
+        writer.writerow([int(row[0]), int(row[1]), repr(float(row[2])), int(row[3])])
+    with atomic_write(path) as fh:
+        fh.write(text.getvalue().encode())
 
 
 def load_edges_csv(

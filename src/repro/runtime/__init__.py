@@ -1,4 +1,4 @@
-"""Work-depth runtime: cost accounting, Brent's-law simulation, timers.
+"""Work-depth runtime: cost accounting, Brent's-law simulation, phase spans.
 
 The paper analyzes its algorithms in the binary-forking work-depth model
 (Blelloch et al., SPAA 2020) and evaluates them on a 96-core machine.  In
@@ -14,7 +14,7 @@ experimental shape.
 
 from repro.runtime.brent import brent_time, calibrated_times, self_speedup, speedup_curve
 from repro.runtime.cost_model import CostTracker, WorkDepth, combine_parallel, combine_serial
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.instrumentation import recording, span
 from repro.runtime.pool import parallel_for, parallel_map
 from repro.runtime.scheduler import Scheduler
 
@@ -27,7 +27,8 @@ __all__ = [
     "speedup_curve",
     "calibrated_times",
     "self_speedup",
-    "PhaseTimer",
+    "recording",
+    "span",
     "Scheduler",
     "parallel_for",
     "parallel_map",

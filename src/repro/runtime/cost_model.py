@@ -35,22 +35,20 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from repro.checkers import access as _access
+from repro.checkers.races import check_recorder
 from repro.errors import AlgorithmError, SchedulerError
 from repro.util import log2ceil
-
-if TYPE_CHECKING:
-    from repro.checkers.access import RoundRecorder
 
 __all__ = [
     "BACKENDS",
     "WorkDepth",
     "CostTracker",
-    "active_tracker",
     "check_backend",
     "combine_parallel",
     "combine_serial",
+    "instrumented",
     "log_cost",
 ]
 
@@ -108,7 +106,7 @@ class _Round:
 
     __slots__ = ("_work", "_depth", "_count", "_recorder")
 
-    def __init__(self, recorder: "RoundRecorder | None" = None) -> None:
+    def __init__(self, recorder: _access.RoundRecorder | None = None) -> None:
         self._work = 0.0
         self._depth = 0.0
         self._count = 0
@@ -142,8 +140,8 @@ class _Round:
 class CostTracker:
     """Mutable work/depth accumulator charged by instrumented algorithms.
 
-    A disabled tracker (``CostTracker(enabled=False)``) accepts all calls as
-    cheap no-ops so production paths can keep their instrumentation calls.
+    Passing no tracker (``tracker=None``) is the one way to run an
+    algorithm uninstrumented; see :func:`instrumented`.
 
     With ``race_check=True`` every :meth:`parallel_round` additionally runs
     under the shadow access recorder of :mod:`repro.checkers.access`.  The
@@ -154,10 +152,9 @@ class CostTracker:
     :class:`~repro.errors.RaceConditionError` when the round closes.
     """
 
-    __slots__ = ("enabled", "race_check", "_work", "_depth", "_open_rounds")
+    __slots__ = ("race_check", "_work", "_depth", "_open_rounds")
 
-    def __init__(self, enabled: bool = True, race_check: bool = False) -> None:
-        self.enabled = enabled
+    def __init__(self, race_check: bool = False) -> None:
         self.race_check = race_check
         self._work = 0.0
         self._depth = 0.0
@@ -178,15 +175,11 @@ class CostTracker:
     # -- write API --------------------------------------------------------
     def sequential(self, work: float, depth: float | None = None) -> None:
         """Charge a sequential segment (depth defaults to work)."""
-        if not self.enabled:
-            return
         self._work += work
         self._depth += work if depth is None else depth
 
     def add(self, cost: WorkDepth) -> None:
         """Deposit a pre-composed :class:`WorkDepth` (series with history)."""
-        if not self.enabled:
-            return
         self._work += cost.work
         self._depth += cost.depth
 
@@ -210,13 +203,11 @@ class _RoundContext:
     def __init__(self, tracker: CostTracker) -> None:
         self._tracker = tracker
         self._round: _Round | None = None
-        self._recorder: "RoundRecorder | None" = None
+        self._recorder: _access.RoundRecorder | None = None
 
     def __enter__(self) -> _Round:
         recorder = None
         if self._tracker.race_check:
-            from repro.checkers import access as _access
-
             # A recorder already installed (nested round) keeps recording
             # into the outer round's open task.
             if _access.RECORDER is None:
@@ -233,9 +224,6 @@ class _RoundContext:
         self._tracker._open_rounds -= 1
         recorder = self._recorder
         if recorder is not None:
-            from repro.checkers import access as _access
-            from repro.checkers.races import check_recorder
-
             # The segment opened after the final task() charge is the
             # round's commit tail: exempt by the round model.
             recorder.drop_open_task()
@@ -244,21 +232,6 @@ class _RoundContext:
             self._tracker.add(self._round.as_workdepth())
             if recorder is not None:
                 check_recorder(recorder)
-
-
-def active_tracker(tracker: CostTracker | None) -> CostTracker | None:
-    """``tracker`` if it will actually record charges, else ``None``.
-
-    The disabled-instrumentation fast-path gate: a disabled tracker (or
-    :data:`NULL_TRACKER`) accepts every charge as a no-op, but each no-op
-    still costs a Python method call.  Algorithms normalize once at entry
-    (``tracker = active_tracker(tracker)``) so their per-operation charge
-    sites can test ``tracker is not None`` and skip both the call *and* the
-    cost-expression arithmetic feeding it when instrumentation is off.
-    """
-    if tracker is not None and tracker.enabled:
-        return tracker
-    return None
 
 
 #: Recognized values of every ``backend=`` selector: the dendrogram
@@ -272,5 +245,9 @@ def check_backend(backend: str) -> None:
         raise AlgorithmError(f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}")
 
 
-#: A shared always-disabled tracker for hot paths that want zero accounting.
-NULL_TRACKER = CostTracker(enabled=False)
+def instrumented(tracker: CostTracker | None) -> bool:
+    """True when a call must take its instrumented path: there is a
+    ``tracker`` to charge or a shadow-access recorder is installed.
+    Otherwise array twins run their own kernels instead of delegating to
+    the reference."""
+    return tracker is not None or _access.RECORDER is not None

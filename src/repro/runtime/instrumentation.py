@@ -1,25 +1,35 @@
-"""Wall-clock phase timers for breakdown experiments (paper Figure 7).
+"""Phase spans for breakdown experiments (paper Figure 7).
 
-A :class:`PhaseTimer` optionally *binds* a
-:class:`~repro.runtime.cost_model.CostTracker`: entering a phase snapshots
-the tracker, so per-phase work/depth is recorded alongside per-phase wall
-time.  The Brent simulation in :mod:`repro.bench.harness` needs this split
-because phases scale very differently -- SeqUF's edge sort parallelizes
-while its merge loop does not, and collapsing them into one global (W, D)
-pair would let the sort's work mask the loop's sequential depth.
+Algorithms mark their phases with ``with span("build"): ...``.  A span
+records only inside a ``with recording(tracker) as rec:`` block; outside
+every block it returns a shared no-op context without reading the clock,
+so the marks cost one list test on uninstrumented calls.  Blocks nest and
+the innermost one records, as with
+:func:`repro.runtime.interleave.hostile_schedule`.
+
+The block's :class:`PhaseRecorder` keeps per-phase wall time plus the
+work/depth its :class:`~repro.runtime.cost_model.CostTracker` was charged
+inside the phase.  The Brent simulation in :mod:`repro.bench.harness` needs
+this split because phases scale very differently -- SeqUF's edge sort
+parallelizes while its merge loop does not, and collapsing them into one
+global (W, D) pair would let the sort's work mask the loop's sequential
+depth.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from collections.abc import Iterator
+from contextlib import AbstractContextManager, contextmanager, nullcontext
+import time
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.cost_model import CostTracker
 
-__all__ = ["PhaseTimer", "PhaseCost"]
+__all__ = ["PhaseCost", "PhaseRecorder", "recording", "span"]
+
+#: The clock every span reads; only ever read inside a ``recording`` block.
+_clock = time.perf_counter
 
 
 class PhaseCost:
@@ -36,83 +46,69 @@ class PhaseCost:
         return f"PhaseCost(seconds={self.seconds:.4f}, work={self.work:.0f}, depth={self.depth:.0f})"
 
 
-class PhaseTimer:
+class PhaseRecorder:
     """Accumulates wall time (and, if bound, work/depth) per named phase.
 
     Example::
 
         tracker = CostTracker()
-        timer = PhaseTimer(tracker=tracker)
-        with timer.phase("build"):
-            build()          # charges tracker
-        timer.phase_costs["build"].work  # work charged during build
+        with recording(tracker) as rec:
+            sequf(tree, tracker=tracker)
+        rec.phase_costs["sort"].work  # work charged during the sort phase
     """
 
     def __init__(self, tracker: "CostTracker | None" = None) -> None:
-        self._elapsed: dict[str, float] = {}
-        self._order: list[str] = []
         self._tracker = tracker
-        self._work: dict[str, float] = {}
-        self._depth: dict[str, float] = {}
+        self._costs: dict[str, PhaseCost] = {}
 
     @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        w0 = d0 = 0.0
-        if self._tracker is not None:
-            w0, d0 = self._tracker.work, self._tracker.depth
+    def _span(self, name: str) -> Iterator[None]:
+        start = _clock()
+        tracker = self._tracker
+        w0, d0 = (tracker.work, tracker.depth) if tracker is not None else (0.0, 0.0)
         try:
             yield
         finally:
-            dt = time.perf_counter() - start
-            if name not in self._elapsed:
-                self._elapsed[name] = 0.0
-                self._work[name] = 0.0
-                self._depth[name] = 0.0
-                self._order.append(name)
-            self._elapsed[name] += dt
-            if self._tracker is not None:
-                self._work[name] += self._tracker.work - w0
-                self._depth[name] += self._tracker.depth - d0
-
-    def add(self, name: str, seconds: float, work: float = 0.0, depth: float = 0.0) -> None:
-        """Record a phase contribution directly (for merged timers)."""
-        if name not in self._elapsed:
-            self._elapsed[name] = 0.0
-            self._work[name] = 0.0
-            self._depth[name] = 0.0
-            self._order.append(name)
-        self._elapsed[name] += seconds
-        self._work[name] += work
-        self._depth[name] += depth
+            cost = self._costs.setdefault(name, PhaseCost())
+            cost.seconds += _clock() - start
+            if tracker is not None:
+                cost.work += tracker.work - w0
+                cost.depth += tracker.depth - d0
 
     @property
     def phases(self) -> dict[str, float]:
         """Elapsed seconds per phase, in first-seen order."""
-        return {name: self._elapsed[name] for name in self._order}
+        return {name: cost.seconds for name, cost in self._costs.items()}
 
     @property
     def phase_costs(self) -> dict[str, PhaseCost]:
         """Per-phase ``(seconds, work, depth)`` records."""
-        return {
-            name: PhaseCost(self._elapsed[name], self._work[name], self._depth[name])
-            for name in self._order
-        }
+        return {name: PhaseCost(c.seconds, c.work, c.depth) for name, c in self._costs.items()}
 
-    def total(self) -> float:
-        return sum(self._elapsed.values())
 
-    def fractions(self) -> dict[str, float]:
-        """Per-phase fraction of total time (zeros if nothing timed)."""
-        total = self.total()
-        if total == 0:
-            return {name: 0.0 for name in self._order}
-        return {name: self._elapsed[name] / total for name in self._order}
+#: Innermost-wins stack of active recorders (index -1 is current).
+_STACK: list[PhaseRecorder] = []
 
-    def merge(self, other: "PhaseTimer") -> None:
-        for name, cost in other.phase_costs.items():
-            self.add(name, cost.seconds, cost.work, cost.depth)
+_OFF: AbstractContextManager[None] = nullcontext()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{k}={v:.4f}s" for k, v in self.phases.items())
-        return f"PhaseTimer({parts})"
+
+@contextmanager
+def recording(tracker: "CostTracker | None" = None) -> Iterator[PhaseRecorder]:
+    """Record every :func:`span` entered in the block; yields the recorder."""
+    recorder = PhaseRecorder(tracker)
+    _STACK.append(recorder)
+    try:
+        yield recorder
+    finally:
+        _STACK.remove(recorder)
+
+
+def span(name: str) -> AbstractContextManager[None]:
+    """Time the enclosed block as phase ``name`` of the innermost recording.
+
+    Outside every :func:`recording` block this is a no-op that never reads
+    the clock.
+    """
+    if not _STACK:
+        return _OFF
+    return _STACK[-1]._span(name)

@@ -45,7 +45,7 @@ class Scheduler:
     ----------
     tracker:
         Cost accumulator charged with each round's parallel composition
-        (a disabled tracker is used when omitted).
+        (nothing is charged when omitted).
     shuffle:
         Permute execution order within each round (results are still
         returned in task order).
@@ -64,7 +64,7 @@ class Scheduler:
         seed: int | np.random.Generator | None = None,
         race_check: bool = False,
     ) -> None:
-        self.tracker = tracker if tracker is not None else CostTracker(enabled=False)
+        self.tracker = tracker
         self.shuffle = shuffle
         self.race_check = race_check
         self._rng = check_random_state(seed)
@@ -111,7 +111,8 @@ class Scheduler:
         finally:
             if recorder is not None:
                 _access.uninstall(recorder)
-        self.tracker.add(combine_parallel(costs))
+        if self.tracker is not None:
+            self.tracker.add(combine_parallel(costs))
         self.rounds_run += 1
         if recorder is not None:
             check_recorder(recorder)

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkers import access as _access
 from repro.errors import NotConnectedError
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker, check_backend
+from repro.runtime.cost_model import CostTracker, WorkDepth, check_backend, instrumented
 from repro.structures.unionfind import UnionFind
 from repro.trees.boruvka_fast import boruvka_select_contract
 from repro.trees.mst import _check_graph
@@ -63,9 +62,7 @@ def boruvka_rounds(
     check_backend(backend)
     edges, weights = _check_graph(n, edges, weights)
     ranks = ranks_of(weights)
-    tracker = active_tracker(tracker)
-    instrumented = tracker is not None or _access.RECORDER is not None
-    if backend == "reference" or instrumented:
+    if backend == "reference" or instrumented(tracker):
         uf = UnionFind(n)
         chosen, rounds = _boruvka_loop(uf, edges, ranks, n, tracker)
         chosen_arr = np.asarray(sorted(chosen), dtype=np.int64)

@@ -6,10 +6,19 @@ clustering pipelines in :mod:`repro.cluster` and the real-world-input
 benchmarks (Figure 8) run one of these MST routines before the dendrogram
 algorithms.
 
-Two from-scratch implementations (Kruskal with union-find, Prim with a
-binary heap) plus a SciPy-backed routine for cross-checking and for large
-inputs; ties are broken by edge id everywhere so all three return the same
-tree on distinct-weight inputs and a *consistent* tree otherwise.
+The routines:
+
+* :func:`kruskal_mst` -- Kruskal with union-find (batched when
+  uninstrumented);
+* :func:`prim_mst` -- Prim with a binary heap;
+* :func:`scipy_mst` -- SciPy's csgraph, for cross-checking;
+* :func:`streaming_kruskal_mst` -- out-of-core Kruskal over a REDG1 edge
+  file: external sort into spill runs, then a k-way merge in rank order;
+* Borůvka (:mod:`repro.trees.boruvka`), reached through
+  :func:`minimum_spanning_tree` with ``method="boruvka"``.
+
+Ties are broken by edge id (rank order) everywhere except SciPy, so the
+others return the same tree on every input.
 """
 
 from __future__ import annotations
@@ -22,12 +31,11 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
 
-from repro.checkers import access as _access
 from repro.checkers.bounds import cost_bound
 from repro.checkers.contracts import slab_contract
 from repro.errors import InvalidGraphError, NotConnectedError
 from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, active_tracker, check_backend
+from repro.runtime.cost_model import CostTracker, WorkDepth, check_backend, instrumented
 from repro.structures.unionfind import UnionFind
 from repro.trees.weights import ranks_of
 from repro.trees.wtree import WeightedTree
@@ -72,7 +80,7 @@ def kruskal_mst(
     Raises :class:`NotConnectedError` if the graph does not span ``n``
     vertices.
 
-    With instrumentation inactive (no enabled ``tracker``, no shadow-access
+    With instrumentation inactive (no ``tracker``, no shadow-access
     recorder) the scan runs the batched fast path: edges are processed in
     chunks, each chunk's endpoints are resolved by one vectorized
     :meth:`~repro.structures.unionfind.UnionFind.find_many` batch, and the
@@ -83,9 +91,8 @@ def kruskal_mst(
     edges, weights = _check_graph(n, edges, weights)
     ranks = ranks_of(weights)
     order = np.argsort(ranks)
-    tracker = active_tracker(tracker)
     uf = UnionFind(n)
-    if tracker is None and _access.RECORDER is None:
+    if not instrumented(tracker):
         chosen = _kruskal_scan_batched(uf, edges, order, n)
     else:
         chosen, scanned = _kruskal_scan(uf, edges, order, n)
@@ -248,7 +255,7 @@ def streaming_kruskal_mst(
 ) -> tuple[int, np.ndarray]:
     """Out-of-core Kruskal over a REDG1 edge file; returns ``(n, ids)``.
 
-    The filter-Kruskal pipeline for graphs larger than RAM: the file is
+    An external-sort Kruskal for graphs larger than RAM: the file is
     externally sorted by the ``(weight, edge-id)`` rank key in runs of
     ``chunk`` edges (written to ``spill_dir``, a fresh temp directory by
     default), the runs are k-way merged back in exact global rank order

@@ -5,13 +5,15 @@ each flat-array twin must reproduce its reference algorithm *exactly* --
 ``np.array_equal``, not isomorphism -- on every topology the corpus
 generators produce, under weight families chosen to stress the batched
 code paths (massive duplication, subnormal magnitudes, mixed extreme
-magnitudes with signed zeros), and regardless of whether instrumentation
-is enabled, disabled, or absent (the twins delegate to the reference when
-a tracker is active, so all three modes must agree with each other too).
+magnitudes with signed zeros), and regardless of how the call is
+instrumented: with a tracker (the twins delegate to the reference), with
+no tracker inside an open phase recording, or not at all.  All three modes
+must agree with each other too.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 import zlib
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 from conftest import TREE_KINDS, TWINNED, make_tree
 from repro.core.api import resolve_algorithm
 from repro.runtime.cost_model import CostTracker
+from repro.runtime.instrumentation import recording
 
 #: Options pinning the seeded twins so both backends contract identically.
 _OPTIONS = {"rctt": {"seed": 0}, "tree-contraction": {"seed": 0}}
@@ -50,10 +53,13 @@ WEIGHT_FAMILIES = {
     "extreme": _extreme,
 }
 
+#: ``(tracker factory, context)`` per mode: "disabled" passes no tracker
+#: while a recording block is open, so the twin's own kernels run with
+#: spans live.
 TRACKER_MODES = {
-    "enabled": lambda: CostTracker(),
-    "disabled": lambda: CostTracker(enabled=False),
-    "none": lambda: None,
+    "enabled": (CostTracker, nullcontext),
+    "disabled": (lambda: None, recording),
+    "none": (lambda: None, nullcontext),
 }
 
 
@@ -65,11 +71,11 @@ def test_array_backend_bit_identical(kind, family, tracker_mode):
     for n in SIZES:
         rng = np.random.default_rng(zlib.crc32(f"{kind}:{family}:{n}".encode()))
         tree = make_tree(kind, n).with_weights(weights_of(n - 1, rng))
+        make_tracker, context = TRACKER_MODES[tracker_mode]
         for name, opts in PAIRS:
             expected = resolve_algorithm(name, "reference")(tree, tracker=None, **opts)
-            got = resolve_algorithm(name, "array")(
-                tree, tracker=TRACKER_MODES[tracker_mode](), **opts
-            )
+            with context():
+                got = resolve_algorithm(name, "array")(tree, tracker=make_tracker(), **opts)
             assert np.array_equal(got, expected), (kind, family, tracker_mode, n, name)
 
 

@@ -20,8 +20,58 @@ from repro.bench.inputs import (
     make_input,
     realworld_inputs,
 )
+from repro.core.api import ALGORITHMS
+from repro.datasets.ladders import FAMILY_BUILDERS
 from repro.runtime.instrumentation import PhaseCost
+from repro.trees.generators import path_tree
 from repro.trees.validation import validate_tree_edges
+
+#: ``(phase, work, depth)`` in recorded order, then the run's total
+#: ``(work, depth)``, for every registered algorithm on
+#: ``FAMILY_BUILDERS["random"](512)`` (``path_tree(64)`` for cartesian),
+#: seed 0 where the algorithm takes one.  Charges are deterministic, so a
+#: drift here is an accounting change, not noise.
+PINNED_RUNS = {
+    "sequf": ([("sort", 4599.0, 81.0), ("merge", 1021.0, 1021.0)], (5620.0, 1102.0)),
+    "paruf": (
+        [
+            ("preprocess", 5621.0, 93.85195613157688),
+            ("async", 3046.1368372598226, 185.47718738964565),
+            ("postprocess", 155.0, 25.0),
+        ],
+        (8822.136837259823, 304.32914352122253),
+    ),
+    "paruf-sync": (
+        [
+            ("preprocess", 5621.0, 93.85195613157688),
+            ("rounds", 3052.1368372598045, 410.47718738964556),
+            ("postprocess", 150.0, 25.000000000000057),
+        ],
+        (8823.136837259804, 529.3291435212225),
+    ),
+    "rctt": (
+        [("build", 650.0, 130.0), ("trace", 643.0, 14.0), ("sort", 1084.0, 33.0)],
+        (2377.0, 177.0),
+    ),
+    "tree-contraction": (
+        [
+            ("contract", 1504.0, 130.0),
+            ("merge", 4867.471512167818, 412.594929460466),
+            ("finalize", 145.0, 25.0),
+        ],
+        (6516.471512167818, 567.594929460466),
+    ),
+    "tree-contraction-list": (
+        [("contract", 1504.0, 130.0), ("merge", 3665.0, 376.0), ("finalize", 145.0, 25.0)],
+        (5314.0, 531.0),
+    ),
+    "divide-conquer": ([("solve", 11368.0, 2187.0)], (11368.0, 2187.0)),
+    "weight-dc": ([("solve", 2720.0, 148.0)], (2720.0, 148.0)),
+    "cartesian": ([], (189.0, 189.0)),
+    "brute": ([], (34623.0, 34623.0)),
+}
+
+_SEEDED = ("paruf", "paruf-sync", "rctt", "tree-contraction", "tree-contraction-list")
 
 
 class TestInputs:
@@ -75,6 +125,19 @@ class TestRuns:
         assert run.parallelism > 1
         assert run.parents is not None and run.parents.shape == (399,)
         assert set(run.phases) == {"build", "trace", "sort"}
+
+    def test_pins_cover_the_registry(self):
+        assert set(PINNED_RUNS) == set(ALGORITHMS)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_phases_and_charges_pinned(self, name):
+        tree = path_tree(64) if name == "cartesian" else FAMILY_BUILDERS["random"](512)
+        run = run_algorithm(name, tree, **({"seed": 0} if name in _SEEDED else {}))
+        phases, totals = PINNED_RUNS[name]
+        assert list(run.phases) == [p for p, _, _ in phases]
+        got = [(c.work, c.depth) for c in run.phase_costs.values()]
+        assert got == [pytest.approx((w, d), rel=1e-12) for _, w, d in phases]
+        assert (run.work, run.depth) == pytest.approx(totals, rel=1e-12)
 
     def test_parents_dropped_by_default(self):
         tree = make_input("path", 50, seed=0)

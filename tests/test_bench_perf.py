@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import file_size_limit
 from repro.bench.baseline import (
     SCHEMA,
     compare,
@@ -19,6 +20,7 @@ from repro.bench.baseline import (
 from repro.bench.harness import KernelResult, bench_kernel
 from repro.bench.kernels import KERNELS, kernel_names
 from repro.cli import main
+from repro.io import FormatError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 COMMITTED_BASELINE = REPO_ROOT / "BENCH_pr10.json"
@@ -85,14 +87,25 @@ class TestSchema:
     def test_invalid_payloads_rejected(self, mutate):
         payload = _payload()
         mutate(payload)
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
             validate_payload(payload)
 
     def test_load_rejects_non_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json {")
-        with pytest.raises(ValueError, match="not valid JSON"):
+        with pytest.raises(FormatError, match="not valid JSON"):
             load_baseline(path)
+
+    def test_failed_save_keeps_previous_baseline(self, tmp_path):
+        path = tmp_path / "BENCH_test.json"
+        save_baseline(path, _payload())
+        before = path.read_bytes()
+        bigger = _payload()
+        bigger["kernels"].update({f"k{i}": dict(bigger["kernels"]["k"]) for i in range(20)})
+        with file_size_limit(len(before)), pytest.raises(OSError):
+            save_baseline(path, bigger)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file
+        assert path.read_bytes() == before
 
 
 class TestCompareGate:
@@ -269,6 +282,42 @@ class TestCLI:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_bench_cli_unknown_kernel(self, tmp_path):
+    def test_bench_cli_unknown_kernel(self, tmp_path, capsys):
         rc = main(["bench", "--kernels", "nope", "--out", str(tmp_path / "x.json")])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro bench: unknown kernels ['nope']")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text", ["not json {", '{"schema": "nope"}'], ids=["invalid-json", "wrong-schema"]
+    )
+    def test_bench_cli_malformed_baseline_is_a_usage_error(self, text, tmp_path, capsys):
+        bad = tmp_path / "BENCH_bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out.json"
+        rc = main(
+            ["bench", "--quick", "--kernels", "sequf", "--compare", str(bad), "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro bench: {bad}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_bench_cli_default_out_leaves_the_baseline_alone(self, tmp_path, monkeypatch, capsys):
+        """The documented gate command must not rewrite the file it gates on."""
+        baseline = tmp_path / COMMITTED_BASELINE.name
+        baseline.write_bytes(COMMITTED_BASELINE.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            ["bench", "--quick", "--repeats", "1", "--kernels", "sequf",
+             "--compare", baseline.name]
+        )
+        assert rc in (0, 1)  # the wall gate may trip on a loaded host
+        assert baseline.read_bytes() == COMMITTED_BASELINE.read_bytes()
+        assert list(load_baseline(tmp_path / "results" / "BENCH_latest.json")["kernels"]) == [
+            "sequf"
+        ]
+        capsys.readouterr()

@@ -111,14 +111,21 @@ class TestRules:
     def test_rpr207_delegation_guard_exempt(self):
         src = (
             "from repro.checkers.contracts import slab_contract\n"
-            "from repro.runtime.cost_model import active_tracker\n"
+            "from repro.runtime.cost_model import instrumented\n"
             "@slab_contract(dtypes={'xs': 'int64'})\n"
             "def k_fast_helper(xs, tracker=None):\n"
-            "    if active_tracker(tracker) is not None:\n"
+            "    if instrumented(tracker):\n"
             "        return xs\n"
             "    return xs + 1\n"
         )
         assert slab_findings(src) == []
+
+    def test_rpr207_fires_on_the_unguarded_kernel_only(self):
+        path = FIXTURES / "rpr207.py"
+        findings = slab_findings(path.read_text(encoding="utf-8"), str(path))
+        assert [(d.code, d.line) for d in findings] == [("RPR207", 9)]
+        assert "'bad_kernel'" in findings[0].message
+        assert "'instrumented'" in findings[0].message
 
     def test_rpr208_only_inside_contracts(self):
         src = "def f(xs):\n    print(xs)\n    return xs\n"

@@ -12,7 +12,7 @@ from repro.core.brute import brute_force_sld
 from repro.core.paruf import ParUFStats, paruf
 from repro.errors import AlgorithmError
 from repro.runtime.cost_model import CostTracker
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.instrumentation import recording
 from repro.trees.weights import apply_scheme
 
 
@@ -111,11 +111,11 @@ def test_max_round_bounded_by_height():
 def test_tracker_and_timer_populated():
     tree = make_tree("knuth", 80, seed=1).with_weights(apply_scheme("perm", 79, seed=2))
     tracker = CostTracker()
-    timer = PhaseTimer(tracker=tracker)
-    paruf(tree, tracker=tracker, timer=timer)
+    with recording(tracker) as rec:
+        paruf(tree, tracker=tracker)
     assert tracker.work > 0
     assert tracker.depth > 0
-    assert set(timer.phases) == {"preprocess", "async", "postprocess"}
+    assert set(rec.phases) == {"preprocess", "async", "postprocess"}
     # Work must be superlinear-ish but far below n^2
     assert tracker.work < 80 * 80 * 10
 

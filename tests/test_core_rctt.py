@@ -11,7 +11,7 @@ from repro.contraction.schedule import build_rc_tree
 from repro.core.brute import brute_force_sld
 from repro.core.rctt import rctt
 from repro.runtime.cost_model import CostTracker
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.instrumentation import recording
 from repro.trees.weights import apply_scheme
 
 
@@ -32,10 +32,10 @@ def test_deterministic_given_seed():
 def test_phases_recorded():
     tree = make_tree("knuth", 100, seed=2).with_weights(apply_scheme("perm", 99, seed=3))
     tracker = CostTracker()
-    timer = PhaseTimer(tracker=tracker)
-    rctt(tree, tracker=tracker, timer=timer)
-    assert set(timer.phases) == {"build", "trace", "sort"}
-    costs = timer.phase_costs
+    with recording(tracker) as rec:
+        rctt(tree, tracker=tracker)
+    assert set(rec.phases) == {"build", "trace", "sort"}
+    costs = rec.phase_costs
     assert costs["build"].work > 0
     assert costs["trace"].work > 0
 

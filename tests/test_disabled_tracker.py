@@ -1,14 +1,14 @@
-"""Disabled-instrumentation fast paths must not change results.
+"""Uninstrumented fast paths must not change results, and must cost nothing.
 
 Several algorithms (SeqUF's merge loop, the MST routines, and anything
 built on ``UnionFind.find_many``) switch to a faster implementation when
-instrumentation is inactive -- ``tracker`` absent or disabled and no
+instrumentation is off -- ``tracker=None``, the one off switch, and no
 shadow-access recorder installed.  These tests pin the contract:
 
 * every registered algorithm returns a bit-identical dendrogram with
-  ``tracker=None``, ``CostTracker(enabled=False)``, and an enabled tracker;
-* a disabled tracker accumulates no charges at all (``active_tracker``
-  strips it before any per-operation site sees it).
+  ``tracker=None`` and with an enabled tracker;
+* with instrumentation off, no phase span reads the clock and no
+  :class:`CostTracker` is charged, not even one built internally.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 from conftest import algorithm_backends
+from repro.checkers import access
 from repro.core.api import ALGORITHMS, resolve_algorithm
 from repro.datasets.ladders import FAMILY_BUILDERS
-from repro.runtime.cost_model import NULL_TRACKER, CostTracker, active_tracker
+from repro.runtime import instrumentation
+from repro.runtime.cost_model import CostTracker, instrumented
 from repro.trees.generators import path_tree
 
 SIZES = (2, 17, 96)
@@ -55,53 +57,49 @@ def test_disabled_tracker_bit_identical(name, backend, family):
         enabled = CostTracker()
         ref = fn(tree, tracker=enabled, **opts)
         out_none = fn(tree, tracker=None, **opts)
-        out_disabled = fn(tree, tracker=CostTracker(enabled=False), **opts)
         assert np.array_equal(ref, out_none), (name, family, n, "tracker=None")
-        assert np.array_equal(ref, out_disabled), (name, family, n, "disabled")
         # The enabled run actually charged something (m >= 1 edges here).
         assert enabled.work > 0.0, (name, family, n)
 
 
 @pytest.mark.parametrize("name,backend", _PAIRS)
-def test_disabled_tracker_charges_nothing(name, backend):
+def test_disabled_tracker_charges_nothing(name, backend, monkeypatch):
+    """With ``tracker=None`` and no recording block, no span reads the clock."""
+
+    def clock():
+        raise AssertionError("a phase span read the clock outside a recording block")
+
+    monkeypatch.setattr(instrumentation, "_clock", clock)
     fn = resolve_algorithm(name, backend)
     tree = path_tree(32) if name == "cartesian" else FAMILY_BUILDERS["random"](32)
-    disabled = CostTracker(enabled=False)
-    fn(tree, tracker=disabled, **_OPTIONS.get(name, {}))
-    assert disabled.work == 0.0 and disabled.depth == 0.0
+    fn(tree, tracker=None, **_OPTIONS.get(name, {}))
 
 
-def test_active_tracker_strips_inactive():
-    assert active_tracker(None) is None
-    assert active_tracker(NULL_TRACKER) is None
-    assert active_tracker(CostTracker(enabled=False)) is None
-    t = CostTracker()
-    assert active_tracker(t) is t
+def test_instrumented_predicate():
+    assert instrumented(None) is False
+    assert instrumented(CostTracker()) is True
+    recorder = access.RoundRecorder(where="test")
+    access.install(recorder)
+    try:
+        assert instrumented(None) is True
+    finally:
+        access.uninstall(recorder)
 
 
-def test_disabled_path_skips_charge_calls():
-    """The fast path must not even *call* the disabled tracker.
+def test_disabled_path_skips_charge_calls(monkeypatch):
+    """The fast path must not even *call* a tracker.
 
-    ``active_tracker`` is the gate: after normalization the algorithm's
-    charge sites test ``tracker is not None``, so a disabled tracker never
-    sees ``add``/``sequential`` calls.  Pin that with a tattling subclass.
+    Charge sites test ``tracker is not None``, and nothing builds a private
+    tracker to stand in for a missing one (the ``Scheduler`` behind
+    paruf-sync charges only a tracker it was given).  Pin that by counting
+    every charge call on the class.
     """
-
-    class Tattling(CostTracker):
-        __slots__ = ("calls",)
-
-        def __init__(self) -> None:
-            super().__init__(enabled=False)
-            self.calls = 0
-
-        def add(self, cost):  # noqa: ANN001
-            self.calls += 1
-
-        def sequential(self, work, depth=None):  # noqa: ANN001
-            self.calls += 1
-
-    for name in ("sequf", "tree-contraction", "brute"):
-        tracker = Tattling()
+    calls = []
+    monkeypatch.setattr(CostTracker, "add", lambda self, cost: calls.append(cost))
+    monkeypatch.setattr(
+        CostTracker, "sequential", lambda self, work, depth=None: calls.append(work)
+    )
+    for name in ("sequf", "tree-contraction", "brute", "paruf-sync"):
         tree = FAMILY_BUILDERS["random"](48)
-        ALGORITHMS[name](tree, tracker=tracker, **_OPTIONS.get(name, {}))
-        assert tracker.calls == 0, name
+        ALGORITHMS[name](tree, tracker=None, **_OPTIONS.get(name, {}))
+        assert calls == [], name

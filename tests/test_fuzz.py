@@ -306,6 +306,21 @@ class TestCorpusFormat:
         assert entry_filename(finding).startswith("csv-")
         assert entry_bytes(finding).endswith(b"\n")
 
+    def test_failed_save_keeps_previous_entry(self, tmp_path):
+        from conftest import file_size_limit
+
+        finding = Finding(
+            check="io:csv:exception-leak",
+            message="m",
+            case=CsvCase(text="0,1e3\n", has_header=False, label="l"),
+        )
+        path = save_finding(finding, tmp_path)
+        before = path.read_bytes()
+        with file_size_limit(len(before) - 1), pytest.raises(OSError):
+            save_finding(finding, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file
+        assert path.read_bytes() == before
+
 
 class TestCli:
     def test_fuzz_ok_exit_zero(self, tmp_path, capsys):

@@ -103,6 +103,16 @@ class TestArchiveWrites:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file
         assert path.read_bytes() == before
 
+    def test_failed_linkage_export_keeps_previous_csv(self, tmp_path, tree):
+        path = tmp_path / "z.csv"
+        export_linkage_csv(path, single_linkage_dendrogram(tree))
+        before = path.read_bytes()
+        bigger = make_tree("random", 400, seed=3)
+        with file_size_limit(len(before)), pytest.raises(OSError):
+            export_linkage_csv(path, single_linkage_dendrogram(bigger))
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file
+        assert path.read_bytes() == before
+
 
 class TestCLI:
     def test_generate_then_compute_any_suffix(self, tmp_path, capsys):
@@ -127,6 +137,26 @@ class TestCLI:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"repro {argv[0]}: ")
+        assert err.count("\n") == 1
+
+    def test_info_describes_edge_file(self, tmp_path, capsys):
+        from repro.io.edgefile import write_edge_file
+
+        path = tmp_path / "g.redg"
+        edges = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64)
+        write_edge_file(path, 4, edges, np.array([1.0, 2.0, 3.0]))
+        assert cli_main(["info", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path}: REDG1 edge file n=4 m=3\n"
+
+    @pytest.mark.parametrize(
+        "payload", [b"not an archive\n", b"REDG1\x00\x00\x00\x04"], ids=["junk", "short-redg1"]
+    )
+    def test_info_rejects_unknown_file_with_one_line(self, payload, tmp_path, capsys):
+        path = tmp_path / "mystery.bin"
+        path.write_bytes(payload)
+        assert cli_main(["info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro info: {path}: ")
         assert err.count("\n") == 1
 
     def test_generate_and_compute(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Work-depth cost model, Brent simulation, timers, pool, scheduler."""
+"""Work-depth cost model, Brent simulation, phase spans, pool, scheduler."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from repro.runtime.cost_model import (
     combine_serial,
     log_cost,
 )
-from repro.runtime.instrumentation import PhaseTimer
+from repro.runtime.instrumentation import recording, span
 from repro.runtime.pool import parallel_for, parallel_map
 from repro.runtime.scheduler import Scheduler
 
@@ -78,14 +78,6 @@ class TestCostTracker:
         t = CostTracker()
         with t.parallel_round():
             pass
-        assert (t.work, t.depth) == (0, 0)
-
-    def test_disabled_tracker_is_noop(self):
-        t = CostTracker(enabled=False)
-        t.sequential(100)
-        t.add(WorkDepth(5, 5))
-        with t.parallel_round() as rnd:
-            rnd.task(9)
         assert (t.work, t.depth) == (0, 0)
 
     def test_reset_inside_round_rejected(self):
@@ -159,56 +151,56 @@ class TestBrent:
 
 
 class TestPhaseTimer:
+    """Phase timing: ``span`` blocks record into the innermost ``recording``."""
+
     def test_records_phases_in_order(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            pass
-        with timer.phase("b"):
-            pass
-        with timer.phase("a"):
-            pass
-        assert list(timer.phases) == ["a", "b"]
-        assert timer.total() >= 0
-
-    def test_fractions_sum_to_one(self):
-        timer = PhaseTimer()
-        with timer.phase("x"):
-            time.sleep(0.002)
-        with timer.phase("y"):
-            time.sleep(0.002)
-        assert sum(timer.fractions().values()) == pytest.approx(1.0)
-
-    def test_empty_fractions(self):
-        assert PhaseTimer().fractions() == {}
+        with recording() as rec:
+            with span("a"):
+                pass
+            with span("b"):
+                pass
+            with span("a"):
+                pass
+        assert list(rec.phases) == ["a", "b"]
+        assert all(seconds >= 0 for seconds in rec.phases.values())
 
     def test_bound_tracker_splits_costs(self):
         tracker = CostTracker()
-        timer = PhaseTimer(tracker=tracker)
-        with timer.phase("p1"):
-            tracker.sequential(10)
-        with timer.phase("p2"):
-            tracker.sequential(30, depth=3)
-        costs = timer.phase_costs
-        assert costs["p1"].work == 10
-        assert costs["p2"].work == 30
-        assert costs["p2"].depth == 3
-
-    def test_merge(self):
-        a, b = PhaseTimer(), PhaseTimer()
-        a.add("x", 1.0, work=5)
-        b.add("x", 2.0, work=7)
-        b.add("y", 1.0)
-        a.merge(b)
-        assert a.phases["x"] == pytest.approx(3.0)
-        assert a.phase_costs["x"].work == 12
-        assert "y" in a.phases
+        with recording(tracker) as rec:
+            with span("p1"):
+                tracker.sequential(10)
+            tracker.sequential(1000)  # outside every span: in no phase
+            with span("p2"):
+                tracker.sequential(30, depth=3)
+        costs = rec.phase_costs
+        assert (costs["p1"].work, costs["p1"].depth) == (10, 10)
+        assert (costs["p2"].work, costs["p2"].depth) == (30, 3)
 
     def test_exception_still_recorded(self):
-        timer = PhaseTimer()
-        with pytest.raises(RuntimeError):
-            with timer.phase("broken"):
-                raise RuntimeError
-        assert "broken" in timer.phases
+        with recording() as rec:
+            with pytest.raises(RuntimeError):
+                with span("broken"):
+                    raise RuntimeError
+        assert "broken" in rec.phases
+
+    def test_span_outside_recording_is_a_noop(self):
+        with span("nowhere"):
+            pass
+        with recording() as rec:
+            pass
+        assert rec.phases == {}
+
+    def test_innermost_recording_wins(self):
+        with recording() as outer:
+            with span("a"):
+                pass
+            with recording() as inner:
+                with span("b"):
+                    pass
+            with span("c"):
+                pass
+        assert list(outer.phases) == ["a", "c"]
+        assert list(inner.phases) == ["b"]
 
 
 class TestPool:
