@@ -358,8 +358,8 @@ KERNELS: tuple[Kernel, ...] = (
         ref_run=_pipeline_graph_runner("reference"),
         backend="array",
     ),
-    # Out-of-core filter-Kruskal over a REDG1 file (size = edge count);
-    # the reference twin is the in-memory scan of the same edges.
+    # Out-of-core external-sort Kruskal over a REDG1 file (size = edge
+    # count); the reference twin is the in-memory scan of the same edges.
     Kernel(
         "mst-streaming",
         1000000,

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.core.api import resolve_algorithm, single_linkage_dendrogram
 from repro.dendrogram.structure import Dendrogram
-from repro.errors import InvalidGraphError
-from repro.structures.unionfind import UnionFind
-from repro.trees.mst import minimum_spanning_tree
+from repro.trees.mst import _check_graph, minimum_spanning_tree
 from repro.trees.wtree import WeightedTree
 
 __all__ = ["graph_single_linkage", "GraphLinkageResult"]
@@ -54,39 +54,35 @@ def graph_single_linkage(
     Components are bridged by artificial edges weighted above every real
     edge, so cutting the hierarchy at any real weight recovers the per-
     component clusterings and the top ``n_components - 1`` merges are the
-    bridges.  ``backend`` is forwarded to the MST and dendrogram stages
+    bridges.  Each component is represented by its smallest vertex, and
+    the bridges chain those representatives in increasing order, so the
+    bridges depend only on the component partition, not on edge order.
+    ``backend`` is forwarded to the MST and dendrogram stages
     (every backend returns a bit-identical result); ``(algorithm,
     backend)`` is checked before any work.
     """
     resolve_algorithm(algorithm, backend)
-    edges = np.asarray(edges, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if edges.ndim != 2 or (edges.size and edges.shape[1] != 2):
-        raise InvalidGraphError(f"edges must have shape (m, 2), got {edges.shape}")
-    if weights.shape != (edges.shape[0],):
-        raise InvalidGraphError("need exactly one weight per edge")
+    edges, weights = _check_graph(n, edges, weights)
+    ends = edges.reshape(-1, 2)
+    ones = np.ones(ends.shape[0], dtype=np.int8)
+    n_components, labels = connected_components(
+        coo_matrix((ones, (ends[:, 0], ends[:, 1])), shape=(n, n)), directed=False
+    )
 
-    uf = UnionFind(n)
-    _union_components(uf, edges)
-    n_components = uf.num_sets
-
-    bridge_rows: list[list[int]] = []
+    bridge_rows = np.zeros((0, 2), dtype=np.int64)
     if n_components > 1:
-        reps = sorted(int(r) for r in uf.roots())
+        reps = np.sort(np.unique(labels, return_index=True)[1])  # smallest vertices
+        bridge_rows = np.stack([reps[:-1], reps[1:]], axis=1)
         base = float(weights.max()) + 1.0 if weights.size else 1.0
-        for i, (a, b) in enumerate(zip(reps[:-1], reps[1:])):
-            bridge_rows.append([a, b])
-        bridge_edges = np.asarray(bridge_rows, dtype=np.int64)
-        bridge_weights = base + np.arange(len(bridge_rows), dtype=np.float64)
-        edges = np.concatenate([edges, bridge_edges]) if edges.size else bridge_edges
-        weights = np.concatenate([weights, bridge_weights])
+        edges = np.concatenate([ends, bridge_rows])
+        weights = np.concatenate([weights, base + np.arange(n_components - 1, dtype=np.float64)])
 
     mst = minimum_spanning_tree(n, edges, weights, method=mst_method, backend=backend)
     dend = single_linkage_dendrogram(
         mst, algorithm=algorithm, backend=backend, **algorithm_options
     )
 
-    if bridge_rows:
+    if bridge_rows.size:
         # Bridge recovery, vectorized: match the MST's undirected endpoint
         # keys against the artificial rows (keys are unique -- the input
         # may not duplicate a bridge pair, bridges join distinct
@@ -94,8 +90,7 @@ def graph_single_linkage(
         lo = np.minimum(mst.edges[:, 0], mst.edges[:, 1])
         hi = np.maximum(mst.edges[:, 0], mst.edges[:, 1])
         keys = lo * n + hi
-        brows = np.asarray(bridge_rows, dtype=np.int64)
-        bkeys = np.sort(brows[:, 0] * n + brows[:, 1])
+        bkeys = np.sort(bridge_rows[:, 0] * n + bridge_rows[:, 1])
         pos = np.minimum(np.searchsorted(bkeys, keys), bkeys.size - 1)
         bridges = np.flatnonzero(bkeys[pos] == keys).astype(np.int64)
     else:
@@ -103,21 +98,3 @@ def graph_single_linkage(
     return GraphLinkageResult(
         mst=mst, dendrogram=dend, n_components=n_components, bridge_edges=bridges
     )
-
-
-def _union_components(uf: UnionFind, edges: np.ndarray) -> None:
-    """Union every edge's endpoints, in batches (connectivity only).
-
-    Component structure is order-independent, so a vectorized
-    ``find_many`` pre-filter drops the bulk of each batch and only the
-    surviving (possibly stale) candidates hit the scalar union loop.
-    """
-    chunk = 8192
-    for start in range(0, edges.shape[0], chunk):
-        batch = edges[start : start + chunk]
-        ru = uf.find_many(batch[:, 0])
-        rv = uf.find_many(batch[:, 1])
-        cross = ru != rv
-        for a, b in zip(ru[cross].tolist(), rv[cross].tolist()):
-            if uf.find(a) != uf.find(b):
-                uf.union(a, b)

@@ -12,10 +12,11 @@ ANN-graph + MST pipeline needs.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.checkers.ownership import owns
 from repro.errors import InvalidGraphError
-from repro.structures.unionfind import UnionFind
 
 __all__ = ["knn_graph", "complete_graph", "pairwise_distances"]
 
@@ -114,30 +115,24 @@ def _bridge_components(
 ) -> tuple[list[list[int]], list[float]]:
     """Closest-pair bridges between connected components.
 
-    The roots pass is one vectorized ``find_many`` batch per bridge (the
-    loop runs once per component, not per vertex); the tests keep the
-    scalar original as the oracle.
+    One ``connected_components`` pass labels the components; each bridge
+    then joins component 0 to its closest point outside it and relabels
+    the absorbed component (the loop runs once per component, not per
+    vertex); the tests keep the scalar original as the oracle.
     """
-    uf = UnionFind(n)
-    all_vertices = np.arange(n, dtype=np.int64)
-    for start in range(0, edges.shape[0], 8192):
-        batch = edges[start : start + 8192]
-        ru = uf.find_many(batch[:, 0])
-        rv = uf.find_many(batch[:, 1])
-        cross = ru != rv
-        for a, b in zip(ru[cross].tolist(), rv[cross].tolist()):
-            if uf.find(a) != uf.find(b):
-                uf.union(a, b)
+    ones = np.ones(edges.shape[0], dtype=np.int8)
+    ncomp, labels = connected_components(
+        coo_matrix((ones, (edges[:, 0], edges[:, 1])), shape=(n, n)), directed=False
+    )
     extra_e: list[list[int]] = []
     extra_w: list[float] = []
-    while uf.num_sets > 1:
-        roots = uf.find_many(all_vertices)
-        comp0 = np.flatnonzero(roots == roots[0])
-        rest = np.flatnonzero(roots != roots[0])
+    for _ in range(ncomp - 1):
+        comp0 = np.flatnonzero(labels == labels[0])
+        rest = np.flatnonzero(labels != labels[0])
         block = dists[np.ix_(comp0, rest)]
         a, b = np.unravel_index(np.argmin(block), block.shape)
         u, v = int(comp0[a]), int(rest[b])
         extra_e.append([u, v])
         extra_w.append(float(dists[u, v]))
-        uf.union(u, v)
+        labels[labels == labels[v]] = labels[0]
     return extra_e, extra_w

@@ -273,31 +273,30 @@ def _streaming_dropped_window(path: "str | Path", chunk: int) -> "tuple[int, np.
 
     n, _ = read_edge_header(path)
     uf = UnionFind(n)
-    chosen: list[int] = []
-    need = n - 1
+    chosen: list[np.ndarray] = []
     with tempfile.TemporaryDirectory(prefix="repro-selftest-spill-") as sdir:
         runs = spill_runs(path, sdir, chunk)
         merge_block = max(1, chunk // max(1, len(runs)))
         for index, batch in enumerate(merge_runs(runs, merge_block)):
             if index == 1:
                 continue  # BUG: a whole merge window vanishes
-            _scan_rank_batch(
-                uf,
-                np.ascontiguousarray(batch["id"]),
-                np.ascontiguousarray(batch["u"]),
-                np.ascontiguousarray(batch["v"]),
-                chosen,
-                need,
+            chosen.append(
+                _scan_rank_batch(
+                    uf,
+                    np.ascontiguousarray(batch["id"]),
+                    np.ascontiguousarray(batch["u"]),
+                    np.ascontiguousarray(batch["v"]),
+                )
             )
-            if len(chosen) == need:
+            if uf.num_sets == 1:
                 break
-    if len(chosen) != need:
+    if uf.num_sets != 1:
         from repro.errors import NotConnectedError
 
         raise NotConnectedError(
             f"graph has {uf.num_sets} connected components; cannot span {n} vertices"
         )
-    return n, np.asarray(chosen, dtype=np.int64)
+    return n, np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -145,19 +145,25 @@ class UnionFind:
         parent[xs] = roots
         return roots
 
-    def roots(self) -> np.ndarray:
-        """Array of current set representatives (one per set).
+    def union_groups(self, roots: np.ndarray, group: np.ndarray) -> None:
+        """Merge distinct current roots by dense ``group`` label, in one write.
 
-        A post-hoc reporting helper: the traversal is read-only (no path
-        compression), charges nothing to the ``finds``/``find_steps``
-        statistics, and reports nothing to an installed shadow-access
-        recorder -- calling it must not perturb the run it summarizes.
+        The bulk form of :meth:`union` for a batch whose components are
+        already known (``group[i]`` is the component of ``roots[i]``, ids
+        ``0..g-1``): each group's largest root survives, and ``num_sets``
+        and ``unions`` move by the ``roots.size - g`` roots linked away.
+        Charges no find statistics and reports nothing to a shadow-access
+        recorder (no recorded task calls it).
         """
-        parent = self._parent
-        roots = parent[parent]
-        while True:
-            nxt = parent[roots]
-            if (nxt == roots).all():
-                break
-            roots = nxt
-        return np.unique(roots)
+        r = roots.size
+        g = int(group.max()) + 1 if r else 0
+        size = self._size[roots]
+        head = np.zeros(g, dtype=np.int64)  # per group: max (size, position) key
+        np.maximum.at(head, group, size * r + np.arange(r, dtype=np.int64))
+        head = roots[head % r]
+        total = np.zeros(g, dtype=np.int64)
+        np.add.at(total, group, size)
+        self._parent[roots] = head[group]
+        self._size[head] = total
+        self.unions += r - g
+        self.num_sets -= r - g

@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import NotConnectedError
 from repro.runtime.cost_model import CostTracker, WorkDepth, check_backend, instrumented
 from repro.structures.unionfind import UnionFind
-from repro.trees.boruvka_fast import boruvka_select_contract
+from repro.trees.boruvka_fast import spanning_forest
 from repro.trees.mst import _check_graph
 from repro.trees.weights import ranks_of
 from repro.trees.wtree import WeightedTree
@@ -52,8 +52,8 @@ def boruvka_rounds(
 
     ``backend`` selects the round-loop implementation: ``"reference"``
     forces the instrumented per-edge loop, ``"array"``/``"auto"`` run the
-    fully vectorized filter/contract kernel
-    (:func:`repro.trees.boruvka_fast.boruvka_select_contract`) whenever
+    fully vectorized spanning-forest kernel
+    (:func:`repro.trees.boruvka_fast.spanning_forest`) whenever
     instrumentation is inactive and delegate to the reference otherwise
     (the fast-twin convention, so cost accounting is never lost).  All
     backends select identical edges in identical rounds: ranks are a
@@ -68,7 +68,9 @@ def boruvka_rounds(
         chosen_arr = np.asarray(sorted(chosen), dtype=np.int64)
         num_sets = uf.num_sets
     else:
-        chosen_arr, rounds, num_sets = boruvka_select_contract(n, edges, ranks)
+        cu, cv = np.ascontiguousarray(edges.reshape(-1, 2).T)
+        chosen_arr, rounds, _ = spanning_forest(cu, cv, ranks, n)
+        num_sets = n - chosen_arr.size
     if num_sets > 1:
         raise NotConnectedError(
             f"graph has {num_sets} connected components; cannot span {n} vertices"

@@ -1,34 +1,34 @@
-"""Fully vectorized Boruvka rounds: the flat-array backend for the MST loop.
+"""The array spanning-forest kernel behind Boruvka and streaming Kruskal.
 
 GBBS-style filter/contract rounds (PAPERS.md: "Theoretically Efficient
 Parallel Graph Algorithms Can Be Fast and Scalable") over flat slabs.
 Each round runs three vectorized phases and no per-edge Python work:
 
-1. **Selection** -- every component picks its minimum-rank incident edge
-   with a single lexsort over ``(component, rank)`` pairs covering both
-   edge directions; first-occurrence rows are the winners.
+1. **Selection** -- a segmented min of ``rank`` over both endpoints
+   (``np.minimum.at``, numpy's priority write) gives every label its
+   min-rank incident edge; edge ``i`` is selected by ``cu[i]`` where
+   ``rank[i] == best[cu[i]]``, and likewise by ``cv[i]``.
 2. **Star contraction** -- the selected edges form a functional graph
-   ``parent[c] = partner(c)`` over component labels whose only cycles are
-   mutual selections (two components picking the *same* edge, see below);
-   breaking each 2-cycle toward the smaller label leaves a forest that
-   pointer doubling collapses to roots in ``O(log)`` gathers.
-3. **Filter + positional relabel** -- intra-component edges drop out, and
-   the surviving component labels are renamed to their first position in
-   the surviving endpoint list by one reversed scatter (the
-   ``sequf_fast`` window idiom), so every per-round slab is sized by the
-   live frontier, not ``n``.
+   ``parent[c] = partner(c)`` over labels whose only cycles are mutual
+   selections (two labels picking the *same* edge, see below); breaking
+   each 2-cycle toward the smaller label leaves a forest that pointer
+   doubling collapses to roots in ``O(log)`` gathers.
+3. **Filter + dense relabel** -- intra-component edges drop out, and the
+   surviving roots are renumbered ``0..c-1`` by a prefix sum, so every
+   per-round slab is sized by the surviving components and live edges.
 
 Bit-identity with the reference rounds
-(:func:`repro.trees.boruvka._boruvka_loop`): ranks are a permutation (no
-ties), so each component's min-rank incident edge is unique, and a
-selection cycle longer than 2 is impossible -- along any directed cycle
-of components the selected-edge rank would have to strictly decrease.
-The only repeats are mutual selections, and mutuality forces the *same*
-edge (each side's minimum bounds the other).  Deduplicated, every
-selected edge therefore merges exactly two distinct components -- which
-is why the reference's sequential union loop never skips a selected edge
-and this kernel may apply them all at once.  Chosen ids and round counts
-match the reference exactly.
+(:func:`repro.trees.boruvka._boruvka_loop`) and the sequential Kruskal
+scan: ranks are unique, so each label's min-rank incident edge is
+unique, every ``parent[c]`` is written exactly once (no duplicate-index
+store is relied on), and a selection cycle longer than 2 is impossible
+-- along any directed cycle of labels the selected-edge rank would have
+to strictly decrease.  The only repeats are mutual selections, and
+mutuality forces the *same* edge (each side's minimum bounds the other).
+Every selected edge therefore merges two distinct components, and the
+result is the unique minimum spanning forest -- the edge set Kruskal's
+rank-order scan picks.  Chosen ids and round counts match the reference
+exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ import numpy as np
 from repro.checkers.bounds import cost_bound
 from repro.checkers.contracts import slab_contract
 
-__all__ = ["boruvka_select_contract"]
+__all__ = ["spanning_forest"]
+
+_NO_EDGE = np.iinfo(np.int64).max
 
 
 @cost_bound(
@@ -46,91 +48,62 @@ __all__ = ["boruvka_select_contract"]
     depth="log(n)**2",
     vars=("m", "n"),
     kind="helper",
-    theorem="O(log n) Boruvka rounds; each round is one lexsort over the "
-    "surviving edges plus O(log) pointer-doubling gathers",
+    theorem="O(log n) Boruvka rounds; each round is one segmented min "
+    "(np.minimum.at) over the surviving edges plus O(log) pointer-doubling "
+    "gathers",
 )
 @slab_contract(
-    dtypes={"edges": "int64", "ranks": "int64"},
-    contiguous=("ranks",),
+    dtypes={"cu": "int64", "cv": "int64", "rank": "int64"},
+    contiguous=("cu", "cv", "rank"),
 )
-def boruvka_select_contract(
-    n: int, edges: np.ndarray, ranks: np.ndarray
-) -> tuple[np.ndarray, int, int]:
-    """Vectorized Boruvka rounds over a validated edge list.
+def spanning_forest(
+    cu: np.ndarray, cv: np.ndarray, rank: np.ndarray, dom: int
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Minimum spanning forest of the multigraph ``cu[i] -- cv[i]``.
 
-    Returns ``(chosen, rounds, num_sets)``: the sorted MST edge ids, the
-    round count (matching the reference loop exactly), and the number of
-    connected components left (1 iff the graph spans ``n`` vertices).
-    The caller owns graph validation and the connectivity check.
+    Endpoints are labels in ``[0, dom)`` (``cu[i] != cv[i]``); ``rank``
+    holds unique edge ranks.  Returns ``(picked, rounds, comp)``: the
+    sorted positions of the forest edges, the number of selection rounds
+    (the reference Boruvka round count), and each label's final component
+    as a dense id in ``[0, dom - picked.size)``.
     """
-    m = int(edges.shape[0])
-    chosen_parts: list[np.ndarray] = []
-    ncomp = n
-    eid = np.arange(m, dtype=np.int64)
-    cu = np.ascontiguousarray(edges[:, 0]) if m else np.empty(0, dtype=np.int64)
-    cv = np.ascontiguousarray(edges[:, 1]) if m else np.empty(0, dtype=np.int64)
-    dom = n  # current component-label domain: [0, dom)
+    pos = np.arange(cu.size, dtype=np.int64)
+    comp = np.arange(dom, dtype=np.int64)
+    picked = [np.empty(0, dtype=np.int64)]
     rounds = 0
-    while ncomp > 1:  # noqa: RPR102 -- O(log n) Boruvka rounds by Lemma
+    while pos.size:  # noqa: RPR102 -- O(log n) rounds: every live label merges
         rounds += 1
-        k = int(eid.size)
-        if k == 0:
-            break
-        # Phase 1 -- selection.  Both directions of every edge, sorted by
-        # (component, rank); the first row of each component group is its
-        # min-rank incident edge.  Per-round concatenations are frontier-
-        # sized and the frontier shrinks geometrically: no quadratic churn.
-        rk = ranks[eid]
-        comp2 = np.concatenate([cu, cv])  # noqa: RPR204 -- fresh frontier slab
-        rk2 = np.concatenate([rk, rk])  # noqa: RPR204 -- fresh frontier slab
-        order = np.lexsort((rk2, comp2))
-        comp_s = comp2[order]
-        first = np.empty(comp_s.size, dtype=bool)
-        first[0] = True
-        first[1:] = comp_s[1:] != comp_s[:-1]
-        selpos = order[first]
-        winners = comp_s[first]
-        from_v = selpos >= k
-        j = np.where(from_v, selpos - k, selpos)
-        partner = np.where(from_v, cu[j], cv[j])
-        sel_eid = eid[j]
-        # Phase 2 -- star contraction.  parent[c] = partner(c); the only
-        # cycles are mutual selections, broken toward the smaller label.
-        parent = np.arange(dom, dtype=np.int64)
-        parent[winners] = partner
-        back = parent[partner] == winners
-        keep_root = back & (winners < partner)
-        parent[winners[keep_root]] = winners[keep_root]
+        # 1. Selection: each label's min-rank incident edge.
+        best = np.full(dom, _NO_EDGE, dtype=np.int64)
+        np.minimum.at(best, cu, rank)
+        np.minimum.at(best, cv, rank)
+        by_u = rank == best[cu]
+        by_v = rank == best[cv]
+        picked.append(pos[by_u | by_v])
+        # 2. Star contraction; mutual selections keep the smaller label.
+        ident = np.arange(dom, dtype=np.int64)
+        parent = ident.copy()
+        parent[cu[by_u]] = cv[by_u]
+        parent[cv[by_v]] = cu[by_v]
+        both = by_u & by_v
+        low = np.minimum(cu[both], cv[both])
+        parent[low] = low
         while True:  # noqa: RPR102 -- pointer doubling, O(log) gathers
             nxt = parent[parent]
             if np.array_equal(nxt, parent):
                 break
             parent = nxt
-        applied = np.unique(sel_eid)
-        chosen_parts.append(applied)
-        ncomp -= int(applied.size)
-        # Phase 3 -- filter intra-component edges, relabel survivors to
-        # positional ids (first occurrence among the surviving endpoints,
-        # via the reversed scatter) so next round's slabs stay frontier-
-        # sized.
+        # 3. Dense relabel of the surviving roots, then filter.
+        label = np.cumsum(parent == ident) - 1
+        dom = int(label[-1]) + 1
+        parent = label[parent]  # old label -> dense surviving root
+        comp = parent[comp]
         cu = parent[cu]
         cv = parent[cv]
-        cross = cu != cv
-        eid = eid[cross]
-        cu = cu[cross]
-        cv = cv[cross]
-        k2 = int(eid.size)
-        if k2:
-            both = np.concatenate([cu, cv])  # noqa: RPR204 -- fresh frontier slab
-            a2 = np.arange(2 * k2, dtype=np.int64)
-            firstpos = np.empty(dom, dtype=np.int64)
-            firstpos[both[::-1]] = a2[::-1]
-            lbl = firstpos[both]
-            cu = lbl[:k2]
-            cv = lbl[k2:]
-            dom = 2 * k2
-    if chosen_parts:
-        chosen = np.sort(np.concatenate(chosen_parts))
-    else:
-        chosen = np.empty(0, dtype=np.int64)
-    return chosen, rounds, ncomp
+        live = cu != cv
+        # One slab at a time, so each old slab is freed before the next copy.
+        pos = pos[live]
+        cu = cu[live]
+        cv = cv[live]
+        rank = rank[live]
+    return np.sort(np.concatenate(picked)), rounds, comp

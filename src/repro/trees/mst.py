@@ -13,7 +13,8 @@ The routines:
 * :func:`prim_mst` -- Prim with a binary heap;
 * :func:`scipy_mst` -- SciPy's csgraph, for cross-checking;
 * :func:`streaming_kruskal_mst` -- out-of-core Kruskal over a REDG1 edge
-  file: external sort into spill runs, then a k-way merge in rank order;
+  file: external sort into spill runs, then a k-way merge in rank order
+  whose batches are solved by the spanning-forest kernel;
 * Borůvka (:mod:`repro.trees.boruvka`), reached through
   :func:`minimum_spanning_tree` with ``method="boruvka"``.
 
@@ -37,6 +38,7 @@ from repro.errors import InvalidGraphError, NotConnectedError
 from repro.primitives.sort import comparison_sort_cost
 from repro.runtime.cost_model import CostTracker, WorkDepth, check_backend, instrumented
 from repro.structures.unionfind import UnionFind
+from repro.trees.boruvka_fast import spanning_forest
 from repro.trees.weights import ranks_of
 from repro.trees.wtree import WeightedTree
 
@@ -245,7 +247,8 @@ def scipy_mst(n: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
     vars=("m",),
     kind="helper",
     theorem="external sort: O(m/chunk) sorted spill runs, bounded k-way "
-    "merge, then the sequential Kruskal scan with batched pre-filtering",
+    "merge, then one spanning-forest kernel call per merged batch over "
+    "the union-find roots it touches",
 )
 def streaming_kruskal_mst(
     path: "str | Path",
@@ -261,15 +264,16 @@ def streaming_kruskal_mst(
     default), the runs are k-way merged back in exact global rank order
     holding only ``merge_block`` records per run (default: ``chunk``
     split evenly across runs, so the merge never holds more than one
-    chunk of candidates), and each merged batch passes a vectorized
-    union-find pre-filter before the per-edge scan.  Once ``n - 1``
-    edges are chosen the merge stops -- unread spill data is never
-    touched.
+    chunk of candidates), and each merged batch is solved at once: its
+    minimum spanning forest over the current union-find components
+    (:func:`repro.trees.boruvka_fast.spanning_forest`) is exactly the set
+    a per-edge scan of the batch would take.  Once ``n - 1`` edges are
+    chosen the merge stops -- unread spill data is never touched.
 
     The chosen ids are **bit-identical** to in-memory
-    :func:`kruskal_mst` on the same ``(n, edges, weights)`` for every
-    ``chunk``/``merge_block``: both scan edges in the unique rank order
-    and apply the same union rule.  Peak memory is ``O(chunk)`` records
+    :func:`kruskal_mst` on the same ``(n, edges, weights)``, in the same
+    (rank) order, for every ``chunk``/``merge_block``: ranks are unique,
+    so each batch's forest is unique.  Peak memory is ``O(n + chunk)``
     regardless of ``m``.  Raises :class:`NotConnectedError` when the
     graph does not span ``n`` vertices,
     :class:`~repro.io.FormatError` / :class:`InvalidGraphError` for
@@ -281,8 +285,7 @@ def streaming_kruskal_mst(
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     n, _ = read_edge_header(path)
     uf = UnionFind(n)
-    chosen: list[int] = []
-    need = n - 1
+    chosen: list[np.ndarray] = []
     with tempfile.TemporaryDirectory(prefix="repro-spill-") if spill_dir is None else _keep_dir(
         spill_dir
     ) as sdir:
@@ -290,21 +293,21 @@ def streaming_kruskal_mst(
         if merge_block is None:
             merge_block = max(1, chunk // max(1, len(runs)))
         for batch in merge_runs(runs, merge_block):
-            _scan_rank_batch(
-                uf,
-                np.ascontiguousarray(batch["id"]),
-                np.ascontiguousarray(batch["u"]),
-                np.ascontiguousarray(batch["v"]),
-                chosen,
-                need,
+            chosen.append(
+                _scan_rank_batch(
+                    uf,
+                    np.ascontiguousarray(batch["id"]),
+                    np.ascontiguousarray(batch["u"]),
+                    np.ascontiguousarray(batch["v"]),
+                )
             )
-            if len(chosen) == need:
+            if uf.num_sets == 1:
                 break
-    if len(chosen) != need:
+    if uf.num_sets != 1:
         raise NotConnectedError(
             f"graph has {uf.num_sets} connected components; cannot span {n} vertices"
         )
-    return n, np.asarray(chosen, dtype=np.int64)
+    return n, np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
 
 
 class _keep_dir:
@@ -326,26 +329,24 @@ class _keep_dir:
     contiguous=("ids", "eu", "ev"),
 )
 def _scan_rank_batch(
-    uf: UnionFind,
-    ids: np.ndarray,
-    eu: np.ndarray,
-    ev: np.ndarray,
-    chosen: list[int],
-    need: int,
-) -> None:
-    """One rank-ordered batch through the Kruskal scan (mirrors
-    :func:`_kruskal_scan_batched`: batched pre-filter, per-edge recheck)."""
+    uf: UnionFind, ids: np.ndarray, eu: np.ndarray, ev: np.ndarray
+) -> np.ndarray:
+    """Kruskal over one rank-ordered batch; returns the ids it takes.
+
+    The batch's minimum spanning forest over ``uf``'s components, with
+    rank = batch position, in rank order; the touched roots are then
+    relinked in one :meth:`~UnionFind.union_groups` write.
+    """
     ru = uf.find_many(eu)
     rv = uf.find_many(ev)
     cross = ru != rv
-    for e, a, b in zip(
-        ids[cross].tolist(), ru[cross].tolist(), rv[cross].tolist()
-    ):  # noqa: RPR205 -- scalar union scan by design (matches kruskal_mst)
-        if uf.find(a) != uf.find(b):
-            uf.union(a, b)
-            chosen.append(e)
-            if len(chosen) == need:
-                return
+    roots, ends = np.unique(np.concatenate([ru[cross], rv[cross]]), return_inverse=True)
+    k = ends.size // 2
+    picked, _, comp = spanning_forest(
+        ends[:k], ends[k:], np.arange(k, dtype=np.int64), roots.size
+    )
+    uf.union_groups(roots, comp)
+    return ids[cross][picked]
 
 
 _METHODS = {"kruskal": kruskal_mst, "prim": prim_mst, "scipy": scipy_mst}

@@ -65,6 +65,23 @@ class TestGraphLinkage:
         with pytest.raises(InvalidGraphError, match="one weight"):
             graph_single_linkage(3, np.array([[0, 1]]), np.ones(2))
 
+    def test_out_of_range_endpoints_rejected(self):
+        """Validated before the component pass: no raw IndexError for an
+        endpoint >= n, no silent wrap for a negative one."""
+        for bad in ([0, 5], [-1, 2]):
+            with pytest.raises(InvalidGraphError, match="endpoints"):
+                graph_single_linkage(3, np.array([bad, [1, 2]]), np.array([1.0, 2.0]))
+
+    def test_bridge_rule_is_smallest_vertex_chain(self):
+        """Each component is represented by its smallest vertex, chained
+        in increasing order -- whatever the edge order or orientation."""
+        res = graph_single_linkage(4, np.array([[1, 0], [2, 3]]), np.array([1.0, 2.0]))
+        assert res.mst.edges[res.bridge_edges].tolist() == [[0, 2]]
+        res = graph_single_linkage(
+            6, np.array([[5, 3], [4, 1], [2, 0]]), np.array([1.0, 2.0, 3.0])
+        )
+        assert sorted(res.mst.edges[res.bridge_edges].tolist()) == [[0, 1], [1, 3]]
+
 
 class TestNNChain:
     @pytest.mark.parametrize("method", LINKAGE_METHODS)

@@ -54,15 +54,6 @@ def test_negative_size_rejected():
         UnionFind(-1)
 
 
-def test_roots_enumeration():
-    uf = UnionFind(6)
-    uf.union(0, 1)
-    uf.union(2, 3)
-    roots = uf.roots()
-    assert roots.shape == (4,)
-    assert uf.num_sets == 4
-
-
 def test_counters_track_operations():
     uf = UnionFind(8)
     for i in range(7):
@@ -105,40 +96,9 @@ def test_set_sizes_sum_to_n(n, seed):
         a, b = int(rng.integers(n)), int(rng.integers(n))
         if not uf.connected(a, b):
             uf.union(a, b)
-    total = sum(uf.set_size(int(r)) for r in uf.roots())
-    assert total == n
-
-
-def test_roots_leaves_counters_untouched():
-    """roots() is a reporting helper: no finds/find_steps charges."""
-    uf = UnionFind(16)
-    for a, b in [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7)]:
-        uf.union(a, b)
-    finds, steps, unions = uf.finds, uf.find_steps, uf.unions
-    roots = uf.roots()
-    assert (uf.finds, uf.find_steps, uf.unions) == (finds, steps, unions)
+    roots = np.unique(uf.find_many(np.arange(n)))
     assert roots.size == uf.num_sets
-    # And it is read-only: no path compression happened.
-    assert sorted(int(uf.find(i)) for i in range(16)) == sorted(
-        int(r) for r in roots for _ in range(int(uf.set_size(int(r))))
-    )
-
-
-def test_roots_not_recorded_by_shadow_recorder():
-    from repro.checkers import access as _access
-
-    uf = UnionFind(8)
-    uf.union(0, 1)
-    uf.union(2, 3)
-    rec = _access.RoundRecorder(where="test")
-    _access.install(rec)
-    try:
-        task = rec.begin_task(0, label="task 0")
-        uf.roots()
-        assert not task.reads and not task.writes and not task.atomics
-    finally:
-        rec.drop_open_task()
-        _access.uninstall(rec)
+    assert sum(uf.set_size(int(r)) for r in roots) == n
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,3 +138,39 @@ def test_find_many_empty():
     uf = UnionFind(4)
     out = uf.find_many(np.empty(0, dtype=np.int64))
     assert out.size == 0 and out.dtype == np.int64
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    pairs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
+    links=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
+)
+def test_union_groups_matches_pairwise_unions(n, pairs, links):
+    """One bulk write over the touched roots equals the scalar unions:
+    same partition, exact ``num_sets`` and set sizes."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    bulk, scalar = UnionFind(n), UnionFind(n)
+    for a, b in pairs:
+        if not bulk.connected(a % n, b % n):
+            bulk.union(a % n, b % n)
+            scalar.union(a % n, b % n)
+    ends = np.asarray([(a % n, b % n) for a, b in links], dtype=np.int64).reshape(-1, 2)
+    for a, b in ends.tolist():
+        if not scalar.connected(a, b):
+            scalar.union(a, b)
+    roots, inv = np.unique(bulk.find_many(ends.ravel()), return_inverse=True)
+    pairs_of_roots = inv.reshape(-1, 2)
+    graph = coo_matrix(
+        (np.ones(len(ends), dtype=np.int8), (pairs_of_roots[:, 0], pairs_of_roots[:, 1])),
+        shape=(roots.size, roots.size),
+    )
+    _, group = connected_components(graph, directed=False)
+    bulk.union_groups(roots, group.astype(np.int64))
+    assert bulk.num_sets == scalar.num_sets
+    for i in range(n):
+        assert bulk.set_size(i) == scalar.set_size(i)
+        for j in range(i + 1, n):
+            assert bulk.connected(i, j) == scalar.connected(i, j)

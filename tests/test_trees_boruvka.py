@@ -13,7 +13,7 @@ from repro.errors import NotConnectedError
 from repro.runtime.cost_model import CostTracker
 from repro.trees.boruvka import boruvka_mst, boruvka_rounds, boruvka_tree
 from repro.trees.mst import kruskal_mst
-from test_trees_mst import random_connected_graph
+from test_trees_mst import random_connected_graph, with_parallel_edges
 
 
 @settings(max_examples=50, deadline=None)
@@ -79,16 +79,19 @@ def test_single_vertex_graph():
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 40), seed=st.integers(0, 2**31 - 1))
 def test_array_backend_bit_identical(n, seed):
-    """The vectorized select/contract kernel must reproduce the reference
-    round loop exactly: same edge ids AND same round count."""
+    """The vectorized spanning-forest kernel must reproduce the reference
+    round loop exactly: same edge ids AND same round count, on the simple
+    graph and on a multigraph of it (parallel edges, both orientations,
+    tied weights)."""
     rng = np.random.default_rng(seed)
     n, edges, weights = random_connected_graph(rng, n, extra=2 * n)
     if seed % 2:  # every other example: heavy ties through the rank order
         weights = rng.integers(0, 3, size=weights.size).astype(np.float64)
-    ref_ids, ref_rounds = boruvka_rounds(n, edges, weights, backend="reference")
-    arr_ids, arr_rounds = boruvka_rounds(n, edges, weights, backend="array")
-    assert np.array_equal(arr_ids, ref_ids)
-    assert arr_rounds == ref_rounds
+    for e, w in ((edges, weights), with_parallel_edges(rng, edges, weights)):
+        ref_ids, ref_rounds = boruvka_rounds(n, e, w, backend="reference")
+        arr_ids, arr_rounds = boruvka_rounds(n, e, w, backend="array")
+        assert np.array_equal(arr_ids, ref_ids)
+        assert arr_rounds == ref_rounds
 
 
 def test_unknown_backend_rejected():

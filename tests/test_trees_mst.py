@@ -28,6 +28,18 @@ def random_connected_graph(rng, n, extra=10):
     return n, edges, weights
 
 
+def with_parallel_edges(rng, edges, weights, copies=None):
+    """``edges`` plus parallel copies of random edges, half of them
+    reversed, each tied with its original's weight (a multigraph, like
+    the benchmark inputs; ``random_connected_graph`` dedupes pairs)."""
+    m = edges.shape[0]
+    pick = rng.integers(0, m, size=m if copies is None else copies)
+    extra = edges[pick].copy()
+    flip = rng.random(pick.size) < 0.5
+    extra[flip] = extra[flip][:, ::-1]
+    return np.concatenate([edges, extra]), np.concatenate([weights, weights[pick]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 30), seed=st.integers(0, 2**31 - 1))
 def test_kruskal_prim_scipy_agree_on_distinct_weights(n, seed):

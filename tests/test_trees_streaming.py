@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from repro.errors import NotConnectedError
+from repro.trees.boruvka import boruvka_mst
 from repro.trees.mst import kruskal_mst, streaming_kruskal_mst
 from repro.trees.validation import validate_tree_edges
-from test_trees_mst import random_connected_graph
+from test_trees_mst import random_connected_graph, with_parallel_edges
 
 
 def _duplicate(m, rng):
@@ -48,16 +49,20 @@ def _chunk_grid(m: int) -> list[int]:
 @pytest.mark.parametrize("family", sorted(WEIGHT_FAMILIES))
 @pytest.mark.parametrize("n", [2, 3, 17, 40])
 def test_chunk_grid_matches_in_memory_kruskal(tmp_path, family, n):
+    """Ids *and order* match, on the simple graph and on a multigraph of
+    it (parallel edges in both orientations, tied weights)."""
     rng = np.random.default_rng(n * 7919 + len(family))
     n, edges, weights = random_connected_graph(rng, n, extra=3 * n)
     weights = WEIGHT_FAMILIES[family](edges.shape[0], rng)
-    path = _write(tmp_path, n, edges, weights)
-    expected = kruskal_mst(n, edges, weights)
-    for chunk in _chunk_grid(edges.shape[0]):
-        for merge_block in (None, 1):
-            got_n, got = streaming_kruskal_mst(path, chunk=chunk, merge_block=merge_block)
-            assert got_n == n
-            assert np.array_equal(got, expected), (family, n, chunk, merge_block)
+    multi = with_parallel_edges(rng, edges, weights, copies=edges.shape[0] // 2 + 1)
+    for name, (e, w) in {"simple": (edges, weights), "multi": multi}.items():
+        path = _write(tmp_path, n, e, w, name=f"{name}.redg")
+        expected = kruskal_mst(n, e, w)
+        for chunk in _chunk_grid(e.shape[0]):
+            for merge_block in (None, 1):
+                got_n, got = streaming_kruskal_mst(path, chunk=chunk, merge_block=merge_block)
+                assert got_n == n
+                assert np.array_equal(got, expected), (name, family, n, chunk, merge_block)
 
 
 def test_result_is_valid_spanning_tree(tmp_path):
@@ -74,6 +79,33 @@ def test_disconnected_raises(tmp_path):
     path = _write(tmp_path, 4, edges, np.ones(2))
     with pytest.raises(NotConnectedError):
         streaming_kruskal_mst(path, chunk=1)
+
+
+def test_batch_forest_with_several_components(tmp_path):
+    """The first merged batch's forest is three disjoint pairs, joined only
+    by the next batch: relinking the batch's roots must keep them apart."""
+    edges = np.array([[0, 1], [2, 3], [4, 5], [1, 2], [3, 4]], dtype=np.int64)
+    path = _write(tmp_path, 6, edges, np.array([1.0, 1.0, 1.0, 5.0, 5.0]))
+    _, ids = streaming_kruskal_mst(path, chunk=3, merge_block=3)
+    assert ids.tolist() == [0, 1, 2, 3, 4]
+
+
+def test_disconnected_multigraph_names_component_count(tmp_path):
+    """Components {0,1,2}, {3,4}, {5}, {6} joined by parallel, reversed and
+    tied edges: every MST path reports the true count, 4."""
+    edges = np.array(
+        [[0, 1], [1, 0], [1, 2], [2, 1], [0, 1], [3, 4], [4, 3], [3, 4]], dtype=np.int64
+    )
+    weights = np.array([1.0, 1.0, 2.0, 0.5, 1.0, 3.0, 3.0, 0.5])
+    path = _write(tmp_path, 7, edges, weights)
+    match = "graph has 4 connected components"
+    with pytest.raises(NotConnectedError, match=match):
+        streaming_kruskal_mst(path, chunk=3)
+    with pytest.raises(NotConnectedError, match=match):
+        kruskal_mst(7, edges, weights)
+    for backend in ("reference", "array"):
+        with pytest.raises(NotConnectedError, match=match):
+            boruvka_mst(7, edges, weights, backend=backend)
 
 
 def test_single_edge_graph(tmp_path):
