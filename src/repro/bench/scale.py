@@ -15,13 +15,19 @@ sizes cannot reach:
   (``n - 1`` edges chosen) with peak RSS under
   :data:`STREAM_RSS_BUDGET_MB` -- a fixed ceiling sized to the chunk
   budget, far below what materializing the edge list in memory costs.
+* **points** -- one ``single_linkage(gaussian_blobs(n, centers=16,
+  dim=4), k=8)`` run at ``n = 32 768`` points in a child process, metered
+  the same way.  The run must complete (``n - 1`` MST edges) under
+  :func:`points_rss_budget_mb`, the k-NN stage's O(n*k + 1024*n) bound;
+  the dense n x n distance matrix alone would be 8 GiB.
 
 ``--merge PATH`` injects the results as a top-level ``"scale"`` section
 into an existing ``BENCH_*.json`` (the baseline schema tolerates extra
 top-level keys and the regression gate ignores them), which is how the
 numbers are pinned in-repo and gated by ``tests/test_bench_perf.py``.
-``--smoke`` runs only the streaming leg at ``m = 10**6`` -- the CI job
-that exercises the out-of-core path under slab contracts on every push.
+``--smoke`` runs the streaming leg at ``m = 10**6`` and the points leg
+at ``n = 16 384`` (512 MiB budget) -- the CI job that gates both
+memory bounds under slab contracts on every push.
 """
 
 from __future__ import annotations
@@ -38,12 +44,15 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "POINTS_N",
     "SPEEDUP_EDGES",
     "STREAM_CHUNK",
     "STREAM_EDGES",
     "STREAM_RSS_BUDGET_MB",
     "main",
+    "points_rss_budget_mb",
     "random_connected_graph",
+    "run_points",
     "run_speedup",
     "run_streaming",
     "write_random_edge_file",
@@ -63,6 +72,19 @@ STREAM_CHUNK = 262_144
 #: the measured in-memory materialization peak, which the run records
 #: alongside for an apples-to-apples gate.
 STREAM_RSS_BUDGET_MB = 320.0
+#: Point count of the points leg (the smoke run uses half).
+POINTS_N = 32_768
+
+
+def points_rss_budget_mb(n: int) -> float:
+    """Peak-RSS ceiling for the points child at ``n`` points.
+
+    Three ``1024 x n`` float64 blocks -- the k-NN stage holds two at its
+    peak, one distance block and its ``argpartition`` -- plus 128 MiB for
+    the interpreter, numpy and scipy: 512 MiB at ``n = 16 384``, where the
+    dense distance matrix alone would be 2 GiB.
+    """
+    return 128.0 + 3 * 1024 * n * 8 / 2**20
 
 
 def random_connected_graph(
@@ -161,17 +183,14 @@ def write_random_edge_file(
 
 
 # Executed via ``python -c`` in a fresh process.  ``ru_maxrss`` survives
-# fork+exec, so the child would inherit the parent's peak; instead the
+# fork+exec, so the child would inherit the parent's peak; instead each
 # child resets the kernel high-water mark (``/proc/self/clear_refs``)
-# after imports and reports ``VmHWM``, which then covers exactly the
-# streaming run (plus the resident interpreter/numpy baseline).
-_CHILD_SOURCE = """\
+# after imports and input set-up and reports ``VmHWM``, which then covers
+# exactly the measured run (plus the resident interpreter/numpy baseline).
+_CHILD_PRELUDE = """\
 import json, resource, sys, time
 
 import numpy as np
-
-from repro.io.edgefile import iter_edge_chunks, read_edge_header
-from repro.trees.mst import kruskal_mst, streaming_kruskal_mst
 
 
 def peak_mb():
@@ -185,13 +204,21 @@ def peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def reset_peak():
+    try:
+        with open("/proc/self/clear_refs", "w") as fh:
+            fh.write("5")
+    except OSError:
+        pass
+    return peak_mb()
+"""
+
+_STREAM_CHILD_SOURCE = _CHILD_PRELUDE + """\
+from repro.io.edgefile import iter_edge_chunks, read_edge_header
+from repro.trees.mst import kruskal_mst, streaming_kruskal_mst
+
 path, chunk, mode = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-try:
-    with open("/proc/self/clear_refs", "w") as fh:
-        fh.write("5")
-except OSError:
-    pass
-baseline = peak_mb()
+baseline = reset_peak()
 t0 = time.perf_counter()
 if mode == "stream":
     n, ids = streaming_kruskal_mst(path, chunk=chunk)
@@ -215,6 +242,43 @@ print(json.dumps({
 }))
 """
 
+_POINTS_CHILD_SOURCE = _CHILD_PRELUDE + """\
+from repro.cluster.single_linkage import single_linkage
+from repro.datasets.points import gaussian_blobs
+
+n = int(sys.argv[1])
+points, _ = gaussian_blobs(n, centers=16, dim=4, seed=0)
+baseline = reset_peak()
+t0 = time.perf_counter()
+result = single_linkage(points, k=8)
+wall = time.perf_counter() - t0
+print(json.dumps({
+    "n": n,
+    "mst_edges": int(result.mst.m),
+    "wall_s": wall,
+    "baseline_rss_mb": baseline,
+    "peak_rss_mb": peak_mb(),
+}))
+"""
+
+
+def _run_child(source: str, *args: object) -> dict:
+    """Run ``source`` in a fresh interpreter on this checkout's ``src``;
+    return the JSON line it prints."""
+    src_root = str(Path(__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", source, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"scale child {args} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
 
 def run_streaming(
     m: int = STREAM_EDGES, chunk: int = STREAM_CHUNK, seed: int = 1
@@ -227,27 +291,11 @@ def run_streaming(
     :func:`kruskal_mst` -- each reporting wall time and its own peak
     RSS, so the recorded memory saving is measured, not estimated.
     """
-    src_root = str(Path(__file__).resolve().parents[2])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-
-    def child(path: Path, mode: str) -> dict:
-        proc = subprocess.run(
-            [sys.executable, "-c", _CHILD_SOURCE, str(path), str(chunk), mode],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=False,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(f"{mode} child failed:\n{proc.stderr}")
-        return json.loads(proc.stdout)
-
     with tempfile.TemporaryDirectory(prefix="repro-scale-") as tmp:
         path = Path(tmp) / "graph.redg"
         write_random_edge_file(path, m, seed=seed)
-        stream = child(path, "stream")
-        in_memory = child(path, "inmemory")
+        stream = _run_child(_STREAM_CHILD_SOURCE, path, chunk, "stream")
+        in_memory = _run_child(_STREAM_CHILD_SOURCE, path, chunk, "inmemory")
     if stream["chosen"] != in_memory["chosen"]:
         raise RuntimeError(
             f"streaming chose {stream['chosen']} edges, "
@@ -262,6 +310,21 @@ def run_streaming(
         "in_memory_peak_rss_mb": in_memory["peak_rss_mb"],
         **stream,
     }
+
+
+def run_points(n: int) -> dict:
+    """The points pipeline at ``n`` points in a child process, RSS-metered.
+
+    Raises :class:`RuntimeError` unless the run spans all ``n`` points
+    (``n - 1`` MST edges) with peak RSS under
+    :func:`points_rss_budget_mb`.
+    """
+    leg = _run_child(_POINTS_CHILD_SOURCE, n)
+    leg["rss_budget_mb"] = points_rss_budget_mb(n)
+    leg["completed"] = leg["mst_edges"] == n - 1
+    if not leg["completed"] or leg["peak_rss_mb"] > leg["rss_budget_mb"]:
+        raise RuntimeError(f"points leg failed its bound: {leg}")
+    return leg
 
 
 def merge_into(baseline_path: str | Path, scale: dict) -> None:
@@ -282,7 +345,8 @@ def main(argv: list[str] | None = None) -> dict:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="streaming leg only, at 10**6 edges (the CI smoke job)",
+        help="streaming leg at 10**6 edges and points leg at 16 384 points "
+        "(the CI smoke job)",
     )
     parser.add_argument(
         "--merge",
@@ -312,6 +376,14 @@ def main(argv: list[str] | None = None) -> dict:
         f"in-memory twin {streaming['in_memory_wall_s']:.2f}s "
         f"at {streaming['in_memory_peak_rss_mb']:.0f} MiB, "
         f"completed: {streaming['completed']})"
+    )
+    points = run_points(POINTS_N // 2 if args.smoke else POINTS_N)
+    scale["points"] = points
+    print(
+        f"points    n={points['n']} k=8: "
+        f"{points['wall_s']:.2f}s, peak RSS {points['peak_rss_mb']:.0f} MiB "
+        f"(budget {points['rss_budget_mb']:.0f} MiB, "
+        f"completed: {points['completed']})"
     )
     if args.merge:
         merge_into(args.merge, scale)

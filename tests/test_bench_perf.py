@@ -19,6 +19,7 @@ from repro.bench.baseline import (
 )
 from repro.bench.harness import KernelResult, bench_kernel
 from repro.bench.kernels import KERNELS, kernel_names
+from repro.bench.scale import POINTS_N, points_rss_budget_mb, run_points
 from repro.cli import main
 from repro.io import FormatError
 
@@ -226,6 +227,16 @@ class TestCommittedScaleSection:
         # Against the measured in-memory twin (same file, same machine):
         # streaming must use at most half the memory it did.
         assert leg["peak_rss_mb"] <= leg["in_memory_peak_rss_mb"] / 2, leg
+
+
+def test_points_leg_spans_the_cloud_within_its_budget():
+    """The scale bench's points leg: a child process runs the k-NN
+    pipeline and must stay under three 1024 x n blocks plus 128 MiB
+    (512 MiB at the smoke size)."""
+    assert points_rss_budget_mb(POINTS_N // 2) == 512.0
+    leg = run_points(2048)
+    assert leg["completed"] and leg["mst_edges"] == 2047
+    assert leg["peak_rss_mb"] <= leg["rss_budget_mb"] == points_rss_budget_mb(2048)
 
 
 class TestKernels:

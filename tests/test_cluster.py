@@ -108,6 +108,30 @@ class TestKnnGraph:
         with pytest.raises(InvalidGraphError, match="two points"):
             knn_graph(np.zeros((1, 2)), k=1)
 
+    def test_rejects_1d(self):
+        with pytest.raises(InvalidGraphError, match="2-D"):
+            knn_graph(np.zeros(5), k=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        pairwise_distances,
+        complete_graph,
+        lambda pts: knn_graph(pts, k=1),
+        lambda pts: single_linkage(pts, k=1),
+        lambda pts: single_linkage(pts),
+    ],
+    ids=["pairwise", "complete", "knn", "single-linkage-knn", "single-linkage-complete"],
+)
+def test_non_finite_points_rejected(build, bad):
+    """A NaN or inf coordinate is an input error, not a NaN/inf edge weight
+    (or a self loop the MST stage would report)."""
+    pts = np.array([[0.0, 0.0], [1.0, bad], [2.0, 2.0], [3.0, 3.0]])
+    with pytest.raises(InvalidGraphError, match="finite"):
+        build(pts)
+
 
 class TestSingleLinkage:
     def test_complete_graph_matches_scipy(self, rng):

@@ -1,12 +1,17 @@
-"""Vectorized k-NN graph construction vs the retained scalar oracles.
+"""Blocked k-NN graph construction vs the dense-matrix scalar oracles.
 
-``knn_graph``'s symmetrize/dedupe pass and ``_bridge_components`` were
-vectorized; the original dict/scalar implementations are kept here as
+``knn_graph`` streams aligned distance blocks and ``_bridge_components``
+runs Prim over components; the original dict/scalar implementations over
+the dense :func:`pairwise_distances` matrix are kept here as
 ``_knn_pairs_reference`` / ``_bridge_components_reference`` and every
-test is a strict equality against them.
+test is a strict equality against them.  Inputs past one 1024-row block
+(n = 1025, 2100) pin the row each weight is read from: the dense matrix
+is not exactly symmetric there.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.knn import _bridge_components, knn_graph, pairwise_distances
+from repro.datasets.points import gaussian_blobs
 from repro.structures.unionfind import UnionFind
 
 
@@ -21,13 +27,14 @@ def _knn_pairs_reference(
     n: int, nbrs: np.ndarray, dists: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The original dict-based pair build (kept as the test oracle for the
-    vectorized symmetrize/dedupe in :func:`knn_graph`)."""
+    symmetrize/dedupe in :func:`knn_graph`).  Pair ``(a, b)``, ``a < b``,
+    is weighted from row ``a`` whichever endpoint selected it."""
     pair_weight: dict[tuple[int, int], float] = {}
     for i in range(n):
         for j in nbrs[i]:
             j = int(j)
             key = (i, j) if i < j else (j, i)
-            pair_weight[key] = float(dists[i, j])
+            pair_weight[key] = float(dists[key])
     edges = np.array(sorted(pair_weight), dtype=np.int64).reshape(-1, 2)
     weights = np.array([pair_weight[tuple(p)] for p in edges], dtype=np.float64)
     return edges, weights
@@ -54,6 +61,94 @@ def _bridge_components_reference(
         extra_w.append(float(dists[u, v]))
         uf.union(u, v)
     return extra_e, extra_w
+
+
+def _dense_oracle(
+    pts: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, list[list[int]], list[float]]:
+    """k-NN pairs and bridges computed the original way, from the dense
+    distance matrix with its diagonal masked."""
+    n = pts.shape[0]
+    dists = pairwise_distances(pts)
+    np.fill_diagonal(dists, np.inf)
+    nbrs = np.argpartition(dists, k, axis=1)[:, :k]
+    edges, weights = _knn_pairs_reference(n, nbrs, dists)
+    extra_e, extra_w = _bridge_components_reference(n, edges, dists)
+    return edges, weights, extra_e, extra_w
+
+
+def _assert_matches_dense_oracle(pts: np.ndarray, k: int) -> list[list[int]]:
+    """``knn_graph(pts, k)`` is the oracle pairs followed by the oracle
+    bridges, weights byte for byte; returns the bridges."""
+    ref_edges, ref_weights, extra_e, extra_w = _dense_oracle(pts, k)
+    got_n, got_edges, got_weights = knn_graph(pts, k)
+    assert got_n == pts.shape[0]
+    bridges = np.asarray(extra_e, dtype=np.int64).reshape(-1, 2)
+    assert np.array_equal(got_edges, np.concatenate([ref_edges, bridges]))
+    expected_w = np.concatenate([ref_weights, np.asarray(extra_w, dtype=np.float64)])
+    assert got_weights.tobytes() == expected_w.tobytes()
+    assert _bridge_components(pts, ref_edges) == (extra_e, extra_w)
+    return extra_e
+
+
+def _grid_points(n: int, d: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng([n, d, len(kind)])
+    pts = rng.random((n, d))
+    if kind == "ties":  # quantized coordinates: duplicates and tied distances
+        pts = np.round(pts * 3) / 3.0
+    elif kind == "groups":  # >= 3 far-apart groups: bridging must run
+        pts += 100.0 * (np.arange(n) % 3)[:, None]
+    return pts
+
+
+GRID = [
+    (n, d, kind)
+    for n in (1025, 2100)
+    for d in (2, 5, 33)
+    for kind in ("random", "ties", "groups")
+]
+
+
+@pytest.mark.parametrize("n,d,kind", GRID)
+def test_multi_block_grid_matches_dense_oracle(n, d, kind):
+    """Past one block: identical edges, weight bytes and bridge list."""
+    pts = _grid_points(n, d, kind)
+    for k in (3, 8):
+        extra_e = _assert_matches_dense_oracle(pts, k)
+        if kind == "groups":
+            assert len(extra_e) >= 2
+
+
+def test_grid_includes_an_asymmetric_dense_matrix():
+    """The grid keeps exercising the row-min(a, b) weight rule only while
+    some grid input's dense matrix differs from its transpose."""
+    assert any(
+        not np.array_equal(dists, dists.T)
+        for dists in (pairwise_distances(_grid_points(*case)) for case in GRID)
+    )
+
+
+def test_k1_lattice_many_components_prim_tie_order():
+    """k = 1 on a lattice: every distance ties at 1, the graph falls into
+    many components, and the bridge order rests on the (dist, u, v) rule."""
+    pts = np.stack(np.unravel_index(np.arange(300), (15, 20)), axis=1).astype(float)
+    pts = pts[np.random.default_rng(5).permutation(300)]
+    extra_e = _assert_matches_dense_oracle(pts, 1)
+    assert len(extra_e) >= 20
+
+
+def test_knn_graph_memory_stays_blocked():
+    """n = 8192: the tracemalloc peak stays under three 1024 x n float64
+    blocks (192 MiB); the dense matrix plus its argpartition is 1 GiB."""
+    n = 8192
+    pts, _ = gaussian_blobs(n, centers=16, dim=4, seed=0)
+    tracemalloc.start()
+    try:
+        knn_graph(pts, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 1024 * n * 8, peak / 2**20
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,8 +180,8 @@ def test_pair_build_matches_dict_oracle(n, d, k, seed, quantize):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 30), seed=st.integers(0, 2**31 - 1), ncomp=st.integers(1, 4))
 def test_bridge_components_matches_scalar_oracle(n, seed, ncomp):
-    """Drop all edges between ``ncomp`` groups, then bridge: the batched
-    union path must produce the identical bridge list (same order)."""
+    """Drop all edges between ``ncomp`` groups, then bridge: Prim over
+    components must produce the identical bridge list (same order)."""
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     dists = pairwise_distances(pts)
@@ -100,7 +195,7 @@ def test_bridge_components_matches_scalar_oracle(n, seed, ncomp):
         if rows
         else np.zeros((0, 2), dtype=np.int64)
     )
-    got_e, got_w = _bridge_components(n, edges, dists)
+    got_e, got_w = _bridge_components(pts, edges)
     ref_e, ref_w = _bridge_components_reference(n, edges, dists)
     assert got_e == ref_e
     assert got_w == ref_w
@@ -112,19 +207,4 @@ def test_knn_graph_connected_end_to_end():
     rng = np.random.default_rng(77)
     # Two well-separated blobs so k=2 leaves the graph disconnected.
     pts = np.concatenate([rng.random((12, 2)), rng.random((12, 2)) + 50.0])
-    n = pts.shape[0]
-    k = 2
-    dists = pairwise_distances(pts)
-    np.fill_diagonal(dists, np.inf)
-    nbrs = np.argpartition(dists, k, axis=1)[:, :k]
-    ref_edges, ref_weights = _knn_pairs_reference(n, nbrs, dists)
-    extra_e, extra_w = _bridge_components_reference(n, ref_edges, dists)
-    assert extra_e  # the construction must actually need a bridge
-
-    got_n, got_edges, got_weights = knn_graph(pts, k)
-    assert got_n == n
-    assert np.array_equal(
-        got_edges, np.concatenate([ref_edges, np.asarray(extra_e, dtype=np.int64)])
-    )
-    expected_w = np.concatenate([ref_weights, np.asarray(extra_w)])
-    assert got_weights.tobytes() == expected_w.tobytes()
+    assert _assert_matches_dense_oracle(pts, 2)  # the input must need a bridge
