@@ -2,6 +2,8 @@
 
 Times updates at different rank quantiles and asserts the locality shape:
 recompute size shrinks monotonically as the updated edge's rank rises.
+Times reserve-only batches at two graph sizes: their cost is what the
+batch touches, so it should not grow with n.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import pytest
 
 from conftest import run_once
 from repro.core.dynamic import DynamicSLD
+from repro.datasets.synthetic_graphs import preferential_attachment_graph
 from repro.trees.generators import knuth_tree
 
 
@@ -55,3 +58,49 @@ def test_dynamic_locality_shape(benchmark, bn):
     assert sizes[0.99] < sizes[0.9] < sizes[0.5] < sizes[0.1]
     assert sizes[0.99] <= 0.05 * (bn - 1)
     assert sizes[0.1] >= 0.8 * (bn - 1)
+
+
+def _reserve_only_batch(n):
+    """Engine over a preferential-attachment graph, plus 8 fresh pairs
+    weighted above every tree edge (so every insert enters the reserve)."""
+    nn, edges = preferential_attachment_graph(n, m_attach=4, seed=0)
+    rng = np.random.default_rng(0)
+    dyn = DynamicSLD.from_graph(nn, edges, rng.random(edges.shape[0]))
+    present = set(map(tuple, edges.tolist()))
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < 8:
+        u, v = sorted(int(x) for x in rng.integers(0, nn, size=2))
+        if u != v and (u, v) not in present and (u, v) not in pairs:
+            pairs.append((u, v))
+    heavy = float(dyn.weights.max()) + 1.0
+    return dyn, [(u, v, heavy) for u, v in pairs], pairs
+
+
+@pytest.mark.parametrize("op", ["insert", "delete"])
+@pytest.mark.parametrize("n", [20_000, 100_000], ids=["n2e4", "n1e5"])
+def test_time_reserve_only_batch(benchmark, n, op):
+    dyn, inserts, pairs = _reserve_only_batch(n)
+    reserve = dyn.reserve_size
+    benchmark.group = f"dynamic:reserve-batch-{op}"
+    present = [False]
+
+    def add():
+        present[0] = True
+        return dyn.apply_batch(inserts=inserts)
+
+    def drop():
+        present[0] = False
+        return dyn.apply_batch(deletes=pairs)
+
+    def setup():
+        # Put the pairs where the timed batch expects them (out for an
+        # insert, in for a delete); pedantic's setup must return None.
+        if present[0] == (op == "insert"):
+            (drop if present[0] else add)()
+
+    target = add if op == "insert" else drop
+    benchmark.pedantic(target, setup=setup, rounds=5, iterations=1, warmup_rounds=1)
+    if present[0]:
+        drop()
+    assert dyn.reserve_size == reserve
+    assert dyn.last_update_size == 0  # the dendrogram was never touched

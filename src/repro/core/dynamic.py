@@ -5,8 +5,8 @@ updates; the same authors' follow-up ("Fully-Dynamic Parallel Algorithms
 for Single-Linkage Clustering", arXiv 2506.18384) shows the shape of the
 answer: maintain a minimum spanning tree of the evolving graph and repair
 only the part of the dendrogram the MST change can reach.  This module
-implements that shape sequentially, built on the weight-divide-and-conquer
-gluing facts (see :mod:`repro.core.weight_dc`):
+implements that shape sequentially on flat arrays, built on the
+weight-divide-and-conquer gluing facts (see :mod:`repro.core.weight_dc`):
 
 * **Insert (cycle rule).**  A new edge ``(u, v, w)`` closes one cycle with
   the tree path ``u..v``.  If ``w`` beats the path maximum, the maximum is
@@ -21,9 +21,21 @@ gluing facts (see :mod:`repro.core.weight_dc`):
   held before or after the batch.  Edges of rank below ``lo`` kept both
   membership and relative order, so (Lemma 3.2) the internal structure of
   every low-forest component survives verbatim; only the dendrogram of the
-  **contracted high tree** and the **glue parents** of the low components'
-  roots (Lemma 4.2) are recomputed -- ``O((m - lo) log m)`` instead of a
-  from-scratch solve.
+  **contracted high tree** (solved by the array SeqUF twin) and the **glue
+  parents** of the low components' roots (Lemma 4.2) are recomputed --
+  ``O((m - lo) log m)`` instead of a from-scratch solve.
+
+The tree is held as a **rooted parent array**: ``_up[x]`` is ``x``'s
+parent vertex (``-1`` at the root) and ``_up_slot[x]`` the slot of that
+edge.  A path maximum walks both endpoints up to their meeting vertex
+(``O(depth)``); rewiring a slot reverses the parent pointers on one root
+path (``O(depth)``); the side of a cut is marked by pointer doubling over
+``_up`` (``O(n log depth)``, vectorized).  The reserve is two flat arrays
+of pair codes ``u * n + v`` (``u < v``) and weights plus a code -> cell
+dict: membership, add and delete are ``O(1)``, and the lightest crossing
+edge is one masked minimum.  While a batch is open every slot rewrite and
+reserve write logs its inverse, so a rollback replays only what the batch
+touched.
 
 Replacement edges inherit the evicted edge's array *slot*, so edge ids
 stay dense in ``[0, m)``, ``m`` stays ``n - 1``, and the maintained parent
@@ -46,14 +58,15 @@ batches leave the dendrogram -- and the counter -- untouched.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from functools import partial
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from repro.checkers.bounds import cost_bound
-from repro.core.weight_dc import _solve_base
+from repro.core.fast import sequf_fast
 from repro.dendrogram.structure import Dendrogram
 from repro.errors import InvalidGraphError, InvalidWeightsError, NotConnectedError
 from repro.trees.mst import kruskal_mst
@@ -64,20 +77,6 @@ __all__ = ["DynamicSLD"]
 
 #: Normalized ``(min, max)`` endpoint pair -- the identity of a graph edge.
 Pair = tuple[int, int]
-
-#: Engine state captured for whole-batch rollback.
-_State = tuple[
-    np.ndarray,  # edges
-    np.ndarray,  # weights
-    np.ndarray,  # parents
-    np.ndarray,  # ranks
-    np.ndarray,  # order
-    np.ndarray,  # sorted weights
-    dict[Pair, float],  # reserve
-    dict[Pair, int],  # slot_of
-    list[dict[int, int]],  # adjacency
-    int,  # generation
-]
 
 
 def _norm_pair(u: int, v: int) -> Pair:
@@ -107,14 +106,22 @@ class DynamicSLD:
         self.weights = tree.weights.copy()
         self.m = self.edges.shape[0]
         self.parents = np.arange(self.m, dtype=np.int64)
-        self._reserve: dict[Pair, float] = {}
-        self._slot_of: dict[Pair, int] = {}
-        self._adj: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for slot in range(self.m):
-            u, v = int(self.edges[slot, 0]), int(self.edges[slot, 1])
-            self._slot_of[_norm_pair(u, v)] = slot
-            self._adj[u][v] = slot
-            self._adj[v][u] = slot
+        self._up = np.full(self.n, -1, dtype=np.int64)
+        self._up_slot = np.full(self.n, -1, dtype=np.int64)
+        if self.m:
+            a, b = self.edges[:, 0], self.edges[:, 1]
+            graph = coo_matrix(
+                (np.ones(self.m, dtype=np.int8), (a, b)), shape=(self.n, self.n)
+            )
+            _, pred = breadth_first_order(graph, 0, directed=False)
+            self._up[:] = np.where(pred >= 0, pred, -1)
+            child = np.where(self._up[a] == b, a, b)
+            self._up_slot[child] = np.arange(self.m, dtype=np.int64)
+        self._res_code = np.empty(0, dtype=np.int64)
+        self._res_w = np.empty(0, dtype=np.float64)
+        self._res_len = 0
+        self._res_cell: dict[int, int] = {}
+        self._undo: list[Callable[[], object]] | None = None
         self._ranks = ranks_of(self.weights)
         self._order = np.argsort(self._ranks).astype(np.int64)
         self._sorted_weights = self.weights[self._order].copy()
@@ -151,9 +158,12 @@ class DynamicSLD:
         obj = cls(tree)
         in_tree = np.zeros(edges.shape[0], dtype=bool)
         in_tree[tree_ids] = True
-        for i in np.flatnonzero(~in_tree).tolist():
-            pair = _norm_pair(int(edges[i, 0]), int(edges[i, 1]))
-            obj._reserve[pair] = float(weights[i])
+        rest = np.flatnonzero(~in_tree)
+        pairs = np.sort(edges[rest], axis=1)
+        obj._res_code = pairs[:, 0] * obj.n + pairs[:, 1]
+        obj._res_w = weights[rest]
+        obj._res_len = int(rest.size)
+        obj._res_cell = dict(zip(obj._res_code.tolist(), range(obj._res_len)))
         return obj
 
     # -- public API ---------------------------------------------------------
@@ -164,7 +174,7 @@ class DynamicSLD:
     @property
     def reserve_size(self) -> int:
         """Number of non-tree edges currently held in the reserve."""
-        return len(self._reserve)
+        return self._res_len
 
     def tree(self) -> WeightedTree:
         """Current weighted tree (fresh object; safe to hand out)."""
@@ -182,24 +192,23 @@ class DynamicSLD:
 
     def graph_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """All current graph edges: tree slots first, then sorted reserve."""
-        if not self._reserve:
+        if not self._res_len:
             return self.edges.copy(), self.weights.copy()
-        pairs = sorted(self._reserve)
-        res_e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        res_w = np.asarray([self._reserve[p] for p in pairs], dtype=np.float64)
+        cells = np.argsort(self._res_code[: self._res_len])
+        res_e = np.column_stack(np.divmod(self._res_code[cells], self.n))
         return (
             np.concatenate([self.edges, res_e], axis=0),
-            np.concatenate([self.weights, res_w]),
+            np.concatenate([self.weights, self._res_w[cells]]),
         )
 
     def graph_weights(self) -> dict[Pair, float]:
         """Every current graph edge (tree + reserve), keyed by pair."""
-        out: dict[Pair, float] = {}
-        for slot in range(self.m):
-            pair = _norm_pair(int(self.edges[slot, 0]), int(self.edges[slot, 1]))
-            out[pair] = float(self.weights[slot])
-        out.update(self._reserve)
-        return out
+        ends = np.sort(self.edges, axis=1)
+        res_u, res_v = np.divmod(self._res_code[: self._res_len], self.n)
+        u = np.concatenate([ends[:, 0], res_u]).tolist()
+        v = np.concatenate([ends[:, 1], res_v]).tolist()
+        w = np.concatenate([self.weights, self._res_w[: self._res_len]]).tolist()
+        return {(a, b): x for a, b, x in zip(u, v, w)}
 
     @cost_bound(
         work="log(m) + (m - k) * log(m)",
@@ -233,7 +242,7 @@ class DynamicSLD:
         self.generation += 1
         lo = min(old_rank, new_rank)
         structural = old_rank != new_rank
-        if w > old_w and self._reserve:
+        if w > old_w and self._res_len:
             swap_lo = self._recertify_slot(e)
             if swap_lo < self.m:
                 lo = min(lo, swap_lo)
@@ -245,12 +254,15 @@ class DynamicSLD:
         return self.last_update_size
 
     @cost_bound(
-        work="b * n + (m - k) * log(m)",
-        depth="b * n + (m - k) * log(m)",
-        vars=("n", "m", "b", "k"),
+        work="b * (n * log(n) + s) + (m - k) * log(m)",
+        depth="b * (n * log(n) + s) + (m - k) * log(m)",
+        vars=("n", "m", "b", "k", "s"),
         kind="structure_op",
-        theorem="insert = cycle rule, delete = cut rule; one Lemma 3.2/4.2 "
-        "suffix repair per batch (arXiv 2506.18384 shape)",
+        theorem="insert = cycle rule, an O(depth) path max on the rooted tree; "
+        "delete = cut rule, O(n log depth + s) vectorized cut side and crossing "
+        "scan (s = reserve size), O(1) on a reserve edge; rollback replays "
+        "only the batch's undo log; one Lemma 3.2/4.2 suffix repair per batch "
+        "(arXiv 2506.18384 shape)",
     )
     def apply_batch(
         self,
@@ -299,9 +311,9 @@ class DynamicSLD:
             self.last_update_size = 0
             return 0
 
-        state = self._save_state()
         lo = self.m
         tree_changed = False
+        self._undo = []
         try:
             for u, v, w in ins:
                 op_lo, changed = self._insert_edge(u, v, w)
@@ -312,8 +324,10 @@ class DynamicSLD:
                 lo = min(lo, op_lo)
                 tree_changed = tree_changed or changed
         except Exception:
-            self._restore_state(state)
+            self._rollback()
             raise
+        finally:
+            self._undo = None
         if tree_changed:
             self.generation += 1
         if lo < self.m:
@@ -331,39 +345,48 @@ class DynamicSLD:
         if u == v:
             raise InvalidGraphError(f"self-loop ({u}, {u}) is not a valid edge")
 
+    def _code(self, u: int, v: int) -> int:
+        """Reserve key of the pair ``{u, v}``: ``min * n + max``."""
+        a, b = _norm_pair(u, v)
+        return a * self.n + b
+
+    def _tree_slot(self, u: int, v: int) -> int:
+        """Slot of the tree edge ``{u, v}``, or ``-1`` if it is not one."""
+        if self._up[u] == v:
+            return int(self._up_slot[u])
+        if self._up[v] == u:
+            return int(self._up_slot[v])
+        return -1
+
     def _insert_edge(self, u: int, v: int, w: float) -> tuple[int, bool]:
         """Cycle rule: returns ``(lowest disturbed rank, tree changed?)``."""
-        key = _norm_pair(u, v)
-        if key in self._slot_of or key in self._reserve:
-            raise ValueError(f"edge {key} is already in the graph")
+        code = self._code(u, v)
+        if self._tree_slot(u, v) >= 0 or code in self._res_cell:
+            raise ValueError(f"edge {_norm_pair(u, v)} is already in the graph")
         f = self._tree_path_max(u, v)
         if w < float(self.weights[f]):
-            evicted_pair = _norm_pair(int(self.edges[f, 0]), int(self.edges[f, 1]))
-            evicted_w = float(self.weights[f])
-            old_r, new_r = self._set_slot(f, (u, v), w)
-            self._reserve[evicted_pair] = evicted_w
-            return min(old_r, new_r), True
+            return self._swap_in(f, (u, v), w), True
         # Ties keep the incumbent: the tree stays a valid MST either way.
-        self._reserve[key] = w
+        self._reserve_add(code, w)
         return self.m, False
 
     def _delete_edge(self, u: int, v: int) -> tuple[int, bool]:
         """Cut rule: returns ``(lowest disturbed rank, tree changed?)``."""
-        key = _norm_pair(u, v)
-        if key in self._reserve:
-            del self._reserve[key]
+        code = self._code(u, v)
+        if code in self._res_cell:
+            self._reserve_del(code)
             return self.m, False
-        f = self._slot_of.get(key)
-        if f is None:
-            raise ValueError(f"edge {key} is not in the graph")
-        side = self._cut_side(int(self.edges[f, 0]), f)
-        best = self._best_crossing(side)
+        f = self._tree_slot(u, v)
+        if f < 0:
+            raise ValueError(f"edge {_norm_pair(u, v)} is not in the graph")
+        best = self._best_crossing(self._cut_side(f))
         if best is None:
-            raise NotConnectedError(f"deleting edge {key} disconnects the graph")
-        (a, b), bw = best
-        del self._reserve[(a, b)]
-        old_r, new_r = self._set_slot(f, (a, b), bw)
-        return min(old_r, new_r), True
+            raise NotConnectedError(
+                f"deleting edge {_norm_pair(u, v)} disconnects the graph"
+            )
+        best_code, bw = best
+        self._reserve_del(best_code)
+        return self._set_slot(f, divmod(best_code, self.n), bw), True
 
     def _recertify_slot(self, e: int) -> int:
         """Cycle-rule re-check after slot ``e``'s weight increased.
@@ -371,114 +394,149 @@ class DynamicSLD:
         Returns the lowest rank a swap disturbed, or ``m`` if the
         incumbent is still (weakly) the lightest edge across its cut.
         """
-        side = self._cut_side(int(self.edges[e, 0]), e)
-        best = self._best_crossing(side)
-        if best is None:
+        best = self._best_crossing(self._cut_side(e))
+        if best is None or best[1] >= float(self.weights[e]):
             return self.m
-        (a, b), bw = best
-        if bw >= float(self.weights[e]):
-            return self.m
-        evicted_pair = _norm_pair(int(self.edges[e, 0]), int(self.edges[e, 1]))
+        best_code, bw = best
+        self._reserve_del(best_code)
+        return self._swap_in(e, divmod(best_code, self.n), bw)
+
+    def _swap_in(self, e: int, pair: tuple[int, int], w: float) -> int:
+        """Put ``pair`` at weight ``w`` into slot ``e`` and move the edge it
+        held to the reserve; returns the lowest rank the swap disturbed."""
+        evicted = self._code(int(self.edges[e, 0]), int(self.edges[e, 1]))
         evicted_w = float(self.weights[e])
-        del self._reserve[(a, b)]
-        old_r, new_r = self._set_slot(e, (a, b), bw)
-        self._reserve[evicted_pair] = evicted_w
-        return min(old_r, new_r)
+        lo = self._set_slot(e, pair, w)
+        self._reserve_add(evicted, evicted_w)
+        return lo
+
+    def _root_path(self, x: int) -> list[int]:
+        """Vertices from ``x`` up to its root, both included."""
+        up = self._up
+        path = [x]
+        while (x := int(up[x])) >= 0:
+            path.append(x)
+        return path
 
     def _tree_path_max(self, u: int, v: int) -> int:
         """Slot of the max-``(weight, slot)`` edge on the tree path u..v."""
-        prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
-        stack = [u]
-        while v not in prev:
-            x = stack.pop()
-            for y, slot in self._adj[x].items():
-                if y not in prev:
-                    prev[y] = (x, slot)
-                    stack.append(y)
-        best = -1
+        from_u = self._root_path(u)
+        pos = {x: i for i, x in enumerate(from_u)}
+        from_v: list[int] = []
         x = v
-        while x != u:
-            x, slot = prev[x]
-            if best < 0 or (float(self.weights[slot]), slot) > (
-                float(self.weights[best]),
-                best,
-            ):
-                best = slot
-        return best
+        while x not in pos:
+            from_v.append(x)
+            x = int(self._up[x])
+        # The path's edges are the parent edges of the vertices strictly
+        # below the meeting vertex x, on both sides.
+        below = np.asarray(from_u[: pos[x]] + from_v, dtype=np.int64)
+        slots = self._up_slot[below]
+        w = self.weights[slots]
+        return int(slots[w == w.max()].max())
 
-    def _cut_side(self, start: int, skip_slot: int) -> np.ndarray:
-        """Vertices reachable from ``start`` in the tree minus one slot."""
-        seen = np.zeros(self.n, dtype=bool)
-        seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y, slot in self._adj[x].items():
-                if slot != skip_slot and not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        return seen
+    def _cut_side(self, e: int) -> np.ndarray:
+        """Mask of the vertices below tree slot ``e`` (pointer doubling).
 
-    def _best_crossing(self, side: np.ndarray) -> tuple[Pair, float] | None:
-        """Lightest reserve edge crossing the cut, ties by pair."""
-        best_pair: Pair | None = None
-        best_w = 0.0
-        for pair, w in self._reserve.items():
-            if bool(side[pair[0]]) != bool(side[pair[1]]):
-                if best_pair is None or (w, pair) < (best_w, best_pair):
-                    best_pair, best_w = pair, w
-        if best_pair is None:
+        After round ``k``, ``side[x]`` says whether one of ``x``'s first
+        ``2**k`` ancestors (``x`` included) is the child end of ``e``, and
+        ``jump[x]`` is its ``2**k``-th ancestor, pinned at the root.
+        """
+        up = self._up
+        a, b = int(self.edges[e, 0]), int(self.edges[e, 1])
+        child = a if up[a] == b else b
+        jump = np.where(up >= 0, up, np.arange(self.n, dtype=np.int64))
+        side = np.zeros(self.n, dtype=bool)
+        side[child] = True
+        while True:
+            side |= side[jump]
+            nxt = jump[jump]
+            if np.array_equal(nxt, jump):
+                return side
+            jump = nxt
+
+    def _best_crossing(self, side: np.ndarray) -> tuple[int, float] | None:
+        """Lightest reserve edge crossing the cut as ``(code, weight)``;
+        equal weights go to the smallest code, i.e. the smallest pair."""
+        codes = self._res_code[: self._res_len]
+        u, v = np.divmod(codes, self.n)
+        cross = np.flatnonzero(side[u] != side[v])
+        if not cross.size:
             return None
-        return best_pair, best_w
+        w = self._res_w[cross]
+        tied = cross[w == w.min()]
+        cell = int(tied[np.argmin(codes[tied])])
+        return int(codes[cell]), float(self._res_w[cell])
 
-    def _set_slot(self, e: int, pair: tuple[int, int], w: float) -> tuple[int, int]:
-        """Rewire slot ``e`` to new endpoints/weight; returns the rank move.
+    def _set_slot(self, e: int, pair: tuple[int, int], w: float) -> int:
+        """Rewire slot ``e`` to new endpoints/weight; returns the lowest
+        rank the rewrite disturbed (old or new rank of ``e``).
 
         Slot reuse keeps edge ids dense and stable: the replacement edge
         inherits the evicted edge's id, so ``m`` never changes and the
-        ``(weight, edge id)`` tie-breaking stays well-defined.
+        ``(weight, edge id)`` tie-breaking stays well-defined.  The rooted
+        tree follows: the old edge's child end ``c`` is cut loose, the new
+        endpoint below ``c`` becomes its side's root by reversing the
+        pointers on its path up to ``c``, and hangs from the other endpoint.
         """
         ou, ov = int(self.edges[e, 0]), int(self.edges[e, 1])
-        del self._adj[ou][ov]
-        del self._adj[ov][ou]
-        del self._slot_of[_norm_pair(ou, ov)]
+        if self._undo is not None:
+            self._undo.append(partial(self._set_slot, e, (ou, ov), float(self.weights[e])))
+        up, up_slot = self._up, self._up_slot
+        c = ou if up[ou] == ov else ov
+        up[c] = up_slot[c] = -1
         a, b = int(pair[0]), int(pair[1])
-        self.edges[e, 0] = a
-        self.edges[e, 1] = b
+        path = self._root_path(a)
+        if path[-1] != c:
+            a, b = b, a
+            path = self._root_path(a)
+        p = np.asarray(path, dtype=np.int64)
+        up_slot[p[1:]] = up_slot[p[:-1]]
+        up[p[1:]] = p[:-1]
+        up[a], up_slot[a] = b, e
+        self.edges[e] = pair
         self.weights[e] = w
-        self._adj[a][b] = e
-        self._adj[b][a] = e
-        self._slot_of[_norm_pair(a, b)] = e
-        return self._shift_rank(e)
+        return min(self._shift_rank(e))
+
+    # -- reserve ------------------------------------------------------------
+    def _reserve_add(self, code: int, w: float) -> None:
+        """Append ``code`` at weight ``w``; capacity doubles when full."""
+        k = self._res_len
+        if k == self._res_code.shape[0]:
+            grow = max(16, k)
+            self._res_code = np.concatenate([self._res_code, np.empty(grow, np.int64)])
+            self._res_w = np.concatenate([self._res_w, np.empty(grow, np.float64)])
+        self._res_code[k] = code
+        self._res_w[k] = w
+        self._res_cell[code] = k
+        self._res_len = k + 1
+        if self._undo is not None:
+            self._undo.append(partial(self._reserve_del, code))
+
+    def _reserve_del(self, code: int) -> None:
+        """Remove ``code``; the last cell moves into the hole."""
+        cell = self._res_cell.pop(code)
+        w = float(self._res_w[cell])
+        last = self._res_len - 1
+        if cell != last:
+            moved = int(self._res_code[last])
+            self._res_code[cell] = moved
+            self._res_w[cell] = self._res_w[last]
+            self._res_cell[moved] = cell
+        self._res_len = last
+        if self._undo is not None:
+            self._undo.append(partial(self._reserve_add, code, w))
 
     # -- rollback -----------------------------------------------------------
-    def _save_state(self) -> _State:
-        return (
-            self.edges.copy(),
-            self.weights.copy(),
-            self.parents.copy(),
-            self._ranks.copy(),
-            self._order.copy(),
-            self._sorted_weights.copy(),
-            dict(self._reserve),
-            dict(self._slot_of),
-            [dict(d) for d in self._adj],
-            self.generation,
-        )
+    def _rollback(self) -> None:
+        """Undo the open batch: replay its log backwards.
 
-    def _restore_state(self, state: _State) -> None:
-        (
-            self.edges,
-            self.weights,
-            self.parents,
-            self._ranks,
-            self._order,
-            self._sorted_weights,
-            self._reserve,
-            self._slot_of,
-            self._adj,
-            self.generation,
-        ) = state
+        A slot entry goes back through :meth:`_set_slot`, which restores
+        the ranks and the rooted tree with it; ``parents`` and
+        ``generation`` are only written after a batch succeeds.
+        """
+        log, self._undo = self._undo or [], None
+        for undo in reversed(log):
+            undo()
 
     # -- incremental ranks --------------------------------------------------
     @cost_bound(
@@ -525,33 +583,36 @@ class DynamicSLD:
 
     # -- dendrogram repair ----------------------------------------------------
     @cost_bound(
-        work="(m - k) * log(m)",
-        depth="(m - k) * log(m)",
-        vars=("m", "k"),
+        work="n + (m - k) * log(m)",
+        depth="n + (m - k) * log(m)",
+        vars=("n", "m", "k"),
         kind="helper",
-        theorem="Lemma 3.2 (low components survive) + Lemma 4.2 (root glue)",
+        theorem="Lemma 3.2 (low components survive) + Lemma 4.2 (root glue); "
+        "O(n) low-forest components, array SeqUF on the contracted high tree",
     )
     def _recompute_suffix(self, lo: int) -> None:
         """Recompute the dendrogram above rank ``lo``, reusing everything
         strictly below it.
 
-        The bookkeeping (low-forest components, relabeling, root glue) is
-        fully vectorized; the only Python-loop cost is the suffix solve
-        itself, so wall time tracks ``m - lo``.
+        The low forest's components contract the high edges to a tree of
+        ``m - lo`` edges.  ``high_arr`` is rank-ascending, so that tree's
+        ``(weight, local index)`` order is the global ``(weight, slot)``
+        order, and its SeqUF parents map back through ``high_arr``
+        bit-identically.
         """
         order = self._order
-        low_arr = order[:lo]
         high_arr = order[lo:]
-        high = [int(x) for x in high_arr]
-        self.last_update_size = len(high)
-        self.total_recomputed += len(high)
-        if not high:
+        self.last_update_size = int(high_arr.size)
+        self.total_recomputed += int(high_arr.size)
+        if not high_arr.size:
             # A fully-low window keeps everything; the max edge stays root.
             return
 
-        scratch = self.edges.copy()
+        n_comp = self.n
+        high_edges = self.edges[high_arr]
         roots: np.ndarray | None = None
         if lo:
+            low_arr = order[:lo]
             graph = coo_matrix(
                 (
                     np.ones(lo, dtype=np.int8),
@@ -567,19 +628,14 @@ class DynamicSLD:
             comp_of_low = labels[self.edges[low_arr, 0]]
             roots = np.full(int(n_comp), -1, dtype=np.int64)
             roots[comp_of_low] = low_arr
-            # Contract: supervertex labels replace raw endpoints everywhere
+            # Contract: supervertex labels replace raw endpoints
             # (isolated vertices keep singleton components).
-            scratch[high_arr] = labels[self.edges[high_arr]]
+            high_edges = labels[high_edges]
 
-        # Reset the recomputed range: the solver assigns every parent
-        # except the subproblem root, which must start self-pointing
-        # (stale parents from the previous dendrogram would otherwise
-        # survive).
-        self.parents[high_arr] = high_arr
-        # Fresh suffix solve (low parents below component roots are
-        # kept).  The direct sequential merge beats the D&C here: a
-        # maintenance structure cares about wall time, not depth.
-        _solve_base(scratch, high, self.parents, self.n)
+        contracted = WeightedTree(
+            int(n_comp), high_edges, self.weights[high_arr], validate=False
+        )
+        self.parents[high_arr] = high_arr[sequf_fast(contracted)]
 
         if roots is not None:
             pend = np.flatnonzero(roots >= 0)
@@ -590,7 +646,7 @@ class DynamicSLD:
                 # so the first occurrence in the flattened endpoint stream
                 # is exactly what the reference scan loop picks
                 # (glue_scan_reference; bit-identity pinned in tests).
-                flat = scratch[high_arr].reshape(-1)
+                flat = high_edges.reshape(-1)
                 uniq, first = np.unique(flat, return_index=True)
                 # The maintained tree is connected, so every low component
                 # is incident to at least one high edge: pend \subseteq uniq.

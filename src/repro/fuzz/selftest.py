@@ -46,7 +46,7 @@ Dynamic-engine mutants (plausible maintenance bugs of the batch-dynamic
   above the lowest disturbed one, leaving a stale window; only the
   dynamic-vs-recompute differential can see it.
 * ``dynamic-no-rollback`` -- a failed batch leaves its partial work
-  applied instead of restoring the pre-batch state; caught by the
+  applied instead of replaying its undo log; caught by the
   error-contract/rollback arm of the shadow-model oracle.
 
 Streaming-MST mutant:
@@ -252,7 +252,7 @@ def _no_rollback_engine(n: int, edges: np.ndarray, weights: np.ndarray) -> objec
     from repro.core.dynamic import DynamicSLD
 
     class _NoRollback(DynamicSLD):
-        def _restore_state(self, state: object) -> None:
+        def _rollback(self) -> None:
             pass
 
     return _NoRollback.from_graph(n, edges, weights)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from conftest import TREE_KINDS, make_tree
 from repro.core.dynamic import DynamicSLD
 from repro.core.sequf import sequf
+from repro.datasets.synthetic_graphs import preferential_attachment_graph
 from repro.errors import InvalidGraphError, InvalidWeightsError, NotConnectedError
 from repro.trees.mst import kruskal_mst
 from repro.trees.weights import ranks_of
@@ -32,22 +36,27 @@ def _assert_exact(dyn: DynamicSLD) -> None:
     np.testing.assert_array_equal(np.sort(dyn.weights), np.sort(gw[mst]))
 
 
-def _state_fingerprint(dyn: DynamicSLD):
-    return (
-        dyn.edges.copy(),
-        dyn.weights.copy(),
-        dyn.parents.copy(),
-        dyn.graph_weights(),
-        dyn.generation,
-    )
+def _state_fingerprint(dyn: DynamicSLD) -> dict:
+    graph_edges, graph_edge_weights = dyn.graph_edges()
+    return {
+        "edges": dyn.edges.copy(),
+        "weights": dyn.weights.copy(),
+        "parents": dyn.parents.copy(),
+        "ranks": dyn.ranks.copy(),
+        "graph_edges": graph_edges,
+        "graph_edge_weights": graph_edge_weights,
+        "graph_weights": dyn.graph_weights(),
+        "reserve_size": dyn.reserve_size,
+        "generation": dyn.generation,
+    }
 
 
-def _assert_state_equal(dyn: DynamicSLD, fp) -> None:
-    np.testing.assert_array_equal(dyn.edges, fp[0])
-    np.testing.assert_array_equal(dyn.weights, fp[1])
-    np.testing.assert_array_equal(dyn.parents, fp[2])
-    assert dyn.graph_weights() == fp[3]
-    assert dyn.generation == fp[4]
+def _assert_state_equal(dyn: DynamicSLD, fp: dict) -> None:
+    for key, now in _state_fingerprint(dyn).items():
+        if isinstance(now, np.ndarray):
+            np.testing.assert_array_equal(now, fp[key], err_msg=key)
+        else:
+            assert now == fp[key], key
 
 
 def test_from_graph_splits_tree_and_reserve():
@@ -228,13 +237,76 @@ def test_update_weight_recertifies_against_reserve():
     _assert_exact(dyn)
 
 
-@pytest.mark.parametrize("kind", sorted(TREE_KINDS))
-def test_batched_streams_stay_exact_across_topologies(kind):
+def test_rollback_after_chained_slot_rewrites():
+    """A batch that evicts tree edges, evicts an edge an earlier insert of
+    the same batch put in (one slot rewritten twice), promotes a reserve
+    edge, and then hits a disconnecting delete unwinds to the exact
+    pre-batch state; the next valid batch is still exact."""
+    # Path 0-1-2-3-4-5-6 (slots 0..5) plus two reserve edges.
+    edges = np.array(
+        [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [0, 5], [2, 4]], dtype=np.int64
+    )
+    weights = np.array([10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 100.0, 70.0])
+    dyn = DynamicSLD.from_graph(7, edges, weights)
+    dyn.update_weight(0, 12.0)  # generation 1: rollback must not reset it
+    fp = _state_fingerprint(dyn)
+    inserts = [
+        (0, 3, 25.0),  # evicts (2, 3) = 30 from slot 2
+        (1, 3, 22.0),  # evicts (0, 3) = 25, the insert above: slot 2 again
+        (3, 5, 45.0),  # evicts (4, 5) = 50 from slot 4
+    ]
+    with pytest.raises(NotConnectedError, match="disconnects"):
+        # (1, 2) promotes (2, 3) from the reserve; (5, 6) cuts off vertex 6
+        dyn.apply_batch(inserts=inserts, deletes=[(1, 2), (5, 6)])
+    _assert_state_equal(dyn, fp)
+    _assert_exact(dyn)
+
+    dyn.apply_batch(inserts=inserts, deletes=[(1, 2)])
+    tree_pairs = sorted(map(tuple, np.sort(dyn.edges, axis=1).tolist()))
+    assert tree_pairs == [(0, 1), (1, 3), (2, 3), (3, 4), (3, 5), (5, 6)]
+    assert dyn.generation == fp["generation"] + 1
+    _assert_exact(dyn)
+
+
+def test_reserve_only_batches_allocate_what_they_touch():
+    """Heavy inserts that only enter the reserve, and their deletes, cost
+    what they touch: no per-batch copy of the tree, ranks or reserve
+    (a state copy at n = 20 000 allocates megabytes)."""
+    n, edges = preferential_attachment_graph(20_000, m_attach=4, seed=0)
+    rng = np.random.default_rng(0)
+    dyn = DynamicSLD.from_graph(n, edges, rng.random(edges.shape[0]))
+    present = dyn.graph_weights()
+    fresh: list[tuple[int, int]] = []
+    while len(fresh) < 16:
+        u, v = sorted(int(x) for x in rng.integers(0, n, size=2))
+        if u != v and (u, v) not in present and (u, v) not in fresh:
+            fresh.append((u, v))
+    heavy = float(dyn.weights.max()) + 1.0
+    # The first round grows the reserve's capacity; the second is measured.
+    for pairs in (fresh[:8], fresh[8:]):
+        peaks = []
+        for batch in ({"inserts": [(u, v, heavy) for u, v in pairs]}, {"deletes": pairs}):
+            tracemalloc.start()
+            try:
+                assert dyn.apply_batch(**batch) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert max(peaks) < 256 * 1024, peaks
+    assert dyn.graph_weights() == present
+
+
+@pytest.mark.parametrize(
+    ("kind", "n"),
+    [pytest.param(kind, 18, id=kind) for kind in sorted(TREE_KINDS)]
+    + [pytest.param(kind, 300, id=f"{kind}-300") for kind in sorted(TREE_KINDS)],
+)
+def test_batched_streams_stay_exact_across_topologies(kind, n):
     """Mixed insert/delete/update streams over every topology: the
     maintained parent array is bit-identical to recompute-from-scratch
-    after every batch (the tentpole acceptance oracle)."""
-    rng = np.random.default_rng(abs(hash(kind)) % 2**32)
-    n = 18
+    after every batch (the tentpole acceptance oracle).  At n = 300 the
+    path and caterpillar kinds relink slots across long root paths."""
+    rng = np.random.default_rng(zlib.crc32(f"{kind}/{n}".encode()))
     tree = make_tree(kind, n, seed=5).with_weights(
         rng.permutation(n - 1).astype(np.float64)
     )
