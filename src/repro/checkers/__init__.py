@@ -19,10 +19,11 @@ All surfaced through ``python -m repro check`` (:mod:`repro.checkers.runner`):
   annotated round-task closures) and the cost-bound contract
   RPR101..RPR105.  Family ``slabs``: RPR201..RPR209 over the flat-array
   backends (dtype discipline, copy-vs-view hazards, object-layer leaks,
-  effect purity).  Family ``parsafe``: RPR301..RPR308 over the
-  concurrency layers (closure capture, undeclared shared-slab writes,
-  order-dependent reductions, global RNG in workers, missing barriers,
-  GIL-atomicity assumptions).
+  effect purity).  Family ``parsafe``: RPR302, RPR305 and RPR308 over
+  the thread targets and ``@owns`` workers of the whole package
+  (``paruf_sync``'s round task and ``paruf_threaded``'s threads): writes
+  outside the declared partition, unjoined threads, undeclared
+  shared-slab writes.
 
 * **Runtime contracts** -- ``@slab_contract``
   (:mod:`repro.checkers.contracts`, verified when

@@ -257,7 +257,7 @@ _WALL_CLOCK = {
 }
 
 #: Seeded RNG constructors; any other call reached through the ``random``
-#: or ``numpy.random`` namespace draws from global RNG state (RPR002/304).
+#: or ``numpy.random`` namespace draws from global RNG state (RPR002).
 _SAFE_RNG = {"Random", "SystemRandom", "default_rng", "Generator", "RandomState", "SeedSequence"}
 
 _FOOTPRINT_DECLS = {"record_write", "record_atomic", "commit_phase"}
@@ -1017,75 +1017,12 @@ def _contract_presence(mod: Module) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# parsafe: parallel safety of the concurrency surface
+# parsafe: parallel safety of the threaded algorithms
 # ---------------------------------------------------------------------------
 #
-# A *worker* is a function handed to a parallel primitive --
-# ``parallel_map``/``parallel_for`` or ``pool.submit`` (first argument),
-# ``threading.Thread(target=...)`` -- or one carrying ``@owns`` (the
-# decorator self-declares it parallel).  Writes under a ``with ...lock...:``
-# block are exempt from RPR302/303/306.
-
-#: Module-level functions that accept a task function as first argument.
-_SUBMIT_FNS = {"parallel_map", "parallel_for"}
-
-#: Calls, and executor ``with`` blocks, that join started workers (RPR305).
-_BARRIER_METHODS = {"join", "result", "shutdown"}
-_EXECUTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
-
-
-def _call_tail(call: ast.Call, dotted: str | None) -> str | None:
-    """Last component of the callee: ``Thread`` for ``threading.Thread(...)``."""
-    return dotted.rsplit(".", 1)[-1] if dotted else _name_of(call.func)
-
-
-def _submitted(call: ast.Call, dotted: str | None) -> list[ast.expr]:
-    """The task expressions a call hands to a parallel primitive."""
-    name = _name_of(call.func)
-    tail = _call_tail(call, dotted)
-    if call.args and (
-        tail in _SUBMIT_FNS or (isinstance(call.func, ast.Attribute) and name == "submit")
-    ):
-        return [call.args[0]]
-    if tail == "Thread":
-        return [kw.value for kw in call.keywords if kw.arg == "target"]
-    return []
-
-
-def _late_binding(
-    mod: Module, node: ast.AST | None = None, loop_vars: frozenset[str] = frozenset()
-) -> Iterator[Finding]:
-    """RPR301: a lambda submitted from a loop must not close over the loop
-    variable (every task would see its final value)."""
-    node = mod.tree if node is None else node
-    if isinstance(node, (ast.For, ast.AsyncFor)):
-        yield from _late_binding(mod, node.iter, loop_vars)
-        inner = loop_vars | set(_bound_names(node.target))
-        for stmt in (*node.body, *node.orelse):
-            yield from _late_binding(mod, stmt, inner)
-        return
-    if isinstance(node, ast.Call):
-        for lam in _submitted(node, mod.resolve(node.func)):
-            if not isinstance(lam, ast.Lambda):
-                continue
-            loads = {
-                sub.id
-                for sub in ast.walk(lam.body)
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-            }
-            # ``lambda i=i: ...`` binds eagerly: i is then a parameter.
-            captured = loads & loop_vars - _params(lam.args)
-            if captured:
-                yield mod.at(
-                    lam,
-                    "RPR301",
-                    "lambda submitted to a parallel primitive captures loop "
-                    f"variable(s) {', '.join(sorted(captured))} by reference; every "
-                    "task sees the final value -- bind eagerly with "
-                    "functools.partial or a default argument",
-                )
-    for child in ast.iter_child_nodes(node):
-        yield from _late_binding(mod, child, loop_vars)
+# A *worker* is a ``threading.Thread(target=...)`` or a function carrying
+# ``@owns`` (the decorator self-declares it parallel).  Writes under a
+# ``with <lock>:`` block are exempt from RPR302/308.
 
 
 def _thread_barrier(mod: Module) -> Iterator[Finding]:
@@ -1095,45 +1032,39 @@ def _thread_barrier(mod: Module) -> Iterator[Finding]:
         for node in mod.own(fn):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 started |= node.func.attr == "start" and not node.args
-                joined |= node.func.attr in _BARRIER_METHODS
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                # ``with ThreadPoolExecutor(...)`` joins at block exit.
-                ctxs = [item.context_expr for item in node.items]
-                joined |= any(
-                    isinstance(c, ast.Call) and _call_tail(c, mod.resolve(c.func)) in _EXECUTORS
-                    for c in ctxs
-                )
+                joined |= node.func.attr == "join"
         if started and not joined:
             yield mod.at(
                 fn,
                 "RPR305",
-                f"{fn.name}() starts workers but never joins them (no "
-                ".join()/.result()/.shutdown()); the dependent phase races "
-                "the workers it spawned -- add a round barrier",
+                f"{fn.name}() starts threads but never joins them; the "
+                "dependent phase races the workers it spawned -- add a "
+                ".join() barrier",
             )
 
 
 def _owns_targets(fn: _Fn) -> set[str] | None:
-    """Declared slab head-names of ``@owns`` on ``fn``; None if absent."""
+    """Declared slab names of ``@owns`` on ``fn``; None if absent."""
     dec = _decorator(fn, "owns")
     if dec is None:
         return None
     specs = dec.args if isinstance(dec, ast.Call) else []
     return {
-        arg.value.split("[", 1)[0].strip().partition(".")[0]
+        arg.value.split("[", 1)[0].strip()
         for arg in specs
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
     }
 
 
-def _is_lockish(expr: ast.expr) -> bool:
-    """Heuristic: a ``with`` context whose name mentions a lock."""
+def _is_lock(expr: ast.expr) -> bool:
+    """A ``with`` context named as a lock: ``lock``, ``*_lock``, ``self._lock``."""
     name = _name_of(expr.func if isinstance(expr, ast.Call) else expr)
-    return name is not None and "lock" in name.lower()
+    token = (name or "").lstrip("_").lower()
+    return token == "lock" or token.endswith("_lock")
 
 
 class _WorkerScan:
-    """RPR302/303/304/306/308 over one worker function's own body."""
+    """RPR302/308 over one worker function's own body."""
 
     def __init__(self, mod: Module, fn: _Fn) -> None:
         self.mod = mod
@@ -1190,58 +1121,25 @@ class _WorkerScan:
         if isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
                 self._expr(item.context_expr, locked)
-            inner = locked or any(_is_lockish(item.context_expr) for item in node.items)
+            inner = locked or any(_is_lock(item.context_expr) for item in node.items)
             for stmt in node.body:
                 self._stmt(stmt, inner)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                base = self._shared_base(target)
-                if base is not None:
-                    self._write(node, base, locked)
-            self._expr(node.value, locked)
-        elif isinstance(node, ast.AugAssign):
-            target = node.target
-            if isinstance(target, ast.Name) and target.id not in self.locals and not locked:
-                self.report(
-                    node,
-                    "RPR303",
-                    f"worker {self.fn.name!r} accumulates into shared "
-                    f"{target.id!r}; the merge order is the thread schedule (float "
-                    "addition does not commute robustly) -- reduce per-worker and "
-                    "combine after the barrier",
-                )
+            return
+        for target in _store_targets(node):
             base = self._shared_base(target)
-            if base is not None and not locked and (self.owns is None or base not in self.owns):
-                self.report(
-                    node,
-                    "RPR306",
-                    f"worker {self.fn.name!r} read-modify-writes shared "
-                    f"{base!r}[...] outside a lock; GIL bytecode atomicity "
-                    "is not a memory model -- guard with a lock or own the "
-                    "partition exclusively",
-                )
-            self._expr(node.value, locked)
-        else:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self._expr(child, locked)
-                else:
-                    self._stmt(child, locked)
+            if base is not None:
+                self._write(node, base, locked)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                self._expr(child, locked)
+            else:
+                self._stmt(child, locked)
 
     def _expr(self, expr: ast.expr, locked: bool) -> None:
-        """Calls in ``expr``: global RNG draws and ``out=`` slab writes."""
+        """``out=`` slab writes by the calls in ``expr``."""
         for node in ast.walk(expr):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = self.mod.resolve(node.func) or ""
-            if _global_rng(dotted):
-                self.report(
-                    node,
-                    "RPR304",
-                    f"worker {self.fn.name!r} calls {dotted}(): module-level "
-                    "RNG state is shared across workers and fork-unsafe; "
-                    "pass a seeded Generator/Random instance instead",
-                )
             for out in (kw.value for kw in node.keywords if kw.arg == "out"):
                 base = self._shared_base(out)
                 if base is None and isinstance(out, ast.Name) and out.id not in self.locals:
@@ -1251,15 +1149,16 @@ class _WorkerScan:
 
 
 def _workers(mod: Module) -> Iterator[Finding]:
-    """RPR302/303/304/306/308: every worker function's body."""
-    submitted = {
-        task.id
+    """RPR302/308: the body of every thread target and ``@owns`` function."""
+    targets = {
+        kw.value.id
         for call, dotted in mod.calls
-        for task in _submitted(call, dotted)
-        if isinstance(task, ast.Name)
+        if (dotted or _name_of(call.func) or "").rsplit(".", 1)[-1] == "Thread"
+        for kw in call.keywords
+        if kw.arg == "target" and isinstance(kw.value, ast.Name)
     }
     for fn in mod.functions:
-        if fn.name in submitted or _decorator(fn, "owns") is not None:
+        if fn.name in targets or _decorator(fn, "owns") is not None:
             yield from _WorkerScan(mod, fn).run()
 
 
@@ -1279,21 +1178,6 @@ _SLAB_TARGETS = (
     "bench/kernels.py",
     "trees/boruvka_fast.py",
     "io/edgefile.py",
-)
-
-_PARSAFE_TARGETS = (
-    "runtime/pool.py",
-    "runtime/scheduler.py",
-    "runtime/interleave.py",
-    "core/paruf.py",
-    "core/paruf_sync.py",
-    "core/paruf_threaded.py",
-    "core/fast.py",
-    "core/fast_contraction.py",
-    "core/fast_merge.py",
-    "structures/heap_pool.py",
-    "cluster/knn.py",
-    "trees/boruvka_fast.py",
 )
 
 #: Every static rule; ``docs/API.md`` documents each code.
@@ -1317,13 +1201,9 @@ RULES: tuple[Rule, ...] = (
     Rule("RPR207", "slabs", _SLAB_TARGETS, _contract_effects),
     Rule("RPR208", "slabs", _SLAB_TARGETS, _contract_effects),
     Rule("RPR209", "slabs", _SLAB_TARGETS, _contract_presence),
-    Rule("RPR301", "parsafe", _PARSAFE_TARGETS, _late_binding),
-    Rule("RPR302", "parsafe", _PARSAFE_TARGETS, _workers),
-    Rule("RPR303", "parsafe", _PARSAFE_TARGETS, _workers),
-    Rule("RPR304", "parsafe", _PARSAFE_TARGETS, _workers),
-    Rule("RPR305", "parsafe", _PARSAFE_TARGETS, _thread_barrier),
-    Rule("RPR306", "parsafe", _PARSAFE_TARGETS, _workers),
-    Rule("RPR308", "parsafe", _PARSAFE_TARGETS, _workers),
+    Rule("RPR302", "parsafe", _PACKAGE, _workers),
+    Rule("RPR305", "parsafe", _PACKAGE, _thread_barrier),
+    Rule("RPR308", "parsafe", _PACKAGE, _workers),
 )
 
 

@@ -1,14 +1,16 @@
 """Ownership partitions for shared slabs: the ``@owns`` layer.
 
-Every parallel flat-array kernel in this package follows the same
-discipline the GBBS/ParlayLib codebases enforce by convention: a worker
-may write only its *own* contiguous partition ``slab[lo:hi]`` of a shared
-slab, and distinct workers' partitions are disjoint.  That is exactly the
+The two parallel kernels in this package follow the discipline the
+GBBS/ParlayLib codebases enforce by convention: a worker may write only
+its *own* contiguous partition ``slab[lo:hi]`` of a shared slab, and
+distinct workers' partitions are disjoint.  That is exactly the
 exclusivity argument of Lemma 4.1 restated over flat arrays -- and it is
-invisible to Python.  ``@owns`` makes it a machine-readable declaration::
+invisible to Python.  ``@owns`` makes it a machine-readable declaration;
+``paruf_sync``'s round task, a closure over the edge status slab, claims
+one cell::
 
-    @owns("parents[lo:hi]", "status[lo:hi]")
-    def merge_window(parents, status, lo, hi): ...
+    @owns("status[cur:cur+1]")
+    def task(): ...
 
 so three independent verifiers can hold the kernel to it:
 
@@ -27,17 +29,10 @@ Window grammar
 --------------
 Each positional spec is a string of the form ``"name"``, ``"name[:]"``
 (both meaning the whole slab), or ``"name[lo:hi]"`` where ``name`` is a
-(possibly dotted) parameter or closure variable of the function and each
-bound is an integer literal, a parameter/closure variable holding an int
-optionally offset by a constant (``"status[cur:cur+1]"``), or empty
-(``"name[lo:]"`` / ``"name[:hi]"``).  Closure variables matter:
-the canonical pool kernel is a closure over the output slab::
-
-    def fill(lo: int, hi: int) -> None:  # captures ``out``
-        out[lo:hi] = ...
-
-    # inside the enclosing function:
-    fill = owns("out[lo:hi]")(fill)
+parameter or closure variable of the function holding an ndarray, and
+each bound is an integer literal, a parameter/closure variable holding
+an int optionally offset by a constant (``"status[cur:cur+1]"``), or
+empty (``"name[lo:]"`` / ``"name[:hi]"``).
 
 Checked vs. zero-cost mode
 --------------------------
@@ -46,8 +41,8 @@ decoration time.  When ``REPRO_OWNERSHIP_CHECKS`` is truthy the decorated
 function is replaced by a validating wrapper; otherwise the decorator
 attaches metadata only (``fn.__owns__`` plus an :data:`OWNS_REGISTRY`
 entry, with eager name validation) and returns the function unchanged.
-Tests and the interleaving sanitizer build an explicit wrapper with
-:func:`checked_owns` regardless of the mode.
+Tests build an explicit wrapper with :func:`checked_owns` regardless of
+the mode.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ import functools
 import inspect
 import os
 import re
-from array import array
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Any, TypeVar
@@ -84,12 +78,7 @@ _TRUTHY = ("1", "true", "on", "yes")
 
 _ENABLED = os.environ.get(ENV_FLAG, "").strip().lower() in _TRUTHY
 
-_MISSING = object()
-
-_SPEC_RE = re.compile(
-    r"^(?P<target>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)"
-    r"(?:\[(?P<window>[^\]]*)\])?$"
-)
+_SPEC_RE = re.compile(r"^(?P<target>[A-Za-z_][A-Za-z0-9_]*)(?:\[(?P<window>[^\]]*)\])?$")
 _BOUND_RE = re.compile(
     r"^(?:-?\d+|(?P<base>[A-Za-z_][A-Za-z0-9_]*)(?:\s*(?P<sign>[+-])\s*(?P<off>\d+))?)$"
 )
@@ -118,8 +107,8 @@ class WindowSpec:
         return f"{self.target}[{lo}:{hi}]"
 
     def names(self) -> tuple[str, ...]:
-        """Every variable name the spec references (head names only)."""
-        out = [self.target.partition(".")[0]]
+        """Every variable name the spec references."""
+        out = [self.target]
         for bound in (self.lo, self.hi):
             if isinstance(bound, str):
                 match = _BOUND_RE.match(bound)
@@ -213,23 +202,6 @@ def _validate_names(fn: Callable[..., Any], decl: OwnsDecl) -> None:
                 )
 
 
-def _resolve_name(name: str, namespace: Mapping[str, Any]) -> Any:
-    head, _, rest = name.partition(".")
-    if head not in namespace:
-        return _MISSING
-    value = namespace[head]
-    if rest:
-        for part in rest.split("."):
-            try:
-                value = getattr(value, part)
-            except AttributeError:
-                raise OwnershipError(
-                    f"@owns references {name!r} but {head!r} has no "
-                    f"attribute path {rest!r}"
-                ) from None
-    return value
-
-
 def _resolve_bound(
     fn_name: str, spec: WindowSpec, bound: int | str | None,
     namespace: Mapping[str, Any], default: int,
@@ -242,8 +214,8 @@ def _resolve_bound(
     base = match.group("base") if match is not None else None
     if base is None:  # pragma: no cover - rejected at parse time
         raise OwnershipError(f"{fn_name}: unresolvable window bound {bound!r}")
-    value = _resolve_name(base, namespace)
-    if value is _MISSING or not isinstance(value, (int, np.integer)):
+    value = namespace.get(base)
+    if not isinstance(value, (int, np.integer)):
         raise OwnershipError(
             f"{fn_name}: window bound {bound!r} in {spec.describe()!r} did "
             f"not resolve to an integer (got {type(value).__name__})"
@@ -257,39 +229,6 @@ def _resolve_bound(
     return int(value) + offset
 
 
-def _slab_len(value: Any) -> int | None:
-    if isinstance(value, np.ndarray) and value.ndim >= 1:
-        return int(value.shape[0])
-    if isinstance(value, (array, list)):
-        return len(value)
-    return None
-
-
-def _snapshot_outside(value: Any, lo: int, hi: int) -> Any:
-    """Copy of the slab regions outside ``[lo, hi)`` for later comparison."""
-    if isinstance(value, np.ndarray):
-        return (value[:lo].copy(), value[hi:].copy())
-    return (list(value[:lo]), list(value[hi:]))
-
-
-def _region_equal(after: np.ndarray, before: np.ndarray) -> bool:
-    # equal_nan: the outside region of an np.empty output slab may hold
-    # NaNs before the kernel fills its own partition.
-    if after.dtype.kind in "fc":
-        return bool(np.array_equal(after, before, equal_nan=True))
-    return bool(np.array_equal(after, before))
-
-
-def _changed_outside(value: Any, snapshot: Any, lo: int, hi: int) -> bool:
-    before_lo, before_hi = snapshot
-    if isinstance(value, np.ndarray):
-        return not (
-            _region_equal(value[:lo], before_lo)
-            and _region_equal(value[hi:], before_hi)
-        )
-    return list(value[:lo]) != before_lo or list(value[hi:]) != before_hi
-
-
 def _make_checked(fn: Callable[..., Any], decl: OwnsDecl) -> Callable[..., Any]:
     _validate_names(fn, decl)
     sig = inspect.signature(fn)
@@ -301,14 +240,17 @@ def _make_checked(fn: Callable[..., Any], decl: OwnsDecl) -> Callable[..., Any]:
         bound.apply_defaults()
         namespace: dict[str, Any] = dict(_closure_vars(fn))
         namespace.update(bound.arguments)
-        snapshots: list[tuple[WindowSpec, Any, int, int, Any]] = []
+        snapshots: list[tuple[WindowSpec, np.ndarray, int, int, np.ndarray, np.ndarray]] = []
         for window in decl.windows:
-            value = _resolve_name(window.target, namespace)
-            if value is _MISSING or value is None:
+            value = namespace.get(window.target)
+            if value is None:
                 continue
-            n = _slab_len(value)
-            if n is None:
-                continue
+            if not isinstance(value, np.ndarray) or value.ndim == 0:
+                raise OwnershipError(
+                    f"{fn_label}: window {window.describe()!r} resolved to "
+                    f"{type(value).__name__}, not an ndarray slab"
+                )
+            n = int(value.shape[0])
             lo = max(0, _resolve_bound(fn_label, window, window.lo, namespace, 0))
             hi = min(n, _resolve_bound(fn_label, window, window.hi, namespace, n))
             if hi < lo:
@@ -319,10 +261,12 @@ def _make_checked(fn: Callable[..., Any], decl: OwnsDecl) -> Callable[..., Any]:
             # Report the declared partition to the shadow race detector:
             # overlapping same-round partitions are a race by themselves.
             _access.record_slab_write(value, lo, hi)
-            snapshots.append((window, value, lo, hi, _snapshot_outside(value, lo, hi)))
+            snapshots.append((window, value, lo, hi, value[:lo].copy(), value[hi:].copy()))
         result = fn(*args, **kwargs)
-        for window, value, lo, hi, snapshot in snapshots:
-            if _changed_outside(value, snapshot, lo, hi):
+        for window, value, lo, hi, before_lo, before_hi in snapshots:
+            if not (
+                np.array_equal(value[:lo], before_lo) and np.array_equal(value[hi:], before_hi)
+            ):
                 raise OwnershipError(
                     f"{fn_label}: wrote {window.target!r} outside its declared "
                     f"ownership window {window.target}[{lo}:{hi}] -- worker "

@@ -127,15 +127,15 @@ def run_race_battery() -> list[str]:
 def run_interleaving_battery(seeds: int = 20, num_threads: int = 4) -> list[str]:
     """Replay every parallel algorithm under seeded hostile schedules.
 
-    Each algorithm, and the thread-pool path of
-    :func:`repro.cluster.knn.pairwise_distances`, must reproduce the
-    ``sequf`` reference bit for bit under every
+    ``paruf``, ``paruf_sync`` (whose :class:`~repro.runtime.scheduler.Scheduler`
+    rounds the schedule permutes), ``paruf_threaded`` (real threads, delayed
+    at its marked points) and ``rctt`` must reproduce the ``sequf``
+    reference bit for bit under every
     :func:`repro.runtime.interleave.hostile_schedule` seed; deviations are
     returned as failure strings.  The dynamic counterpart of RPR3xx.
     """
     import numpy as np
 
-    from repro.cluster.knn import pairwise_distances
     from repro.core import paruf, paruf_sync, paruf_threaded, rctt, sequf
     from repro.runtime.interleave import hostile_schedule
     from repro.trees.generators import caterpillar, path_tree, random_tree
@@ -177,20 +177,6 @@ def run_interleaving_battery(seeds: int = 20, num_threads: int = 4) -> list[str]
             with hostile_schedule(seed):
                 for label, run in runs:
                     check(label, tree_name, seed, run(tree, seed), want)
-
-    # The pool path: chunked pairwise distances must not depend on the
-    # submission permutation or injected delays.
-    pts = np.asarray(rng.standard_normal((48, 4)), dtype=np.float64)
-    want_d = pairwise_distances(pts, chunk=8, workers=1)
-    for seed in range(seeds):
-        with hostile_schedule(seed):
-            got_d = pairwise_distances(pts, chunk=8, workers=4)
-        if not np.array_equal(got_d, want_d):
-            failures.append(
-                f"pairwise_distances diverged under hostile schedule "
-                f"seed={seed} (max abs diff "
-                f"{float(np.max(np.abs(got_d - want_d)))})"
-            )
     return failures
 
 

@@ -24,12 +24,11 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from repro.checkers.ownership import owns
 from repro.errors import InvalidGraphError
 
 __all__ = ["knn_graph", "complete_graph", "pairwise_distances"]
 
-#: Rows per distance block: ``pairwise_distances``' default chunk.
+#: Rows per aligned distance block.
 _BLOCK = 1024
 #: Rows per elementwise tile inside a block (32 rows x n stays in cache).
 _TILE = 32
@@ -68,34 +67,21 @@ def _distance_rows(
     return out
 
 
-def pairwise_distances(
-    points: np.ndarray, chunk: int = _BLOCK, workers: int | None = 1
-) -> np.ndarray:
-    """Dense Euclidean distance matrix, computed in row chunks.
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Dense Euclidean distance matrix, filled one aligned row block at a time.
 
     ``points`` must be a 2-D array of finite coordinates, else
-    :class:`~repro.errors.InvalidGraphError`.  ``workers > 1`` computes
-    chunks on a thread pool: the matmul/sqrt kernels release the GIL, so
-    this is the one place in the package where OS threads yield real
-    speedup on multicore hosts (the rest of the parallelism story runs
-    through the cost model; see DESIGN.md §1).
+    :class:`~repro.errors.InvalidGraphError`.  Each row comes from the
+    same :func:`_distance_rows` block that :func:`knn_graph` streams, so
+    the two agree bit for bit.
     """
     pts = _as_points(points)
     n = pts.shape[0]
     sq = np.einsum("ij,ij->i", pts, pts)
     out = np.empty((n, n), dtype=np.float64)
-
-    # Each pool worker owns the disjoint row partition out[lo:hi]; the
-    # declaration is what licenses running fill on concurrent threads.
-    @owns("out[lo:hi]")
-    def fill(lo: int, hi: int) -> None:
-        for block_lo in range(lo, hi, chunk):
-            block_hi = min(block_lo + chunk, hi)
-            _distance_rows(pts, sq, block_lo, block_hi, out[block_lo:block_hi])
-
-    from repro.runtime.pool import parallel_for
-
-    parallel_for(fill, n, workers=workers, grain=chunk)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        _distance_rows(pts, sq, lo, hi, out[lo:hi])
     # The expansion x^2+y^2-2xy leaves O(eps) noise on the diagonal; pin it.
     np.fill_diagonal(out, 0.0)
     return out

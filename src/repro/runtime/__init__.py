@@ -15,7 +15,6 @@ experimental shape.
 from repro.runtime.brent import brent_time, calibrated_times, self_speedup, speedup_curve
 from repro.runtime.cost_model import CostTracker, WorkDepth, combine_parallel, combine_serial
 from repro.runtime.instrumentation import recording, span
-from repro.runtime.pool import parallel_for, parallel_map
 from repro.runtime.scheduler import Scheduler
 
 __all__ = [
@@ -30,6 +29,4 @@ __all__ = [
     "recording",
     "span",
     "Scheduler",
-    "parallel_for",
-    "parallel_map",
 ]

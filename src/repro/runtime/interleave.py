@@ -7,12 +7,11 @@ Both claims are usually tested under the friendliest possible schedule --
 FIFO submission order on an idle machine.  This module supplies the
 opposite: a seeded *hostile schedule* that
 
-* permutes task execution order wherever the runtime has a choice
-  (:func:`repro.runtime.pool.parallel_map` / ``parallel_for`` submission,
-  :class:`~repro.runtime.scheduler.Scheduler` round order), and
-* injects tiny randomized delays at the marked interleaving points of the
-  threaded paths (:func:`maybe_delay`), widening race windows the way a
-  preemption-happy OS scheduler would.
+* permutes the execution order of a
+  :class:`~repro.runtime.scheduler.Scheduler` round, and
+* injects tiny randomized delays at the marked interleaving points of
+  :func:`~repro.core.paruf_threaded.paruf_threaded` (:func:`maybe_delay`),
+  widening race windows the way a preemption-happy OS scheduler would.
 
 A correct kernel produces **bit-identical** output under every hostile
 schedule; the parsafe battery (:func:`repro.checkers.runner.run_interleaving_battery`)
@@ -48,7 +47,6 @@ from contextlib import contextmanager
 __all__ = [
     "HostileSchedule",
     "hostile_schedule",
-    "active",
     "current",
     "maybe_delay",
     "ENV_FLAG",
@@ -111,20 +109,15 @@ def _from_env() -> list[HostileSchedule]:
 _STACK: list[HostileSchedule] = _from_env()
 
 
-def active() -> bool:
-    """Whether a hostile schedule is currently in force."""
-    return bool(_STACK)
-
-
 def current() -> HostileSchedule | None:
     """The innermost active schedule, or ``None``."""
     return _STACK[-1] if _STACK else None
 
 
 @contextmanager
-def hostile_schedule(seed: int, delays: bool = True) -> Iterator[HostileSchedule]:
+def hostile_schedule(seed: int) -> Iterator[HostileSchedule]:
     """Activate a seeded hostile schedule for the duration of the block."""
-    schedule = HostileSchedule(seed, delays=delays)
+    schedule = HostileSchedule(seed)
     _STACK.append(schedule)
     try:
         yield schedule

@@ -1,12 +1,13 @@
-"""RPR302 fixture: @owns worker writes a shared slab it did not declare."""
+"""RPR302 fixture: @owns thread worker writes a shared slab it did not declare."""
+
+import threading
 
 import numpy as np
 
 from repro.checkers.ownership import owns
-from repro.runtime.pool import parallel_for
 
 
-def bad_kernel(n, workers=4):
+def bad_kernel(n):
     parents = np.arange(n, dtype=np.int64)
     status = np.zeros(n, dtype=np.int64)
 
@@ -15,11 +16,13 @@ def bad_kernel(n, workers=4):
         parents[lo:hi] = 0
         status[lo] = 1
 
-    parallel_for(fill, n, workers=workers)
+    worker = threading.Thread(target=fill, args=(0, n))
+    worker.start()
+    worker.join()
     return parents, status
 
 
-def suppressed_kernel(n, workers=4):
+def suppressed_kernel(n):
     parents = np.arange(n, dtype=np.int64)
     status = np.zeros(n, dtype=np.int64)
 
@@ -28,11 +31,13 @@ def suppressed_kernel(n, workers=4):
         parents[lo:hi] = 0
         status[lo] = 1  # noqa: RPR302
 
-    parallel_for(fill, n, workers=workers)
+    worker = threading.Thread(target=fill, args=(0, n))
+    worker.start()
+    worker.join()
     return parents, status
 
 
-def declared_kernel(n, workers=4):
+def declared_kernel(n):
     parents = np.arange(n, dtype=np.int64)
     status = np.zeros(n, dtype=np.int64)
 
@@ -41,5 +46,7 @@ def declared_kernel(n, workers=4):
         parents[lo:hi] = 0
         status[lo] = 1
 
-    parallel_for(fill, n, workers=workers)
+    worker = threading.Thread(target=fill, args=(0, n))
+    worker.start()
+    worker.join()
     return parents, status

@@ -1,37 +1,44 @@
-"""RPR308 fixture: parallel worker writes shared slabs with no @owns."""
+"""RPR308 fixture: thread worker writes shared slabs with no @owns."""
+
+import threading
 
 import numpy as np
 
 from repro.checkers.ownership import owns
-from repro.runtime.pool import parallel_for
 
 
-def bad_fill(n, workers=4):
+def bad_fill(n):
     out = np.zeros(n, dtype=np.float64)
 
     def fill(lo, hi):
         out[lo:hi] = 1.0
 
-    parallel_for(fill, n, workers=workers)
+    worker = threading.Thread(target=fill, args=(0, n))
+    worker.start()
+    worker.join()
     return out
 
 
-def suppressed_fill(n, workers=4):
+def suppressed_fill(n):
     out = np.zeros(n, dtype=np.float64)
 
     def fill(lo, hi):  # noqa: RPR308
         out[lo:hi] = 1.0
 
-    parallel_for(fill, n, workers=workers)
+    worker = threading.Thread(target=fill, args=(0, n))
+    worker.start()
+    worker.join()
     return out
 
 
-def declared_fill(n, workers=4):
+def declared_fill(n):
     out = np.zeros(n, dtype=np.float64)
 
     @owns("out[lo:hi]")
     def fill(lo, hi):
         out[lo:hi] = 1.0
 
-    parallel_for(fill, n, workers=workers)
+    worker = threading.Thread(target=fill, args=(0, n))
+    worker.start()
+    worker.join()
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,27 @@ from repro.checkers.runner import run_interleaving_battery
 FIXTURES = Path(__file__).parent / "fixtures" / "parsafe"
 PACKAGE = Path(repro.__file__).parent
 
-POOL_IMPORT = "from repro.runtime.pool import parallel_for, parallel_map\n"
-
 
 def parsafe_findings(source, path="<string>"):
     return analyze_source(source, path, ("parsafe",))
+
+
+def thread_worker(body, owns=None):
+    """Source that runs ``fill(lo, hi)``, whose body is ``body`` over the
+    shared slabs ``out`` and ``other``, on a started and joined thread,
+    declared ``@owns(owns)`` when given."""
+    decorator = f"    @owns({owns!r})\n" if owns else ""
+    return (
+        "import threading\n"
+        "from repro.checkers.ownership import owns\n"
+        "def f(out, other, n):\n"
+        f"{decorator}"
+        "    def fill(lo, hi):\n"
+        + textwrap.indent(body, " " * 8)
+        + "    worker = threading.Thread(target=fill, args=(0, n))\n"
+        "    worker.start()\n"
+        "    worker.join()\n"
+    )
 
 
 class TestFixtures(RegistryFixtures):
@@ -29,100 +46,38 @@ class TestFixtures(RegistryFixtures):
 
 
 class TestRules:
-    def test_rpr301_partial_binding_accepted(self):
-        src = (
-            "from functools import partial\n"
-            "def f(pool, items):\n"
-            "    futs = []\n"
-            "    for i in range(len(items)):\n"
-            "        futs.append(pool.submit(partial(lambda j: items[j], i)))\n"
-            "    return [f.result() for f in futs]\n"
-        )
-        assert parsafe_findings(src) == []
-
-    def test_rpr301_lambda_outside_loop_clean(self):
-        src = "def f(pool, x):\n    return pool.submit(lambda: x + 1)\n"
-        assert parsafe_findings(src) == []
-
-    def test_rpr301_thread_target_lambda(self):
-        src = (
-            "import threading\n"
-            "def f(items):\n"
-            "    for i in range(len(items)):\n"
-            "        threading.Thread(target=lambda: items[i]).start()\n"
-        )
-        codes = {d.code for d in parsafe_findings(src)}
-        assert "RPR301" in codes
-
     def test_rpr302_lock_guarded_write_exempt(self):
-        src = POOL_IMPORT + (
-            "from repro.checkers.ownership import owns\n"
-            "import threading\n"
-            "def f(parents, status, lock, n):\n"
-            "    @owns('parents[lo:hi]')\n"
-            "    def fill(lo, hi):\n"
-            "        parents[lo:hi] = 0\n"
-            "        with lock:\n"
-            "            status[lo] = 1\n"
-            "    parallel_for(fill, n)\n"
-        )
+        src = thread_worker("out[lo:hi] = 0\nwith lock:\n    other[lo] = 1\n", owns="out[lo:hi]")
         assert parsafe_findings(src) == []
 
-    def test_rpr303_local_accumulator_clean(self):
-        src = POOL_IMPORT + (
-            "def f(blocks):\n"
-            "    def part(block):\n"
-            "        sub = 0.0\n"
-            "        for x in block:\n"
-            "            sub += x\n"
-            "        return sub\n"
-            "    return parallel_map(part, blocks)\n"
-        )
-        assert parsafe_findings(src) == []
+    @pytest.mark.parametrize(
+        "context, codes",
+        [
+            ("block", ["RPR308"]),
+            ("clock()", ["RPR308"]),
+            ("status_lock", []),
+            ("self._lock", []),
+        ],
+        ids=["block", "clock-call", "status-lock", "self-lock"],
+    )
+    def test_lock_is_matched_as_a_name_token(self, context, codes):
+        # Only a context named as a lock exempts the writes under it.
+        src = thread_worker(f"with {context}:\n    out[lo:hi] = 1.0\n")
+        assert [d.code for d in parsafe_findings(src)] == codes
 
-    def test_rpr304_seeded_generator_clean(self):
-        src = POOL_IMPORT + (
-            "import numpy as np\n"
-            "def f(items, seed):\n"
-            "    def work(x):\n"
-            "        rng = np.random.default_rng(seed)\n"
-            "        return x + rng.standard_normal()\n"
-            "    return parallel_map(work, items)\n"
-        )
-        assert parsafe_findings(src) == []
-
-    def test_rpr304_numpy_global_rng_fires(self):
-        src = POOL_IMPORT + (
-            "import numpy as np\n"
-            "def f(items):\n"
-            "    def work(x):\n"
-            "        np.random.shuffle(x)\n"
-            "        return x\n"
-            "    return parallel_map(work, items)\n"
-        )
-        assert [d.code for d in parsafe_findings(src)] == ["RPR304"]
-
-    def test_rpr305_executor_with_block_is_a_barrier(self):
-        src = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "def f(work, items):\n"
-            "    with ThreadPoolExecutor() as pool:\n"
-            "        futs = [pool.submit(work, x) for x in items]\n"
-            "    return futs\n"
-        )
-        assert parsafe_findings(src) == []
-
-    def test_rpr306_owned_partition_exempt(self):
-        src = POOL_IMPORT + (
-            "from repro.checkers.ownership import owns\n"
-            "def f(counts, n):\n"
-            "    @owns('counts[lo:hi]')\n"
-            "    def tally(lo, hi):\n"
-            "        for i in range(lo, hi):\n"
-            "            counts[i] += 1\n"
-            "    parallel_for(tally, n)\n"
-        )
-        assert parsafe_findings(src) == []
+    @pytest.mark.parametrize(
+        "body, owns, code, named",
+        [
+            ("out[lo], other[lo] = 1.0, 2.0\n", None, "RPR308", "other, out"),
+            ("out[lo], other[lo] = 1.0, 2.0\n", "out[lo:hi]", "RPR302", "'other'"),
+            ("out[lo] += 1\n", None, "RPR308", "out"),
+        ],
+        ids=["tuple", "tuple-owned", "augmented"],
+    )
+    def test_every_subscript_store_is_a_write(self, body, owns, code, named):
+        findings = parsafe_findings(thread_worker(body, owns=owns))
+        assert [d.code for d in findings] == [code]
+        assert named in findings[0].message
 
     def test_rpr308_non_worker_function_unanalyzed(self):
         # Plain sequential code writing globals is not parsafe's business.
@@ -130,12 +85,7 @@ class TestRules:
         assert parsafe_findings(src) == []
 
     def test_rpr308_reported_at_worker_def(self):
-        src = POOL_IMPORT + (
-            "def f(out, n):\n"
-            "    def fill(lo, hi):\n"
-            "        out[lo:hi] = 1.0\n"
-            "    parallel_for(fill, n)\n"
-        )
+        src = thread_worker("out[lo:hi] = 1.0\n")
         findings = parsafe_findings(src)
         assert [d.code for d in findings] == ["RPR308"]
         assert "def fill" in src.splitlines()[findings[0].line - 1]
@@ -159,8 +109,7 @@ class TestSelfLint:
         """Acceptance: the public parallel kernels carry @owns."""
         import ast
 
-        for rel in ("cluster/knn.py", "core/paruf_sync.py", "core/paruf_threaded.py"):
-            assert rel in family_targets("parsafe")
+        for rel in ("core/paruf_sync.py", "core/paruf_threaded.py"):
             path = PACKAGE / rel
             tree = ast.parse(path.read_text(encoding="utf-8"))
             decorated = [
@@ -194,7 +143,7 @@ class TestRunnerIntegration:
     def test_json_report_shape(self, capsys):
         from repro.checkers.runner import run_check
 
-        path = str(FIXTURES / "rpr301.py")
+        path = str(FIXTURES / "rpr305.py")
         code = run_check(
             paths=[path], lint=False, races=False, parsafe=True, json_output=True
         )
@@ -204,7 +153,7 @@ class TestRunnerIntegration:
         assert payload["ok"] is False
         assert payload["parsafe"]["enabled"] is True
         assert payload["parsafe"]["count"] == len(payload["parsafe"]["findings"])
-        assert {f["code"] for f in payload["parsafe"]["findings"]} == {"RPR301"}
+        assert {f["code"] for f in payload["parsafe"]["findings"]} == {"RPR305"}
         # Explicit paths skip the interleaving battery (fixture mode).
         assert payload["interleaving"] == {
             "enabled": False,
@@ -229,7 +178,7 @@ class TestRunnerIntegration:
     def test_parsafe_off_by_default(self, capsys):
         from repro.checkers.runner import run_check
 
-        path = str(FIXTURES / "rpr301.py")
+        path = str(FIXTURES / "rpr305.py")
         assert run_check(paths=[path], lint=True, races=False) == 0
         capsys.readouterr()
 
@@ -246,21 +195,23 @@ class TestInterleavingBattery:
         assert run_interleaving_battery(seeds=3, num_threads=3) == []
 
     def test_battery_catches_a_lost_update(self, monkeypatch):
-        """Teeth check: a pool that loses one window under hostile
-        schedules must be flagged by the battery."""
-        import repro.runtime.pool as pool_mod
+        """Teeth check: a scheduler that loses one task's result under
+        hostile schedules must be flagged by the battery."""
+        from repro.runtime import interleave
+        from repro.runtime.scheduler import Scheduler
 
-        real = pool_mod._run_hostile
+        real = Scheduler.run_round
 
-        def lossy(pool, thunks, schedule):
-            order = schedule.permutation(len(thunks))
-            # The schedule-chosen victim's write never lands: the classic
-            # lost-update race, deterministically seeded.
-            return real(pool, [thunks[i] for i in range(len(thunks)) if i != order[0]], schedule)
+        def lossy(self, tasks, where=None):
+            values = real(self, tasks, where)
+            schedule = interleave.current()
+            if schedule is not None and len(values) > 1:
+                # The schedule-chosen victim's result is overwritten by its
+                # neighbour's: the classic lost update, deterministically seeded.
+                victim = schedule.permutation(len(values))[0]
+                values[victim] = values[(victim + 1) % len(values)]
+            return values
 
-        monkeypatch.setattr(pool_mod, "_run_hostile", lossy)
-        try:
-            failures = run_interleaving_battery(seeds=4, num_threads=2)
-        finally:
-            monkeypatch.setattr(pool_mod, "_run_hostile", real)
-        assert any("pairwise_distances" in f for f in failures)
+        monkeypatch.setattr(Scheduler, "run_round", lossy)
+        failures = run_interleaving_battery(seeds=4, num_threads=2)
+        assert any(f.startswith("paruf_sync") for f in failures)

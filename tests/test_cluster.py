@@ -22,20 +22,6 @@ class TestPairwiseDistances:
             pairwise_distances(pts), ssd.squareform(ssd.pdist(pts)), atol=1e-9
         )
 
-    def test_chunked_consistent(self, rng):
-        pts = rng.random((50, 3))
-        np.testing.assert_allclose(
-            pairwise_distances(pts, chunk=7), pairwise_distances(pts), atol=1e-12
-        )
-
-    def test_threaded_consistent(self, rng):
-        pts = rng.random((120, 3))
-        np.testing.assert_allclose(
-            pairwise_distances(pts, chunk=16, workers=4),
-            pairwise_distances(pts, workers=1),
-            atol=1e-12,
-        )
-
     def test_rejects_1d(self):
         with pytest.raises(InvalidGraphError, match="2-D"):
             pairwise_distances(np.zeros(5))

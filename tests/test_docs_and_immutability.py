@@ -81,11 +81,14 @@ class TestStaticAnalysisDocs:
     def test_default_sweeps_match_registry(self, section):
         from repro.checkers.analyzer import RULES
 
-        for family in ("slabs", "parsafe"):
+        for family in ("lint", "slabs", "parsafe"):
             line = re.search(rf"^- `{family}` — (.*?)\.\n(?:-|\n)", section, flags=re.M | re.S)
-            documented = re.findall(r"`([\w/.]+)`", line.group(1))
             targets = [t for rule in RULES if rule.family == family for t in rule.default_targets]
-            assert documented == list(dict.fromkeys(targets))
+            if line.group(1) == "the whole `repro` package":
+                assert set(targets) == {"."}, family
+            else:
+                documented = re.findall(r"`([\w/.]+)`", line.group(1))
+                assert documented == list(dict.fromkeys(targets))
 
 
 class TestFuzzDocs:

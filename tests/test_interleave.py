@@ -12,7 +12,6 @@ import pytest
 
 from repro.runtime.interleave import (
     HostileSchedule,
-    active,
     current,
     hostile_schedule,
     maybe_delay,
@@ -54,13 +53,11 @@ class TestHostileSchedule:
 
 class TestActivation:
     def test_inactive_by_default(self):
-        assert not active()
         assert current() is None
         maybe_delay("noop outside any schedule")  # must not raise
 
     def test_scoped_activation_and_nesting(self):
         with hostile_schedule(1) as outer:
-            assert active()
             assert current() is outer
             with hostile_schedule(2) as inner:
                 assert current() is inner  # innermost wins
@@ -71,12 +68,11 @@ class TestActivation:
         with pytest.raises(RuntimeError):
             with hostile_schedule(5):
                 raise RuntimeError("boom")
-        assert not active()
+        assert current() is None
 
     def test_env_flag_activates_process_wide(self):
         code = (
             "from repro.runtime import interleave\n"
-            "assert interleave.active()\n"
             "assert interleave.current().seed == 123\n"
         )
         env = dict(os.environ, REPRO_HOSTILE_SCHEDULE="123", PYTHONPATH=SRC)
@@ -88,48 +84,13 @@ class TestActivation:
     def test_env_flag_garbage_ignored(self):
         code = (
             "from repro.runtime import interleave\n"
-            "assert not interleave.active()\n"
+            "assert interleave.current() is None\n"
         )
         env = dict(os.environ, REPRO_HOSTILE_SCHEDULE="not-a-seed", PYTHONPATH=SRC)
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-
-
-class TestPoolUnderHostileSchedule:
-    def test_results_in_submission_order(self):
-        from repro.runtime.pool import parallel_map
-
-        items = list(range(40))
-        with hostile_schedule(9):
-            got = parallel_map(lambda x: x * x, items, workers=4)
-        assert got == [x * x for x in items]
-
-    def test_parallel_for_covers_every_block(self):
-        from repro.runtime.pool import parallel_for
-
-        out = np.zeros(100, dtype=np.int64)
-
-        def fill(lo, hi):
-            out[lo:hi] = np.arange(lo, hi)
-
-        with hostile_schedule(11):
-            parallel_for(fill, 100, workers=4, grain=7)
-        assert np.array_equal(out, np.arange(100))
-
-    def test_exception_propagates_deterministically(self):
-        from repro.runtime.pool import parallel_map
-
-        def work(x):
-            if x % 3 == 0:
-                raise ValueError(f"bad item {x}")
-            return x
-
-        for seed in range(5):
-            with hostile_schedule(seed):
-                with pytest.raises(ValueError, match="bad item 0"):
-                    parallel_map(work, list(range(12)), workers=4)
 
 
 class TestSchedulerUnderHostileSchedule:

@@ -1,12 +1,9 @@
-"""Work-depth cost model, Brent simulation, phase spans, pool, scheduler."""
+"""Work-depth cost model, Brent simulation, phase spans, scheduler."""
 
 from __future__ import annotations
 
 import math
-import threading
-import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +25,6 @@ from repro.runtime.cost_model import (
     log_cost,
 )
 from repro.runtime.instrumentation import recording, span
-from repro.runtime.pool import parallel_for, parallel_map
 from repro.runtime.scheduler import Scheduler
 
 
@@ -201,93 +197,6 @@ class TestPhaseTimer:
                 pass
         assert list(outer.phases) == ["a", "c"]
         assert list(inner.phases) == ["b"]
-
-
-class TestPool:
-    def test_parallel_map_preserves_order(self):
-        assert parallel_map(lambda x: x * x, list(range(20)), workers=4) == [
-            x * x for x in range(20)
-        ]
-
-    def test_parallel_map_sequential_path(self):
-        assert parallel_map(lambda x: x + 1, [1, 2], workers=1) == [2, 3]
-
-    def test_parallel_for_covers_range(self):
-        hits = np.zeros(5000, dtype=np.int64)
-
-        def body(lo, hi):
-            hits[lo:hi] += 1
-
-        parallel_for(body, 5000, workers=4, grain=256)
-        assert (hits == 1).all()
-
-    def test_parallel_for_empty(self):
-        parallel_for(lambda lo, hi: (_ for _ in ()).throw(AssertionError), 0)
-
-    def test_parallel_for_small_runs_inline(self):
-        calls = []
-        parallel_for(lambda lo, hi: calls.append((lo, hi)), 10, workers=8, grain=1024)
-        assert calls == [(0, 10)]
-
-    def test_parallel_map_propagates_first_exception(self):
-        def boom(x):
-            if x == 3:
-                raise RuntimeError(f"worker failed on {x}")
-            return x
-
-        with pytest.raises(RuntimeError, match="worker failed on 3"):
-            parallel_map(boom, list(range(50)), workers=4)
-
-    def test_parallel_map_stops_submitting_after_failure(self):
-        # With a bounded in-flight window, a failure early in the item
-        # stream must stop submission: items far past the failure point
-        # (beyond the window) are never started.
-        started = []
-        lock = threading.Lock()
-
-        def body(x):
-            with lock:
-                started.append(x)
-            if x == 0:
-                raise ValueError("early failure")
-            time.sleep(0.001)
-            return x
-
-        with pytest.raises(ValueError):
-            parallel_map(body, list(range(1000)), workers=2)
-        assert len(started) < 1000
-
-    def test_parallel_for_propagates_first_exception(self):
-        def body(lo, hi):
-            if lo >= 512:
-                raise RuntimeError("block failed")
-
-        with pytest.raises(RuntimeError, match="block failed"):
-            parallel_for(body, 4096, workers=4, grain=256)
-
-    def test_parallel_for_stops_submitting_after_failure(self):
-        started = []
-        lock = threading.Lock()
-
-        def body(lo, hi):
-            with lock:
-                started.append(lo)
-            if lo == 0:
-                raise ValueError("early failure")
-            time.sleep(0.001)
-
-        with pytest.raises(ValueError):
-            parallel_for(body, 1 << 20, workers=2, grain=64)
-        assert len(started) < (1 << 20) // 64
-
-    def test_parallel_map_order_with_uneven_durations(self):
-        def body(x):
-            time.sleep(0.002 if x % 5 == 0 else 0.0)
-            return x * 10
-
-        assert parallel_map(body, list(range(64)), workers=8) == [
-            x * 10 for x in range(64)
-        ]
 
 
 class TestScheduler:
