@@ -6,8 +6,8 @@ Gowda, Gu; SPAA 2024): the SeqUF baseline, the activation-based ParUF
 algorithm, the RC-tree-tracing RCTT algorithm, the optimal heap-based
 SLD-TreeContraction algorithm, the SLD-Merge divide-and-conquer framework,
 and every substrate they depend on (meldable/filterable heaps, parallel
-tree contraction, union-find, parallel primitives, MST reduction, and a
-work-depth cost-model runtime).
+tree contraction, union-find, MST reduction, and a work-depth cost-model
+runtime that charges the parallel primitives' costs).
 
 Quickstart::
 

@@ -1,7 +1,7 @@
 """Terminal charts for the figure-reproduction harnesses.
 
 The paper's Figures 6 and 8 are log-log running-time-vs-threads plots;
-these helpers render the same series as Unicode charts so
+this helper renders the same series as a character chart so
 ``python -m repro.bench.fig6`` produces an actual *figure*, not only a
 table.
 """
@@ -10,24 +10,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["sparkline", "line_chart"]
-
-_BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: list[float]) -> str:
-    """One-line block-character sketch of a series."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return ""
-    lo, hi = min(vals), max(vals)
-    if hi == lo:
-        return _BLOCKS[0] * len(vals)
-    out = []
-    for v in vals:
-        idx = int((v - lo) / (hi - lo) * (len(_BLOCKS) - 1) + 0.5)
-        out.append(_BLOCKS[idx])
-    return "".join(out)
+__all__ = ["line_chart"]
 
 
 def line_chart(

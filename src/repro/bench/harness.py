@@ -27,7 +27,6 @@ __all__ = [
     "AlgoRun",
     "run_algorithm",
     "simulated_time",
-    "model_time",
     "format_table",
     "KernelResult",
     "bench_kernel",
@@ -97,18 +96,6 @@ def simulated_time(run: AlgoRun, p: int) -> float:
         total += cost.seconds * time_scale(cost.work, cost.depth, p)
     total += max(0.0, run.wall_seconds - covered)  # uninstrumented residue
     return total
-
-
-def model_time(run: AlgoRun, p: int, seconds_per_op: float) -> float:
-    """Abstract-machine time: ``seconds_per_op * (W/p + D)``.
-
-    Unlike :func:`simulated_time`, this ignores each algorithm's Python
-    wall time and prices every charged operation identically, the way the
-    paper's C++ implementations relate to each other.  Calibrate
-    ``seconds_per_op`` from the baseline's run on the same input
-    (``run.wall_seconds / run.work`` of SeqUF).
-    """
-    return seconds_per_op * (run.work / p + run.depth)
 
 
 def format_table(headers: list[str], rows: list[list[str]], title: str | None = None) -> str:

@@ -19,9 +19,8 @@ from repro.datasets.synthetic_graphs import (
     rmat_graph,
     social_mst,
 )
-from repro.trees.generators import knuth_tree, path_tree, star_tree
+from repro.trees.generators import make_tree
 from repro.trees.mst import minimum_spanning_tree
-from repro.trees.weights import apply_scheme
 from repro.trees.wtree import WeightedTree
 
 __all__ = [
@@ -74,16 +73,7 @@ def make_input(family: str, n: int, seed: int = 0) -> WeightedTree:
             f"unknown input family {family!r}; expected one of {SYNTHETIC_FAMILIES}"
         )
     base, _, scheme = family.partition("-")
-    scheme = scheme or "unit"
-    if scheme == "low":  # "path-low-par" splits awkwardly
-        scheme = "low-par"
-    if base == "path":
-        tree = path_tree(n)
-    elif base == "star":
-        tree = star_tree(n)
-    else:
-        tree = knuth_tree(n, seed=seed)
-    return tree.with_weights(apply_scheme(scheme, tree.m, seed=seed + 1))
+    return make_tree(base, n, scheme or "unit", seed)
 
 
 def realworld_inputs(n: int, seed: int = 0) -> dict[str, WeightedTree]:

@@ -58,7 +58,6 @@ __all__ = [
     "record_read",
     "record_write",
     "record_atomic",
-    "record_slab_read",
     "record_slab_write",
     "register",
     "commit_phase",
@@ -249,13 +248,6 @@ def record_atomic(obj: object, field: Any = "value") -> None:
     rec = RECORDER
     if rec is not None:
         rec.record(obj, field, ATOMIC)
-
-
-def record_slab_read(obj: object, lo: int, hi: int) -> None:
-    """Record a shared read of the slab window ``obj[lo:hi]`` (half-open)."""
-    rec = RECORDER
-    if rec is not None:
-        rec.record_window(obj, lo, hi, READ)
 
 
 def record_slab_write(obj: object, lo: int, hi: int) -> None:

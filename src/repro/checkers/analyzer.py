@@ -1172,9 +1172,9 @@ _SLAB_TARGETS = (
     "core/fast.py",
     "core/fast_contraction.py",
     "core/fast_merge.py",
+    "core/rctt.py",
     "contraction/fast.py",
     "structures/heap_pool.py",
-    "primitives",
     "bench/kernels.py",
     "trees/boruvka_fast.py",
     "io/edgefile.py",

@@ -28,7 +28,7 @@ from typing import Any
 from repro.checkers.access import RoundRecorder, TaskAccessLog
 from repro.errors import RaceConditionError
 
-__all__ = ["Conflict", "find_conflicts", "check_recorder", "format_conflicts"]
+__all__ = ["Conflict", "find_conflicts", "check_recorder"]
 
 WRITE_WRITE = "write-write"
 READ_WRITE = "read-write"
@@ -155,10 +155,3 @@ def check_recorder(recorder: RoundRecorder, where: str | None = None) -> None:
     conflicts = find_conflicts(recorder.logs)
     if conflicts:
         raise RaceConditionError(conflicts, where=where or recorder.where)
-
-
-def format_conflicts(conflicts: Sequence[Conflict]) -> str:
-    """Human-readable multi-line report of ``conflicts``."""
-    if not conflicts:
-        return "no conflicts"
-    return "\n".join(c.describe() for c in conflicts)

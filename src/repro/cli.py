@@ -71,12 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output tree archive path (.npz format)")
 
     comp = sub.add_parser("compute", help="compute a single-linkage dendrogram")
-    src = comp.add_mutually_exclusive_group()
-    src.add_argument("--input", help="tree .npz saved by 'generate' or repro.io")
-    src.add_argument("--kind", choices=_GENERATORS, help="generate inline instead")
-    comp.add_argument("--n", type=int, default=1000)
-    comp.add_argument("--scheme", default="perm")
-    comp.add_argument("--seed", type=int, default=0)
+    _add_tree_source(comp)
     comp.add_argument("--algorithm", default="rctt")
     comp.add_argument("--validate", action="store_true", help="run structural validation")
     comp.add_argument("--render", action="store_true", help="print ASCII dendrogram (small inputs)")
@@ -143,12 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     snap = sub.add_parser(
         "snapshot", help="write the mmap-able query snapshot of a dendrogram"
     )
-    src3 = snap.add_mutually_exclusive_group()
-    src3.add_argument("--input", help="tree .npz saved by 'generate' or repro.io")
-    src3.add_argument("--kind", choices=_GENERATORS, help="generate inline instead")
-    snap.add_argument("--n", type=int, default=1000)
-    snap.add_argument("--scheme", default="perm")
-    snap.add_argument("--seed", type=int, default=0)
+    _add_tree_source(snap)
     snap.add_argument("--algorithm", default="rctt")
     snap.add_argument("--out", required=True, help="output snapshot path")
 
@@ -192,12 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser(
         "analyze", help="parallelism profile + dendrogram metrics of an input"
     )
-    src2 = ana.add_mutually_exclusive_group()
-    src2.add_argument("--input", help="tree .npz saved by 'generate' or repro.io")
-    src2.add_argument("--kind", choices=_GENERATORS, help="generate inline instead")
-    ana.add_argument("--n", type=int, default=1000)
-    ana.add_argument("--scheme", default="perm")
-    ana.add_argument("--seed", type=int, default=0)
+    _add_tree_source(ana)
 
     cmp_ = sub.add_parser("compare", help="compare two saved dendrograms")
     cmp_.add_argument("left")
@@ -299,35 +284,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_tree(kind: str, n: int, scheme: str, seed: int):
-    from repro.trees.generators import (
-        balanced_binary,
-        broom,
-        caterpillar,
-        knuth_tree,
-        path_tree,
-        random_tree,
-        star_tree,
-    )
-    from repro.trees.weights import apply_scheme
+def _add_tree_source(parser: argparse.ArgumentParser) -> None:
+    """The ``--input`` / ``--kind`` / ``--n`` / ``--scheme`` / ``--seed`` group."""
+    src = parser.add_mutually_exclusive_group()
+    src.add_argument("--input", help="tree .npz saved by 'generate' or repro.io")
+    src.add_argument("--kind", choices=_GENERATORS, help="generate inline instead")
+    parser.add_argument("--n", type=int, default=1000)
+    parser.add_argument("--scheme", default="perm")
+    parser.add_argument("--seed", type=int, default=0)
 
-    makers = {
-        "path": lambda: path_tree(n),
-        "star": lambda: star_tree(n),
-        "knuth": lambda: knuth_tree(n, seed=seed),
-        "random": lambda: random_tree(n, seed=seed),
-        "caterpillar": lambda: caterpillar(n),
-        "broom": lambda: broom(n),
-        "binary": lambda: balanced_binary(n),
-    }
-    tree = makers[kind]()
-    return tree.with_weights(apply_scheme(scheme, tree.m, seed=seed + 1))
+
+def _tree_source(args):
+    """The tree the tree-source options name, and a line describing it."""
+    from repro.io import load_tree
+    from repro.trees.generators import make_tree
+
+    if args.input:
+        return load_tree(args.input), args.input
+    kind = args.kind or "knuth"
+    tree = make_tree(kind, args.n, args.scheme, args.seed)
+    return tree, f"generated {kind}/{args.scheme} n={args.n}"
 
 
 def _cmd_generate(args) -> int:
     from repro.io import save_tree
+    from repro.trees.generators import make_tree
 
-    tree = _make_tree(args.kind, args.n, args.scheme, args.seed)
+    tree = make_tree(args.kind, args.n, args.scheme, args.seed)
     save_tree(args.out, tree)
     print(f"wrote {args.kind}/{args.scheme} tree with n={tree.n} to {args.out}")
     return 0
@@ -335,15 +318,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_compute(args) -> int:
     from repro.core.api import single_linkage_dendrogram
-    from repro.io import export_linkage_csv, load_tree, save_dendrogram
+    from repro.io import export_linkage_csv, save_dendrogram
 
-    if args.input:
-        tree = load_tree(args.input)
-        source = args.input
-    else:
-        kind = args.kind or "knuth"
-        tree = _make_tree(kind, args.n, args.scheme, args.seed)
-        source = f"generated {kind}/{args.scheme} n={args.n}"
+    tree, source = _tree_source(args)
     start = time.perf_counter()  # noqa: RPR001 -- user-facing timing report
     dend = single_linkage_dendrogram(tree, algorithm=args.algorithm, validate=args.validate)
     elapsed = time.perf_counter() - start  # noqa: RPR001
@@ -444,15 +421,8 @@ def _cmd_bench(args) -> int:
 def _cmd_snapshot(args) -> int:
     from repro.core.api import single_linkage_dendrogram
     from repro.dendrogram.snapshot import build_snapshot, save_snapshot
-    from repro.io import load_tree
 
-    if args.input:
-        tree = load_tree(args.input)
-        source = args.input
-    else:
-        kind = args.kind or "knuth"
-        tree = _make_tree(kind, args.n, args.scheme, args.seed)
-        source = f"generated {kind}/{args.scheme} n={args.n}"
+    tree, source = _tree_source(args)
     dend = single_linkage_dendrogram(tree, algorithm=args.algorithm)
     snap = build_snapshot(dend)
     save_snapshot(args.out, snap)
@@ -565,15 +535,8 @@ def _snapshot_selfcheck(engine, queries: int, seed: int) -> list[str]:
 def _cmd_analyze(args) -> int:
     from repro.core.api import single_linkage_dendrogram
     from repro.dendrogram.analysis import parallelism_profile
-    from repro.io import load_tree
 
-    if args.input:
-        tree = load_tree(args.input)
-        source = args.input
-    else:
-        kind = args.kind or "knuth"
-        tree = _make_tree(kind, args.n, args.scheme, args.seed)
-        source = f"generated {kind}/{args.scheme} n={args.n}"
+    tree, source = _tree_source(args)
     dend = single_linkage_dendrogram(tree, algorithm="rctt")
     prof = parallelism_profile(tree)
     widths = dend.level_widths()

@@ -27,7 +27,9 @@ KIND_COMPRESS = 1
 
 @dataclass
 class RCTree:
-    """Output of :func:`repro.contraction.schedule.build_rc_tree`."""
+    """Output of :func:`repro.contraction.schedule.build_rc_tree` and of
+    :func:`repro.contraction.fast.build_rc_tree_fast` (same schedule for
+    the same seed)."""
 
     n: int
     root: int
@@ -43,12 +45,9 @@ class RCTree:
 
     def vertex_of_edge(self) -> np.ndarray:
         """Inverse association: edge id -> the vertex contracted via it."""
-        m = self.n - 1
-        out = np.full(m, -1, dtype=np.int64)
-        for v in range(self.n):
-            e = int(self.edge[v])
-            if e >= 0:
-                out[e] = v
+        out = np.full(self.n - 1, -1, dtype=np.int64)
+        associated = self.edge >= 0
+        out[self.edge[associated]] = np.flatnonzero(associated)
         return out
 
     def depths(self) -> np.ndarray:

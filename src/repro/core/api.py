@@ -2,27 +2,30 @@
 
 Backends
 --------
-Four of the registered algorithms ship a flat-array *fast backend* -- a
-wall-clock twin producing bit-identical output (the SLD is unique under
-the deterministic (weight, edge-id) rank order):
+Four of the registered algorithms have a flat-array *array backend*
+producing bit-identical output (the SLD is unique under the
+deterministic (weight, edge-id) rank order).  Three are wall-clock twins
+of their reference; RCTT's reference is itself array-native, so it is
+its own array backend:
 
 =================== ==============================================
 algorithm           array backend
 =================== ==============================================
 ``sequf``           :func:`repro.core.fast.sequf_fast`
 ``tree-contraction``:func:`repro.core.fast_contraction.tree_contraction_fast`
-``rctt``            :func:`repro.core.fast_contraction.rctt_fast`
+``rctt``            :func:`repro.core.rctt.rctt` (the reference itself)
 ``divide-conquer``  :func:`repro.core.fast_merge.sld_merge_fast`
 =================== ==============================================
 
 :func:`single_linkage_dendrogram` selects between them with ``backend=``:
 ``"reference"`` always runs the instrumented implementation,
-``"array"`` requires a fast twin (:class:`~repro.errors.AlgorithmError`
-if the algorithm has none), and ``"auto"`` (the default) picks the array
-backend when one exists.  The twins themselves delegate to the reference
-whenever instrumentation is active (a tracker or a shadow-access
-recorder), so ``"auto"`` never loses cost accounting.  A twin has no
-registry name of its own: benchmarks, fuzzing and tests reach it as
+``"array"`` requires an array backend
+(:class:`~repro.errors.AlgorithmError` if the algorithm has none), and
+``"auto"`` (the default) picks the array backend when one exists.  The
+twins themselves delegate to the reference whenever instrumentation is
+active (a tracker or a shadow-access recorder), so ``"auto"`` never
+loses cost accounting.  A twin has no registry name of its own:
+benchmarks, fuzzing and tests reach it as
 ``resolve_algorithm(name, "array")``.
 """
 
@@ -37,7 +40,7 @@ from repro.checkers.bounds import cost_bound
 from repro.core.brute import brute_force_sld
 from repro.core.cartesian import sld_path
 from repro.core.fast import sequf_fast
-from repro.core.fast_contraction import rctt_fast, tree_contraction_fast
+from repro.core.fast_contraction import tree_contraction_fast
 from repro.core.fast_merge import sld_merge_fast
 from repro.core.merge import sld_divide_and_conquer
 from repro.core.paruf import paruf
@@ -81,10 +84,10 @@ ALGORITHMS: dict[str, Callable[..., np.ndarray]] = {
     "brute": brute_force_sld,
 }
 
-#: Reference algorithm name -> its array-backend twin.
+#: Reference algorithm name -> its array backend (``rctt`` is its own).
 _ARRAY_TWINS: dict[str, Callable[..., np.ndarray]] = {
     "sequf": sequf_fast,
-    "rctt": rctt_fast,
+    "rctt": rctt,
     "tree-contraction": tree_contraction_fast,
     "divide-conquer": sld_merge_fast,
 }

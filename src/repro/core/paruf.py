@@ -40,8 +40,7 @@ import numpy as np
 
 from repro.checkers.bounds import cost_bound
 from repro.errors import AlgorithmError
-from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, log_cost
+from repro.runtime.cost_model import CostTracker, WorkDepth, comparison_sort_cost, log_cost
 from repro.runtime.instrumentation import span
 from repro.structures import make_heap
 from repro.structures.unionfind import UnionFind

@@ -36,8 +36,7 @@ from repro.checkers import access as _access
 from repro.checkers.bounds import cost_bound
 from repro.checkers.ownership import owns
 from repro.core.paruf import ParUFStats
-from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, log_cost
+from repro.runtime.cost_model import CostTracker, WorkDepth, comparison_sort_cost, log_cost
 from repro.runtime.instrumentation import span
 from repro.runtime.scheduler import Scheduler
 from repro.structures import make_heap

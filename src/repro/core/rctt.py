@@ -14,13 +14,16 @@ Three phases, timed separately to reproduce the Figure 7 breakdown:
   node adopts ``u``'s associated edge as parent (the root bucket's last
   node is the dendrogram root).
 
-Implementation note: the trace climbs all edges *simultaneously* --
-``u[active] = rc_parent[u[active]]`` per step -- so the Python-level loop
-runs only ``O(rc-tree height)`` times over vectorized kernels, and the
-bucket sort/chain is a single lexsort plus boundary scatter.  Costs are
-charged per the paper: Build is linear work with ``O(log n)``-depth
-rounds, Trace charges the true climb lengths (worst case ``O(n log n)``
-work, ``O(log^2 n)`` depth), Sort charges per-bucket comparison sorts.
+Implementation note: the trace climbs all edges *simultaneously*, one
+vectorized hop per step over the index vector of edges still climbing,
+so the Python-level loop runs only ``O(rc-tree height)`` times and each
+hop touches only the edges that move.  The bucket sort/chain is a single
+composite-key ``argsort`` plus boundary scatter.  One implementation
+serves both backends: with ``tracker=None`` nothing is charged, and with
+a tracker the costs follow the paper: Build is linear work with
+``O(log n)``-depth rounds, Trace charges the true climb lengths (worst
+case ``O(n log n)`` work, ``O(log^2 n)`` depth), Sort charges per-bucket
+comparison sorts.
 """
 
 from __future__ import annotations
@@ -28,9 +31,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkers.bounds import cost_bound
+from repro.checkers.contracts import slab_contract
 from repro.contraction.schedule import build_rc_tree
-from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, combine_parallel
+from repro.runtime.cost_model import (
+    CostTracker,
+    WorkDepth,
+    combine_parallel,
+    comparison_sort_cost,
+)
 from repro.runtime.instrumentation import span
 from repro.trees.wtree import WeightedTree
 from repro.util import log2ceil
@@ -44,6 +52,14 @@ __all__ = ["rctt"]
     vars=("n",),
     theorem="Section 4.2, Algorithm 6: contraction build + O(n log n) "
     "worst-case trace + per-bucket sorts, all at polylog depth",
+)
+@slab_contract(
+    dtypes={
+        "tree.edges": "int64",
+        "tree.ranks": "int64",
+        "tree.weights": "float64",
+    },
+    returns="int64",
 )
 def rctt(
     tree: WeightedTree,
@@ -68,7 +84,7 @@ def rctt(
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    ranks = tree.ranks
+    edge_ranks = tree.ranks
 
     with span("build"):
         if race_check:
@@ -92,31 +108,33 @@ def rctt(
         rc_parent = rct.parent
         rc_edge = rct.edge
         root = rct.root
-        edge_ranks = ranks  # rank of each edge, by edge id
         # rank of the edge associated with each rcnode (root: +inf sentinel)
         node_rank = np.full(rct.n, np.iinfo(np.int64).max, dtype=np.int64)
         non_root = rc_edge >= 0
         node_rank[non_root] = edge_ranks[rc_edge[non_root]]
 
-        # All edges climb simultaneously; each step is one vectorized hop.
+        # All edges climb simultaneously; each step is one vectorized hop
+        # over the edges still climbing.
         u = rc_parent[rct.vertex_of_edge()]
-        active = (u != root) & (node_rank[u] < edge_ranks)
+        idx = np.flatnonzero((u != root) & (node_rank[u] < edge_ranks))
         total_steps = m
         max_steps = 1
         # O(rc-tree height) = O(log n) whp vectorized hops; the true climb
         # lengths are charged to the tracker below.
-        while active.any():  # noqa: RPR102
-            u[active] = rc_parent[u[active]]
-            total_steps += int(active.sum())
+        while idx.size:  # noqa: RPR102
+            hop = rc_parent[u[idx]]
+            u[idx] = hop
+            total_steps += idx.size
             max_steps += 1
-            active = active & (u != root) & (node_rank[u] < edge_ranks)
+            idx = idx[(hop != root) & (node_rank[hop] < edge_ranks[idx])]
         if tracker is not None:
             tracker.add(WorkDepth(float(total_steps), float(max_steps) + log2ceil(m)))
 
     with span("sort"):
-        # One lexsort = all per-bucket rank sorts at once: bucket (final
-        # rcnode) major, rank minor.
-        order = np.lexsort((edge_ranks, u))
+        # One argsort = all per-bucket rank sorts at once: bucket (final
+        # rcnode) major, rank minor.  Ranks are unique, so the composite
+        # key is unique and the default (unstable) sort gives that order.
+        order = np.argsort(u * m + edge_ranks)
         bucket_of = u[order]
         same_bucket = bucket_of[1:] == bucket_of[:-1]
         # chain within runs

@@ -24,8 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkers.bounds import cost_bound
-from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, instrumented
+from repro.runtime.cost_model import CostTracker, WorkDepth, comparison_sort_cost, instrumented
 from repro.runtime.instrumentation import span
 from repro.structures.unionfind import UnionFind
 from repro.trees.wtree import WeightedTree

@@ -32,8 +32,7 @@ from repro.checkers.bounds import cost_bound
 from repro.contraction.rctree import RCTree
 from repro.contraction.schedule import RakeEvent, build_rc_tree
 from repro.errors import AlgorithmError
-from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, log_cost
+from repro.runtime.cost_model import CostTracker, WorkDepth, comparison_sort_cost, log_cost
 from repro.runtime.instrumentation import span
 from repro.structures.binomial_heap import BinomialHeap
 from repro.trees.wtree import WeightedTree
@@ -162,7 +161,7 @@ def sld_tree_contraction(
                             fd = log_cost(size_before) ** 2
                         else:
                             fw = fd = float(size_before)
-                        chain = _chain_cost(k)
+                        chain = comparison_sort_cost(k)
                         target_work += fw + chain.work
                         target_depth = max(target_depth, fd + chain.depth)
                     _assign_chain(parents, removed, int(e))
@@ -227,11 +226,3 @@ def _assign_chain(parents: np.ndarray, removed: list[tuple[int, int]], top: int)
     for (_, a), (_, b) in zip(removed, removed[1:]):
         parents[a] = b
     parents[removed[-1][1]] = top
-
-
-def _chain_cost(k: int) -> WorkDepth:
-    """Cost of sorting and chaining ``k`` protected nodes."""
-    if k <= 1:
-        return WorkDepth(float(k), float(min(k, 1)))
-    lg = log2ceil(k)
-    return WorkDepth(float(k * lg), float(lg * lg))

@@ -5,16 +5,18 @@ dendrogram node at which their clusters first merge -- the lowest common
 ancestor of the two leaves, equivalently the minimax (bottleneck) path
 weight between ``u`` and ``v`` in the input tree.  Spines are
 rank-ascending, so the LCA is found by merging the two leaf spines until
-they meet, in ``O(h)`` time, without any preprocessing.
+they meet, in ``O(h)`` time once each leaf's node is read off its
+vertex's incident edges (the tree's cached CSR adjacency), without any
+dendrogram preprocessing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dendrogram.linkage import leaf_parents
 from repro.dendrogram.structure import Dendrogram
 from repro.structures.unionfind import UnionFind
+from repro.trees.wtree import WeightedTree
 
 __all__ = ["cophenetic_distance", "cophenetic_matrix"]
 
@@ -35,6 +37,13 @@ def _lca_edge(parents: np.ndarray, ranks: np.ndarray, a: int, b: int) -> int:
     return a
 
 
+def _leaf_node(tree: WeightedTree, ranks: np.ndarray, v: int) -> int:
+    """Dendrogram node vertex ``v`` hangs off: its minimum-rank incident
+    edge (one vertex's row of :func:`repro.dendrogram.linkage.leaf_parents`)."""
+    _, incident = tree.neighbors(v)
+    return int(incident[np.argmin(ranks[incident])])
+
+
 def cophenetic_distance(dend: Dendrogram, u: int, v: int) -> float:
     """Merge height of vertices ``u`` and ``v`` (``0.0`` when ``u == v``)."""
     tree = dend.tree
@@ -42,8 +51,8 @@ def cophenetic_distance(dend: Dendrogram, u: int, v: int) -> float:
         raise ValueError(f"vertices must lie in [0, {tree.n}), got {u}, {v}")
     if u == v:
         return 0.0
-    lp = leaf_parents(tree)
-    lca = _lca_edge(dend.parents, tree.ranks, int(lp[u]), int(lp[v]))
+    ranks = tree.ranks
+    lca = _lca_edge(dend.parents, ranks, _leaf_node(tree, ranks, u), _leaf_node(tree, ranks, v))
     return float(tree.weights[lca])
 
 

@@ -13,7 +13,7 @@ experimental shape.
 """
 
 from repro.runtime.brent import brent_time, calibrated_times, self_speedup, speedup_curve
-from repro.runtime.cost_model import CostTracker, WorkDepth, combine_parallel, combine_serial
+from repro.runtime.cost_model import CostTracker, WorkDepth, combine_parallel
 from repro.runtime.instrumentation import recording, span
 from repro.runtime.scheduler import Scheduler
 
@@ -21,7 +21,6 @@ __all__ = [
     "CostTracker",
     "WorkDepth",
     "combine_parallel",
-    "combine_serial",
     "brent_time",
     "speedup_curve",
     "calibrated_times",

@@ -12,9 +12,9 @@ Two pieces:
 * :class:`CostTracker` -- a mutable accumulator that algorithms charge as
   they run.  Round-structured algorithms (tree contraction, ParUF levels)
   use :meth:`CostTracker.parallel_round`; recursive divide-and-conquer code
-  composes :class:`WorkDepth` values functionally via
-  :func:`combine_parallel` / :func:`combine_serial` and deposits the result
-  with :meth:`CostTracker.add`.
+  composes :class:`WorkDepth` values functionally (``+`` in series,
+  :func:`combine_parallel` in parallel) and deposits the result with
+  :meth:`CostTracker.add`.
 
 Charging conventions used throughout the package (matching the paper's
 analysis in Sections 3-4):
@@ -24,8 +24,7 @@ analysis in Sections 3-4):
 - a heap filter extracting ``k`` of ``s`` items charges ``k*(log2(s)+1)``
   work and ``(log2(s)+1)**2`` depth,
 - a comparison sort of ``n`` items charges ``n*log2(n)`` work and
-  ``log2(n)**2`` depth, a counting sort over range ``M`` charges ``n + M``
-  work and ``log2(n) + M`` depth,
+  ``log2(n)**2`` depth (:func:`comparison_sort_cost`),
 - a sequential scan of ``n`` items charges ``n`` work / ``n`` depth, a
   parallel scan ``n`` work / ``2*log2(n)`` depth.
 """
@@ -33,7 +32,7 @@ analysis in Sections 3-4):
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.checkers import access as _access
@@ -47,7 +46,7 @@ __all__ = [
     "CostTracker",
     "check_backend",
     "combine_parallel",
-    "combine_serial",
+    "comparison_sort_cost",
     "instrumented",
     "log_cost",
 ]
@@ -82,14 +81,12 @@ class WorkDepth:
         return WorkDepth(work, work)
 
 
-def combine_serial(parts: Iterable[WorkDepth]) -> WorkDepth:
-    """Series composition of ``parts``."""
-    w = 0.0
-    d = 0.0
-    for p in parts:
-        w += p.work
-        d += p.depth
-    return WorkDepth(w, d)
+def comparison_sort_cost(n: int) -> WorkDepth:
+    """Work/depth of a parallel comparison sort of ``n`` items."""
+    if n <= 1:
+        return WorkDepth(float(max(n, 0)), 1.0 if n else 0.0)
+    lg = log2ceil(n)
+    return WorkDepth(float(n * lg), float(lg * lg))
 
 
 def combine_parallel(parts: Sequence[WorkDepth]) -> WorkDepth:

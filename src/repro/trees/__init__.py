@@ -17,7 +17,6 @@ from repro.trees.generators import (
     star_tree,
 )
 from repro.trees.boruvka import boruvka_mst, boruvka_tree
-from repro.trees.euler import euler_tour, list_rank, root_tree
 from repro.trees.mst import kruskal_mst, minimum_spanning_tree, prim_mst
 from repro.trees.validation import validate_tree_edges, validate_weights
 from repro.trees.weights import apply_scheme, ranks_of, WEIGHT_SCHEMES
@@ -43,7 +42,4 @@ __all__ = [
     "prim_mst",
     "boruvka_mst",
     "boruvka_tree",
-    "euler_tour",
-    "list_rank",
-    "root_tree",
 ]

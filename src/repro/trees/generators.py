@@ -8,13 +8,14 @@ used by the tests, the ablations, and the lower-bound experiment
 
 Every generator returns edge arrays with unit weights; combine with
 :func:`repro.trees.weights.apply_scheme` (or ``tree.with_weights``) for the
-paper's weight schemes.
+paper's weight schemes, or call :func:`make_tree`, which does both.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.trees.weights import apply_scheme
 from repro.trees.wtree import WeightedTree
 from repro.util import check_random_state
 
@@ -27,6 +28,7 @@ __all__ = [
     "caterpillar",
     "broom",
     "star_of_stars",
+    "make_tree",
 ]
 
 
@@ -187,3 +189,26 @@ def star_of_stars(
         validate=False,
     )
     return tree, tree.weights
+
+
+def make_tree(kind: str, n: int, scheme: str = "unit", seed: int = 0) -> WeightedTree:
+    """A ``kind`` topology on ``n`` vertices, weighted by ``scheme``.
+
+    ``kind`` is one of ``path``, ``star``, ``knuth``, ``random``,
+    ``caterpillar``, ``broom`` and ``binary``.  The random topologies draw
+    from ``seed`` and the weights from ``seed + 1``, so one seed fixes the
+    whole input (the CLI's ``--seed`` and the bench input registry).
+    """
+    makers = {
+        "path": lambda: path_tree(n),
+        "star": lambda: star_tree(n),
+        "knuth": lambda: knuth_tree(n, seed=seed),
+        "random": lambda: random_tree(n, seed=seed),
+        "caterpillar": lambda: caterpillar(n),
+        "broom": lambda: broom(n),
+        "binary": lambda: balanced_binary(n),
+    }
+    if kind not in makers:
+        raise ValueError(f"unknown tree kind {kind!r}; expected one of {tuple(makers)}")
+    tree = makers[kind]()
+    return tree.with_weights(apply_scheme(scheme, tree.m, seed=seed + 1))

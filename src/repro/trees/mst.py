@@ -35,8 +35,13 @@ from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
 from repro.checkers.bounds import cost_bound
 from repro.checkers.contracts import slab_contract
 from repro.errors import InvalidGraphError, NotConnectedError
-from repro.primitives.sort import comparison_sort_cost
-from repro.runtime.cost_model import CostTracker, WorkDepth, check_backend, instrumented
+from repro.runtime.cost_model import (
+    CostTracker,
+    WorkDepth,
+    check_backend,
+    comparison_sort_cost,
+    instrumented,
+)
 from repro.structures.unionfind import UnionFind
 from repro.trees.boruvka_fast import spanning_forest
 from repro.trees.weights import ranks_of

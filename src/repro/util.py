@@ -3,39 +3,15 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 __all__ = [
-    "as_int_array",
-    "as_float_array",
     "log2ceil",
     "geomean",
     "check_random_state",
 ]
-
-
-def as_int_array(values: Iterable[int] | np.ndarray, name: str = "array") -> np.ndarray:
-    """Convert ``values`` to a 1-D ``int64`` NumPy array.
-
-    Raises ``ValueError`` if the input is not integral or not 1-D.
-    """
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise ValueError(f"{name} must contain integers")
-    return arr.astype(np.int64, copy=False)
-
-
-def as_float_array(values: Iterable[float] | np.ndarray, name: str = "array") -> np.ndarray:
-    """Convert ``values`` to a 1-D ``float64`` NumPy array."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    return arr
 
 
 def log2ceil(n: int) -> int:

@@ -6,28 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.ascii_plot import line_chart, sparkline
-
-
-class TestSparkline:
-    def test_monotone_ramp(self):
-        out = sparkline([1, 2, 3, 4, 5, 6, 7, 8])
-        assert out[0] == "▁" and out[-1] == "█"
-        assert len(out) == 8
-
-    def test_constant_series(self):
-        assert sparkline([3, 3, 3]) == "▁▁▁"
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    @settings(max_examples=40, deadline=None)
-    @given(values=st.lists(st.floats(0.001, 1000), min_size=1, max_size=50))
-    def test_length_preserved_and_extremes_marked(self, values):
-        out = sparkline(values)
-        assert len(out) == len(values)
-        if max(values) > min(values):
-            assert out[values.index(max(values))] == "█"
+from repro.bench.ascii_plot import line_chart
 
 
 class TestLineChart:

@@ -9,7 +9,6 @@ from repro.bench.harness import (
     AlgoRun,
     format_table,
     fmt_seconds,
-    model_time,
     run_algorithm,
     simulated_time,
 )
@@ -165,11 +164,6 @@ class TestRuns:
             phase_costs={"loop": PhaseCost(1.0, 100.0, 100.0)},
         )
         assert simulated_time(run, 192) == pytest.approx(1.0)
-
-    def test_model_time(self):
-        run = AlgoRun("x", 10, wall_seconds=2.0, work=1000.0, depth=10.0)
-        assert model_time(run, 1, 1e-3) == pytest.approx(1.01)
-        assert model_time(run, 100, 1e-3) == pytest.approx(0.02)
 
 
 class TestFormatting:

@@ -23,7 +23,7 @@ from repro.core.api import (
     single_linkage_dendrogram,
 )
 from repro.core.fast import sequf_fast
-from repro.core.fast_contraction import rctt_fast, tree_contraction_fast
+from repro.core.fast_contraction import tree_contraction_fast
 from repro.core.rctt import rctt
 from repro.core.sequf import sequf
 from repro.core.tree_contraction_sld import sld_tree_contraction
@@ -41,10 +41,10 @@ from repro.trees.wtree import WeightedTree
     "fn,opts",
     [
         (sequf_fast, {}),
-        (rctt_fast, {"seed": 0}),
+        (rctt, {"seed": 0}),
         (tree_contraction_fast, {"seed": 0}),
     ],
-    ids=["sequf-fast", "rctt-fast", "tree-contraction-fast"],
+    ids=["sequf-fast", "rctt", "tree-contraction-fast"],
 )
 def test_degenerate_inputs(fn, opts):
     one = WeightedTree(1, np.empty((0, 2), dtype=np.int64), np.empty(0))
@@ -110,7 +110,7 @@ def test_sequf_fast_wide_input_window_default():
 
 
 # ---------------------------------------------------------------------------
-# tree_contraction_fast / rctt_fast specifics
+# tree_contraction_fast specifics
 # ---------------------------------------------------------------------------
 
 
@@ -121,13 +121,6 @@ def test_tree_contraction_fast_seeds_change_nothing():
         ref = sld_tree_contraction(tree, mode="heap", seed=seed)
         assert np.array_equal(tree_contraction_fast(tree, seed=seed), ref)
         assert np.array_equal(ref, expected)  # SLD unique regardless of seed
-
-
-def test_rctt_fast_race_check_delegates():
-    tree = make_tree("knuth", 48, seed=2)
-    assert np.array_equal(
-        rctt_fast(tree, seed=1, race_check=True), rctt(tree, seed=1, race_check=True)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +136,7 @@ def test_resolve_algorithm_matrix():
     assert resolve_algorithm("sequf", "reference") is ALGORITHMS["sequf"]
     assert resolve_algorithm("sequf", "array") is sequf_fast
     assert resolve_algorithm("sequf", "auto") is sequf_fast
-    assert resolve_algorithm("rctt", "array") is rctt_fast
+    assert resolve_algorithm("rctt", "array") is rctt  # array-native reference
     assert resolve_algorithm("tree-contraction", "array") is tree_contraction_fast
     from repro.core.fast_merge import sld_merge_fast
 
@@ -166,8 +159,9 @@ def test_resolve_algorithm_errors():
 
 
 def test_fast_registry_consistent():
-    """The registry holds reference algorithms only; the array twins hang
-    off four of them and are reached through ``resolve_algorithm``."""
+    """The registry holds reference algorithms only; the array backends
+    hang off four of them and are reached through ``resolve_algorithm``.
+    RCTT's reference is array-native, so its array backend is itself."""
     registered = set(ALGORITHMS.values())
     with_twin = set()
     for name, fn in ALGORITHMS.items():
@@ -178,7 +172,10 @@ def test_fast_registry_consistent():
         except AlgorithmError:
             assert resolve_algorithm(name, "auto") is fn
             continue
-        assert twin not in registered
+        if name == "rctt":
+            assert twin is fn  # array-native: its own array backend
+        else:
+            assert twin not in registered
         assert resolve_algorithm(name, "auto") is twin
         with_twin.add(name)
     assert with_twin == {"sequf", "rctt", "tree-contraction", "divide-conquer"}

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_tree, weighted_trees
+from repro.bench.inputs import SYNTHETIC_FAMILIES, make_input
+from repro.contraction.fast import build_rc_tree_fast
 from repro.contraction.schedule import build_rc_tree
 from repro.core.brute import brute_force_sld
 from repro.core.rctt import rctt
@@ -78,3 +83,39 @@ def test_star_input_single_bucket():
     for a, b in zip(order, order[1:]):
         assert parents[a] == b
     assert parents[order[-1]] == order[-1]
+
+
+def _scalar_climbs(tree, seed):
+    """Per-edge climb lengths, one scalar walk per edge: from the rcnode
+    associated with edge ``e``, the hops past its rc-parent while the
+    reached rcnode is not the root and its edge ranks below ``e``."""
+    rct = build_rc_tree_fast(tree, seed=seed)
+    ranks = tree.ranks
+    climbs = []
+    for v in range(rct.n):
+        e = int(rct.edge[v])
+        if e < 0:
+            continue  # the root carries no edge
+        u = int(rct.parent[v])
+        climb = 0
+        while u != rct.root and ranks[int(rct.edge[u])] < ranks[e]:
+            u = int(rct.parent[u])
+            climb += 1
+        climbs.append(climb)
+    return climbs
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family", SYNTHETIC_FAMILIES)
+def test_trace_charges_match_scalar_climbs(family, seed):
+    """The trace phase charges m + the summed climb lengths as work, and
+    1 + the longest climb + ceil(log2 m) as depth."""
+    tree = make_input(family, 1000, seed=seed)
+    climbs = _scalar_climbs(tree, seed)
+    assert len(climbs) == tree.m
+    tracker = CostTracker()
+    with recording(tracker) as rec:
+        rctt(tree, seed=seed, tracker=tracker)
+    trace = rec.phase_costs["trace"]
+    assert trace.work == tree.m + sum(climbs)
+    assert trace.depth == 1 + max(climbs) + math.ceil(math.log2(tree.m))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 import scipy.cluster.hierarchy as sch
@@ -12,7 +14,10 @@ from conftest import make_tree, weighted_trees
 from repro.cluster.single_linkage import single_linkage
 from repro.core.api import single_linkage_dendrogram
 from repro.dendrogram.cophenet import cophenetic_distance, cophenetic_matrix
+from repro.dendrogram.lca import DendrogramIndex
 from repro.dendrogram.render import render_dendrogram
+from repro.trees.generators import random_tree
+from repro.trees.weights import apply_scheme
 
 
 class TestCophenet:
@@ -77,6 +82,22 @@ class TestCophenet:
     def test_dendrogram_method(self, small_tree):
         dend = single_linkage_dendrogram(small_tree)
         assert dend.cophenetic_distance(0, 7) > 0
+
+    def test_pairwise_cost_is_not_linear_in_n(self):
+        """One pair reads two vertices' incident edges and walks two
+        spines, O(h); a pass over all n vertices per call (~80 ms each at
+        this size) would take seconds for the 50 calls."""
+        n = 20_000
+        tree = random_tree(n, seed=1).with_weights(apply_scheme("perm", n - 1, seed=2))
+        dend = single_linkage_dendrogram(tree, algorithm="sequf")
+        pairs = np.random.default_rng(3).integers(0, n, size=(50, 2))
+        want = DendrogramIndex(dend).merge_heights(pairs).tolist()
+        cophenetic_distance(dend, 0, 1)  # builds the tree's cached adjacency
+        start = time.perf_counter()
+        got = [cophenetic_distance(dend, u, v) for u, v in pairs.tolist()]
+        elapsed = time.perf_counter() - start
+        assert got == want
+        assert elapsed < 0.5, f"50 cophenetic_distance calls took {elapsed:.2f} s"
 
 
 class TestRender:

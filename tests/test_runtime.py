@@ -21,7 +21,7 @@ from repro.runtime.cost_model import (
     CostTracker,
     WorkDepth,
     combine_parallel,
-    combine_serial,
+    comparison_sort_cost,
     log_cost,
 )
 from repro.runtime.instrumentation import recording, span
@@ -42,8 +42,10 @@ class TestWorkDepth:
     def test_parallel_empty(self):
         assert combine_parallel([]) == WorkDepth.zero()
 
-    def test_serial_iterable(self):
-        assert combine_serial([WorkDepth(1, 1)] * 4) == WorkDepth(4, 4)
+    def test_comparison_sort_cost_shape(self):
+        c = comparison_sort_cost(1024)
+        assert c.work == 1024 * 10
+        assert c.depth == 100
 
     def test_seq_helper(self):
         assert WorkDepth.seq(7) == WorkDepth(7, 7)

@@ -1,10 +1,10 @@
 """Pinned regressions for the slab-discipline sweep over the array backends.
 
-Each test here pins a fix that the RPR2xx pass forced: the vectorized
-``group_by``, the mask-fold that removed the per-round ``np.concatenate``
-from ``sequf_fast``, and the dtype discipline of the fast kernels and
-``HeapPool`` slabs.  Bit-identity against the reference implementations is
-asserted alongside each behavioral pin.
+Each test here pins a fix that the RPR2xx pass forced: the mask-fold
+that removed the per-round ``np.concatenate`` from ``sequf_fast``, and
+the dtype discipline of the fast kernels and ``HeapPool`` slabs.
+Bit-identity against the reference implementations is asserted
+alongside each behavioral pin.
 """
 
 from __future__ import annotations
@@ -13,67 +13,6 @@ import numpy as np
 import pytest
 
 from conftest import make_tree
-from repro.primitives.semisort import group_by
-
-
-def _group_by_reference(keys, values=None):
-    """The pre-sweep dict-loop implementation, kept as the oracle."""
-    if values is None:
-        values = np.arange(keys.shape[0], dtype=np.intp)
-    out: dict = {}
-    for key, val in zip(keys.tolist(), values):
-        out.setdefault(key, []).append(val)
-    return {k: np.asarray(v) for k, v in out.items()}
-
-
-class TestGroupBySemantics:
-    """The vectorized group_by must match the dict-loop it replaced."""
-
-    def test_insertion_order_preserved(self):
-        keys = np.array([5, 2, 5, 9, 2, 2], dtype=np.int64)
-        got = group_by(keys)
-        assert list(got) == [5, 2, 9]  # first-appearance order
-
-    def test_matches_reference_on_random_keys(self):
-        rng = np.random.default_rng(3)
-        keys = rng.integers(0, 20, size=200).astype(np.int64)
-        values = rng.integers(-50, 50, size=200).astype(np.int64)
-        got = group_by(keys, values)
-        expected = _group_by_reference(keys, values)
-        assert list(got) == list(expected)
-        for k in expected:
-            assert np.array_equal(got[k], expected[k])
-
-    def test_values_none_yields_intp_indices(self):
-        keys = np.array([1, 0, 1], dtype=np.int64)
-        got = group_by(keys)
-        assert got[1].dtype == np.intp
-        assert np.array_equal(got[1], [0, 2])
-        assert np.array_equal(got[0], [1])
-
-    def test_value_dtype_preserved(self):
-        keys = np.array([0, 1, 0], dtype=np.int64)
-        values = np.array([1.5, 2.5, 3.5], dtype=np.float64)
-        got = group_by(keys, values)
-        assert got[0].dtype == np.float64
-        assert np.array_equal(got[0], [1.5, 3.5])
-
-    def test_two_dimensional_values(self):
-        keys = np.array([7, 7, 3], dtype=np.int64)
-        values = np.arange(6, dtype=np.int64).reshape(3, 2)
-        got = group_by(keys, values)
-        assert np.array_equal(got[7], [[0, 1], [2, 3]])
-        assert np.array_equal(got[3], [[4, 5]])
-
-    def test_empty_input(self):
-        assert group_by(np.array([], dtype=np.int64)) == {}
-
-    def test_keys_are_python_ints(self):
-        # Callers use group keys for dict lookups and arithmetic; the
-        # host handoff must produce builtin ints, not numpy scalars.
-        got = group_by(np.array([4, 4], dtype=np.int64))
-        (key,) = got
-        assert type(key) is int
 
 
 class TestSequfMaskFold:

@@ -12,12 +12,14 @@ from repro.trees.generators import (
     broom,
     caterpillar,
     knuth_tree,
+    make_tree,
     path_tree,
     random_tree,
     star_of_stars,
     star_tree,
 )
 from repro.trees.validation import validate_tree_edges
+from repro.trees.weights import apply_scheme
 
 
 @pytest.mark.parametrize(
@@ -153,3 +155,26 @@ class TestStarOfStars:
 def test_zero_vertices_rejected(maker):
     with pytest.raises(ValueError):
         maker(0)
+
+
+@pytest.mark.parametrize(
+    "kind", ["path", "star", "knuth", "random", "binary", "caterpillar", "broom"]
+)
+def test_make_tree_weights_one_topology_with_seed_plus_one(kind):
+    topology = {
+        "path": path_tree(40),
+        "star": star_tree(40),
+        "knuth": knuth_tree(40, seed=3),
+        "random": random_tree(40, seed=3),
+        "binary": balanced_binary(40),
+        "caterpillar": caterpillar(40),
+        "broom": broom(40),
+    }[kind]
+    tree = make_tree(kind, 40, "perm", seed=3)
+    assert np.array_equal(tree.edges, topology.edges)
+    assert np.array_equal(tree.weights, apply_scheme("perm", 39, seed=4))
+
+
+def test_make_tree_unknown_kind():
+    with pytest.raises(ValueError, match="unknown tree kind"):
+        make_tree("torus", 10)

@@ -8,29 +8,10 @@ import numpy as np
 import pytest
 
 from repro import errors
-from repro.util import as_float_array, as_int_array, check_random_state, geomean, log2ceil
+from repro.util import check_random_state, geomean, log2ceil
 
 
 class TestUtil:
-    def test_as_int_array_accepts_whole_floats(self):
-        out = as_int_array(np.array([1.0, 2.0]))
-        assert out.dtype == np.int64
-        np.testing.assert_array_equal(out, [1, 2])
-
-    def test_as_int_array_rejects_fractions(self):
-        with pytest.raises(ValueError, match="integers"):
-            as_int_array(np.array([1.5]))
-
-    def test_as_int_array_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            as_int_array(np.zeros((2, 2)))
-
-    def test_as_float_array(self):
-        out = as_float_array([1, 2, 3], name="w")
-        assert out.dtype == np.float64
-        with pytest.raises(ValueError, match="w must be 1-D"):
-            as_float_array(np.zeros((2, 2)), name="w")
-
     @pytest.mark.parametrize(
         "n,expected", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (1024, 10), (1025, 11)]
     )
