@@ -80,7 +80,7 @@ SlabWindow = tuple[str, int, int]
 class TaskAccessLog:
     """Read/write/atomic shadow sets of one task of one round."""
 
-    __slots__ = ("index", "label", "reads", "writes", "atomics", "slab_reads", "slab_writes")
+    __slots__ = ("index", "label", "reads", "writes", "atomics", "slab_writes")
 
     def __init__(self, index: int, label: str | None = None) -> None:
         self.index = index
@@ -88,7 +88,6 @@ class TaskAccessLog:
         self.reads: set[Cell] = set()
         self.writes: set[Cell] = set()
         self.atomics: set[Cell] = set()
-        self.slab_reads: set[SlabWindow] = set()
         self.slab_writes: set[SlabWindow] = set()
 
     def cells(self) -> set[Cell]:
@@ -98,8 +97,7 @@ class TaskAccessLog:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TaskAccessLog({self.label}: {len(self.reads)}r "
-            f"{len(self.writes)}w {len(self.atomics)}a "
-            f"{len(self.slab_reads)}sr {len(self.slab_writes)}sw)"
+            f"{len(self.writes)}w {len(self.atomics)}a {len(self.slab_writes)}sw)"
         )
 
 
@@ -173,16 +171,12 @@ class RoundRecorder:
         else:
             cur.atomics.add(cell)
 
-    def record_window(self, obj: object, lo: int, hi: int, kind: str) -> None:
-        """Record an access to the half-open slab window ``obj[lo:hi]``."""
+    def record_window(self, obj: object, lo: int, hi: int) -> None:
+        """Record a plain write of the half-open slab window ``obj[lo:hi]``."""
         cur = self._current
         if cur is None or self._commit_depth or hi <= lo:
             return
-        window = (self.label_for(obj), int(lo), int(hi))
-        if kind == READ:
-            cur.slab_reads.add(window)
-        else:
-            cur.slab_writes.add(window)
+        cur.slab_writes.add((self.label_for(obj), int(lo), int(hi)))
 
 
 #: The currently installed recorder, or ``None``.  Instrumented code reads
@@ -260,7 +254,7 @@ def record_slab_write(obj: object, lo: int, hi: int) -> None:
     """
     rec = RECORDER
     if rec is not None:
-        rec.record_window(obj, lo, hi, WRITE)
+        rec.record_window(obj, lo, hi)
 
 
 @contextmanager

@@ -60,19 +60,18 @@ _Span = tuple[int, int, TaskAccessLog, bool, bool]
 def _window_conflicts(logs: Sequence[TaskAccessLog]) -> list[Conflict]:
     """Conflicts involving half-open slab windows (``parents[lo:hi]``).
 
-    Two same-round accesses to one slab label conflict when their index
+    Windows are the declared write partitions of ``@owns`` kernels.  Two
+    same-round accesses to one slab label conflict when their index
     intervals overlap, the tasks differ, at least one access is a plain
-    write, and at least one side is a genuine window (point-cell pairs are
-    the existing cell pass's job).  Point cells with integer fields join
-    as degenerate ``[i, i+1)`` intervals so a scalar ``status[7]`` write
-    races against another task's declared ``status[0:16]`` partition.
+    write, and at least one side is a window (point-cell pairs are the
+    existing cell pass's job).  Point cells with integer fields join as
+    degenerate ``[i, i+1)`` intervals, so a scalar ``status[7]`` read or
+    write races against another task's declared ``status[0:16]`` window.
     """
     spans: dict[str, list[_Span]] = {}
     for log in logs:
         for label, lo, hi in log.slab_writes:
             spans.setdefault(label, []).append((lo, hi, log, True, True))
-        for label, lo, hi in log.slab_reads:
-            spans.setdefault(label, []).append((lo, hi, log, False, True))
         for label, field in log.writes:
             if isinstance(field, int):
                 spans.setdefault(label, []).append((field, field + 1, log, True, False))

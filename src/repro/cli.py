@@ -13,7 +13,8 @@ Commands
     Run one of the paper-reproduction experiment harnesses.
 ``snapshot``
     Precompute the query-ready serving artifact (an mmap-able
-    ``repro-dendro-snapshot/2`` file) of a tree's dendrogram.
+    ``repro-dendro-snapshot/3`` file: the tree slabs plus a range-maximum
+    table over the dendrogram's leaf order) of a tree's dendrogram.
 ``serve`` / ``query``
     Answer dendrogram queries over a snapshot: ``serve`` is a line-oriented
     REPL on stdin, ``query`` executes a batch file (grouping vectorizable
@@ -481,7 +482,7 @@ def _cmd_query(args) -> int:
             return 1
         print(
             f"selfcheck OK: {args.queries} height queries + threshold/k cuts "
-            "match the brute-force oracle"
+            "+ cluster keys match the brute-force oracle"
         )
     return 0
 
@@ -496,7 +497,7 @@ def _snapshot_selfcheck(engine, queries: int, seed: int) -> list[str]:
     """
     from repro.core.api import single_linkage_dendrogram
     from repro.dendrogram.cophenet import cophenetic_distance
-    from repro.dendrogram.linkage import cut_height, cut_k
+    from repro.dendrogram.linkage import canonical_labels, cut_height, cut_k
 
     snap = engine.snapshot
     tree = snap.to_dendrogram().tree
@@ -523,9 +524,14 @@ def _snapshot_selfcheck(engine, queries: int, seed: int) -> list[str]:
         if snap.m
         else np.zeros(1)
     )
+    everyone = np.arange(n)
     for t in thresholds:
-        if not np.array_equal(engine.cut_at(float(t)), cut_height(tree, float(t))):
+        want_labels = cut_height(tree, float(t))
+        if not np.array_equal(engine.cut_at(float(t)), want_labels):
             failures.append(f"cut_at({float(t)!r}) disagrees with cut_height")
+        keys = engine.cluster_of(everyone, float(t))
+        if not np.array_equal(canonical_labels(keys), want_labels):
+            failures.append(f"cluster_of(all, {float(t)!r}) disagrees with cut_height")
     for k in sorted({1, max(1, n // 3), max(1, n // 2), n}):
         if not np.array_equal(engine.cut_k(k), cut_k(tree, k)):
             failures.append(f"cut_k({k}) disagrees with linkage.cut_k")
@@ -581,8 +587,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    import zipfile
+
     from repro.dendrogram.snapshot import SNAPSHOT_SCHEMA, load_snapshot
-    from repro.io import FormatError, _open_archive
+    from repro.io import _open_archive
     from repro.io.edgefile import EDGEFILE_MAGIC, read_edge_header
 
     with open(args.path, "rb") as fh:
@@ -591,11 +599,10 @@ def _cmd_info(args) -> int:
         n, m = read_edge_header(args.path)
         print(f"{args.path}: REDG1 edge file n={n} m={m}")
         return 0
-    try:
+    if not zipfile.is_zipfile(args.path):
+        # Not an .npz archive: a snapshot, or a FormatError saying why not
+        # (an older snapshot format is named as such).
         snap = load_snapshot(args.path)
-    except FormatError:
-        pass  # not a snapshot: describe it as an .npz archive below
-    else:
         print(f"{args.path}: {SNAPSHOT_SCHEMA} n={snap.n} nodes={snap.m} levels={snap.levels}")
         stamp = "unstamped" if snap.generation < 0 else f"generation {snap.generation}"
         print(f"  dynamic-engine stamp: {stamp}")

@@ -45,18 +45,18 @@ def leaf_parents(tree: WeightedTree) -> np.ndarray:
 
     Vertex ``v``'s leaf attaches under the node of the minimum-rank edge
     incident to ``v`` -- the first merge that absorbs the singleton cluster
-    ``{v}``.  Isolated vertices (``n == 1``) yield an empty array.
+    ``{v}``: one segmented minimum of the edge ranks over the adjacency
+    rows.  A single vertex (``n == 1``) hangs off nothing and yields ``-1``.
     """
     if tree.m == 0:
         return np.full(tree.n, -1, dtype=np.int64)
     offsets, _, nbr_edge = tree.adjacency()
     ranks = tree.ranks
-    out = np.empty(tree.n, dtype=np.int64)
-    for v in range(tree.n):
-        lo, hi = int(offsets[v]), int(offsets[v + 1])
-        incident = nbr_edge[lo:hi]
-        out[v] = incident[np.argmin(ranks[incident])]
-    return out
+    # Every row is non-empty: in a tree with an edge, each vertex has one.
+    lowest = np.minimum.reduceat(ranks[nbr_edge], offsets[:-1])
+    edge_of_rank = np.empty(tree.m, dtype=np.int64)
+    edge_of_rank[ranks] = np.arange(tree.m, dtype=np.int64)
+    return edge_of_rank[lowest]
 
 
 def cut_height(tree: WeightedTree, threshold: float) -> np.ndarray:

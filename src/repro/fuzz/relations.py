@@ -21,8 +21,8 @@ an assumption (and they remain usable at sizes where O(n^2) is not).
   edges defines, and the cophenetic distance of an edge's endpoints must
   equal that edge's weight;
 * **query-engine consistency** -- the batched snapshot/query engine
-  (binary-lifting merge heights, threshold cuts) must agree with the
-  scalar spine walks and union-find cuts on the same dendrogram.
+  (leaf-order range-maximum merge heights, threshold cuts) must agree
+  with the scalar spine walks and union-find cuts on the same dendrogram.
 """
 
 from __future__ import annotations
@@ -198,9 +198,9 @@ def query_engine_consistency(
 ) -> str | None:
     """The batched query engine must agree with the definitional answers.
 
-    Sampled vertex pairs through the snapshot-slab binary-lifting path vs.
-    the scalar spine walk, and one weight-threshold cut vs. the union-find
-    sweep -- cheap enough to run on every fuzz case.
+    Sampled vertex pairs through the snapshot's leaf-order range maximum
+    vs. the scalar spine walk, and one weight-threshold cut vs. the
+    union-find sweep -- cheap enough to run on every fuzz case.
     """
     parents = _run(fn, case)
     if parents is None:

@@ -136,22 +136,35 @@ class TestSnapshotServeQuery:
         assert "selfcheck OK" in capsys.readouterr().out
 
     def test_query_selfcheck_catches_corruption(self, tmp_path, capsys):
-        """A scrambled leaf_parent slab passes validation (every entry is
-        in range) but desynchronizes the query path from the oracle."""
+        """Two swapped pos entries still form a permutation, so the file
+        passes validation, but the query path no longer matches the oracle."""
         import numpy as np
 
         from repro.dendrogram.snapshot import load_snapshot, save_snapshot
 
         path = self._snapshot(tmp_path, capsys, n=32)
         snap = load_snapshot(path, mmap=False)
-        lp = snap.leaf_parent
-        u = int(np.flatnonzero(lp != lp[0])[0])
-        lp[0], lp[u] = lp[u], lp[0]
+        pos, root_gap = snap.pos, int(np.argmax(snap.table[0]))
+        # A vertex across the root's gap from vertex 0 merges with it only at
+        # the root: swapping the two moves each into the other's subtree.
+        u = int(np.argmax(pos)) if pos[0] <= root_gap else int(np.argmin(pos))
+        pos[0], pos[u] = pos[u], pos[0]
         save_snapshot(path, snap)
         assert cli_main(
             ["query", str(path), "--selfcheck", "--queries", "500"]
         ) == 1
         assert "selfcheck FAIL" in capsys.readouterr().err
+
+    def test_info_names_an_older_snapshot_format(self, tmp_path, capsys):
+        """A binary-lifting snapshot is reported as that format, not as an
+        unreadable archive."""
+        import struct
+
+        path = tmp_path / "old.rsnap"
+        path.write_bytes(b"RSNAP2\0\0" + struct.pack("<4q", 64, 63, 6, -1).ljust(56, b"\0"))
+        assert cli_main(["info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "repro-dendro-snapshot/2" in err and err.count("\n") == 1
 
     def test_snapshot_out_path_is_used_as_given(self, tmp_path, capsys):
         """``--out x.snap`` writes ``x.snap`` (no suffix appended), and the

@@ -16,6 +16,7 @@ from repro.dendrogram.metrics import dendrogram_height, level_widths, node_depth
 from repro.dendrogram.structure import Dendrogram
 from repro.dendrogram.validate import check_same_dendrogram, validate_parents
 from repro.errors import InvalidDendrogramError
+from repro.fuzz.generators import TOPOLOGY_FAMILIES, WEIGHT_FAMILIES, _make_topology
 from repro.trees.mst import minimum_spanning_tree
 from repro.trees.weights import apply_scheme
 
@@ -195,6 +196,24 @@ class TestLinkageInterop:
     def test_leaf_parents_singleton(self):
         tree = make_tree("path", 1)
         assert leaf_parents(tree).tolist() == [-1]
+
+    @pytest.mark.parametrize("family", TOPOLOGY_FAMILIES)
+    @pytest.mark.parametrize("weights", ["duplicates", "all-equal", "perm"])
+    @pytest.mark.parametrize("n", [1, 2, 41])
+    def test_leaf_parents_match_a_scalar_argmin(self, family, weights, n):
+        """Each vertex hangs off its incident edge of lowest rank (ties in
+        weight broken by edge id): a per-edge scalar scan, no adjacency."""
+        rng = np.random.default_rng(n)
+        tree = _make_topology(family, n, rng)
+        tree = tree.with_weights(WEIGHT_FAMILIES[weights](rng, tree.m))
+        ranks = tree.ranks
+        want = [-1] * n
+        for e, (u, v) in enumerate(tree.edges.tolist()):
+            for x in (u, v):
+                if want[x] < 0 or ranks[e] < ranks[want[x]]:
+                    want[x] = e
+        got = leaf_parents(tree)
+        assert got.dtype == np.int64 and got.tolist() == want
 
     def test_dendrogram_object_delegates(self, small_tree):
         dend = single_linkage_dendrogram(small_tree)

@@ -9,7 +9,7 @@ from conftest import make_tree
 from repro.core.api import single_linkage_dendrogram
 from repro.dendrogram.cophenet import cophenetic_distance
 from repro.dendrogram.lca import DendrogramIndex, batched_lca, lifting_table
-from repro.dendrogram.linkage import canonical_labels, cut_height, cut_k
+from repro.dendrogram.linkage import canonical_labels, cut_height, cut_k, leaf_parents
 from repro.dendrogram.query import QueryEngine
 from repro.dendrogram.service import execute_batch, parse_query, serve_lines
 from repro.dendrogram.snapshot import build_snapshot
@@ -175,6 +175,49 @@ class TestQueryEngineCuts:
             engine.cluster_of(subset.reshape(2, 2), t)
         with pytest.raises(ValueError, match="lie in"):
             engine.cluster_of(np.array([50]), t)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            pytest.param(make_tree("path", 1), id="n1"),
+            pytest.param(make_tree("path", 2).with_weights(np.array([2.0])), id="n2"),
+            pytest.param(_spine_dend(40).tree, id="deep-path"),
+            pytest.param(
+                make_tree("star", 30).with_weights(np.repeat([1.0, 2.0, 3.0], [9, 10, 10])),
+                id="star-ties",
+            ),
+            pytest.param(
+                make_tree("random", 60, seed=4).with_weights(
+                    np.random.default_rng(4).integers(0, 6, size=59).astype(np.float64)
+                ),
+                id="random-ties",
+            ),
+            pytest.param(
+                make_tree("caterpillar", 45).with_weights(np.ones(44)), id="caterpillar-all-tied"
+            ),
+        ],
+    )
+    def test_cluster_of_keys_match_the_climbing_oracle(self, tree):
+        """Each key is the highest node above the vertex's leaf whose weight
+        is <= t -- found here by climbing the parent array one hop at a time
+        -- or ``m + v`` while the vertex is a singleton."""
+        dend = single_linkage_dendrogram(tree, algorithm="sequf")
+        engine = QueryEngine.from_dendrogram(dend)
+        m, w = tree.m, tree.weights
+        attach = leaf_parents(tree)
+
+        def key(v: int, t: float) -> int:
+            a = int(attach[v])
+            if m == 0 or w[a] > t:
+                return m + v
+            while dend.parents[a] != a and w[dend.parents[a]] <= t:
+                a = int(dend.parents[a])
+            return a
+
+        levels = np.unique(w) if m else np.zeros(1)
+        for t in np.unique(np.concatenate([levels - 0.5, levels, levels + 0.5])):
+            want = [key(v, float(t)) for v in range(tree.n)]
+            assert engine.cluster_of(np.arange(tree.n), float(t)).tolist() == want, t
 
     def test_lru_cache_eviction_and_reuse(self):
         engine = QueryEngine.from_dendrogram(_dend(n=30), cut_cache_size=2)

@@ -1,5 +1,5 @@
 """Snapshot format: round trip, zero-copy mmap loading, FormatError cases,
-crash consistency, and the vectorized builder against the object path."""
+crash consistency, and the leaf-order slabs against the object path."""
 
 from __future__ import annotations
 
@@ -10,9 +10,8 @@ import pytest
 
 from conftest import file_size_limit, make_tree
 from repro.core.api import single_linkage_dendrogram
-from repro.dendrogram.lca import DendrogramIndex, lifting_table
-from repro.dendrogram.linkage import leaf_parents
-from repro.dendrogram.metrics import node_depths
+from repro.core.cartesian import cartesian_tree_parents
+from repro.dendrogram.lca import DendrogramIndex
 from repro.dendrogram.query import QueryEngine
 from repro.dendrogram.snapshot import (
     SNAPSHOT_SCHEMA,
@@ -25,7 +24,7 @@ from repro.dendrogram.validate import check_same_dendrogram
 from repro.fuzz.generators import TOPOLOGY_FAMILIES, _make_topology
 from repro.io import FormatError
 
-SLABS = ("edges", "weights", "ranks", "parents", "leaf_parent", "depth", "up")
+SLABS = ("edges", "weights", "ranks", "parents", "pos", "by_rank", "table")
 
 
 def _dend(kind: str = "random", n: int = 64, seed: int = 0):
@@ -87,7 +86,7 @@ class TestRoundTrip:
         path = tmp_path / "snap.rsnap"
         save_snapshot(path, snap)
         raw = path.read_bytes()
-        assert raw[:8] == b"RSNAP2\0\0"
+        assert raw[:8] == b"RSNAP3\0\0"
         assert struct.unpack_from("<4q", raw, 8) == (50, 49, snap.levels, 5)
         assert raw[40:64] == bytes(24)
         offsets, end = _offsets(snap)
@@ -116,7 +115,7 @@ class TestRoundTrip:
         path = tmp_path / "snap.rsnap"
         save_snapshot(path, snap)
         loaded = load_snapshot(path)
-        np.testing.assert_array_equal(loaded.up, snap.up)
+        np.testing.assert_array_equal(loaded.table, snap.table)
 
     def test_singleton_tree(self, tmp_path):
         path = tmp_path / "snap.rsnap"
@@ -124,7 +123,7 @@ class TestRoundTrip:
         for mmap in (True, False):
             loaded = load_snapshot(path, mmap=mmap)
             assert loaded.n == 1 and loaded.m == 0
-            assert loaded.leaf_parent.tolist() == [-1]
+            assert loaded.pos.tolist() == [0] and loaded.table.shape == (1, 0)
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -159,6 +158,14 @@ class TestFormatErrors:
             with pytest.raises(FormatError, match="repro-dendro-snapshot/1"):
                 load_snapshot(old, mmap=mmap)
 
+    def test_v2_file_rejected(self, tmp_path):
+        """A file of the binary-lifting format is named as such, not mapped."""
+        old = tmp_path / "old.rsnap"
+        old.write_bytes(b"RSNAP2\0\0" + struct.pack("<4q", 64, 63, 6, -1).ljust(56, b"\0"))
+        for mmap in (True, False):
+            with pytest.raises(FormatError, match="repro-dendro-snapshot/2"):
+                load_snapshot(old, mmap=mmap)
+
     def test_wrong_schema(self, snap_path):
         """Any other magic (here: a future format version) is rejected."""
         _patch(snap_path, 0, b"RSNAP9\0\0")
@@ -170,16 +177,18 @@ class TestFormatErrors:
         before anything is mapped."""
         n, m, levels, _ = struct.unpack_from("<4q", snap_path.read_bytes(), 8)
         cases = [
-            (8, n + 1, "header declares"),  # n disagrees with m
-            (16, m - 1, "header declares"),  # m disagrees with n
-            (24, 0, "header declares"),  # no lifting level
-            (24, levels + 1, "bytes"),  # consistent, but not the file's size
-            (24, 2**62, "bytes"),  # a size past int64 must not wrap around
+            ({8: n + 1}, "header declares"),  # n disagrees with m
+            ({16: m - 1}, "header declares"),  # m disagrees with n
+            ({24: 0}, "header declares"),  # no table row
+            ({24: levels + 1}, "header declares"),  # more rows than m gaps need
+            ({8: n - 1, 16: m - 1}, "bytes"),  # consistent, but not the file's size
+            ({8: 2**62, 16: 2**62 - 1, 24: 62}, "bytes"),  # a size past int64 must not wrap
         ]
-        for i, (offset, value, match) in enumerate(cases):
+        for i, (fields, match) in enumerate(cases):
             bad = tmp_path / f"bad{i}.rsnap"
             bad.write_bytes(snap_path.read_bytes())
-            _patch(bad, offset, struct.pack("<q", value))
+            for offset, value in fields.items():
+                _patch(bad, offset, struct.pack("<q", value))
             with pytest.raises(FormatError, match=match):
                 load_snapshot(bad)
 
@@ -192,20 +201,30 @@ class TestFormatErrors:
             save_snapshot(tmp_path / "bad.rsnap", snap)
         assert list(tmp_path.iterdir()) == []
 
-    def test_cross_field_inconsistency(self, snap_path):
-        """up[0] must equal the parent array."""
+    def test_cross_field_inconsistency(self, tmp_path, snap_path):
+        """pos and table[0] must be permutations and by_rank must invert
+        ranks; each corruption below keeps every entry in range."""
         snap = load_snapshot(snap_path, mmap=False)
-        up00 = (int(snap.up[0, 0]) + 1) % snap.m
-        _patch(snap_path, _offsets(snap)[0]["up"], struct.pack("<i", up00))
-        with pytest.raises(FormatError, match="up\\[0\\]"):
-            load_snapshot(snap_path)
+        offsets = _offsets(snap)[0]
+        cases = [
+            ("pos", int(snap.pos[1]), "pos is not a permutation"),
+            ("table", int(snap.table[0, 1]), "table\\[0\\] is not a permutation"),
+            ("by_rank", int(snap.by_rank[1]), "by_rank does not invert"),
+        ]
+        for name, value, match in cases:
+            bad = tmp_path / f"bad-{name}.rsnap"
+            bad.write_bytes(snap_path.read_bytes())
+            _patch(bad, offsets[name], struct.pack("<i", value))  # entry 0 := entry 1
+            for mmap in (True, False):
+                with pytest.raises(FormatError, match=match):
+                    load_snapshot(bad, mmap=mmap)
 
-    def test_out_of_range_leaf_parent(self, snap_path):
+    def test_out_of_range_pos(self, snap_path):
         snap = load_snapshot(snap_path, mmap=False)
-        offset = _offsets(snap)[0]["leaf_parent"]
-        _patch(snap_path, offset, struct.pack("<i", snap.m))  # one past the last node
+        offset = _offsets(snap)[0]["pos"]
+        _patch(snap_path, offset, struct.pack("<i", snap.n))  # one past the last position
         for mmap in (True, False):
-            with pytest.raises(FormatError, match="leaf_parent"):
+            with pytest.raises(FormatError, match="pos"):
                 load_snapshot(snap_path, mmap=mmap)
 
     def test_truncated_member_payload(self, snap_path):
@@ -225,15 +244,15 @@ class TestFormatErrors:
             weights=snap.weights,
             ranks=snap.ranks,
             parents=snap.parents,
-            leaf_parent=snap.leaf_parent,
-            depth=snap.depth,
-            up=snap.up,
+            pos=snap.pos,
+            by_rank=snap.by_rank,
+            table=snap.table,
         )
         with pytest.raises(FormatError, match="inconsistent"):
             snap.validate()
 
     def test_schema_constant_is_versioned(self):
-        assert SNAPSHOT_SCHEMA.endswith("/2")
+        assert SNAPSHOT_SCHEMA.endswith("/3")
 
 
 class TestCrashConsistency:
@@ -244,14 +263,14 @@ class TestCrashConsistency:
         save_snapshot(path, _dend(n=64, seed=1))
         return path, path.read_bytes()
 
-    @pytest.mark.parametrize("where", ["nothing", "header", "up", "one-short"])
+    @pytest.mark.parametrize("where", ["nothing", "header", "table", "one-short"])
     def test_failed_save_keeps_previous(self, previous, where):
         """The write dies once k bytes are on disk: the previous snapshot
         stays byte-identical and loadable, and no temp file is left."""
         path, before = previous
         new = build_snapshot(_dend(n=80, seed=2))
         offsets, size = _offsets(new)
-        k = {"nothing": 0, "header": 20, "up": offsets["up"] + 7, "one-short": size - 1}[where]
+        k = {"nothing": 0, "header": 20, "table": offsets["table"] + 7, "one-short": size - 1}[where]
         with file_size_limit(k), pytest.raises(OSError):
             save_snapshot(path, new)
         assert [p.name for p in path.parent.iterdir()] == [path.name]  # no temp file
@@ -300,25 +319,11 @@ class TestCrashConsistency:
 
 
 class TestBuildFromSlabs:
-    """:func:`build_snapshot` runs vectorized passes over the flat slabs;
-    the object path -- per-node ``node_depths``, per-vertex
-    ``leaf_parents``, then ``lifting_table`` -- is its oracle, and every
-    snapshot field must be bit-identical."""
-
-    @staticmethod
-    def _object_path(dend) -> dict[str, np.ndarray]:
-        tree = dend.tree
-        parents = dend.parents.astype(np.int32)
-        depth = node_depths(dend.parents, tree.ranks).astype(np.int32)
-        return {
-            "edges": tree.edges.astype(np.int32),
-            "weights": np.asarray(tree.weights, dtype=np.float64),
-            "ranks": tree.ranks.astype(np.int32),
-            "parents": parents,
-            "leaf_parent": leaf_parents(tree).astype(np.int32),
-            "depth": depth,
-            "up": lifting_table(parents, depth),
-        }
+    """:func:`build_snapshot` derives the leaf order with vectorized passes
+    and one traversal; each slab is checked against a computation that
+    shares none of it: the tree slabs against the dendrogram object, every
+    gap against :class:`DendrogramIndex`, the gap sequence against the §3.1
+    Cartesian-tree identity, and the table against a brute sliding max."""
 
     @pytest.mark.parametrize("kind", ["path", "star", "random", "caterpillar", "broom", "binary"])
     @pytest.mark.parametrize("n", [2, 3, 33, 97])
@@ -329,10 +334,35 @@ class TestBuildFromSlabs:
         )
         dend = single_linkage_dendrogram(tree, algorithm="sequf")
         got = build_snapshot(dend)
-        for slab, expected in self._object_path(dend).items():
+        m = n - 1
+        expected = {
+            "edges": tree.edges.astype(np.int32),
+            "weights": np.asarray(tree.weights, dtype=np.float64),
+            "ranks": tree.ranks.astype(np.int32),
+            "parents": dend.parents.astype(np.int32),
+            "by_rank": np.argsort(tree.ranks).astype(np.int32),
+        }
+        for slab, want in expected.items():
             a = getattr(got, slab)
-            assert a.dtype == expected.dtype, slab
-            assert np.array_equal(a, expected), (kind, n, slab)
+            assert a.dtype == want.dtype, slab
+            assert np.array_equal(a, want), (kind, n, slab)
+        assert sorted(got.pos.tolist()) == list(range(n))
+        leaves = np.argsort(got.pos)  # the vertex at each leaf position
+        gap_node = got.by_rank[got.table[0]]
+        # Gap i is where the leaves at positions i and i + 1 merge ...
+        index = DendrogramIndex(dend)
+        for i in range(m):
+            assert gap_node[i] == index.merge_node(int(leaves[i]), int(leaves[i + 1])), (kind, n, i)
+        # ... every node is exactly one gap, and the dendrogram is the
+        # Cartesian tree of the gap ranks (the paper's §3.1 path case).
+        assert sorted(gap_node.tolist()) == list(range(m))
+        cartesian = cartesian_tree_parents(tree.ranks[gap_node])
+        np.testing.assert_array_equal(dend.parents[gap_node], gap_node[cartesian])
+        # Row k is the max over the 2**k gaps from i on, cut off at the last gap.
+        assert got.levels == int(np.floor(np.log2(m))) + 1
+        for k in range(got.levels):
+            brute = [int(got.table[0, i : i + 2**k].max()) for i in range(m)]
+            assert got.table[k].tolist() == brute, (kind, n, k)
         assert got.n == tree.n and got.generation == -1
 
     def test_generation_stamp_forwarded(self):
@@ -343,4 +373,5 @@ class TestBuildFromSlabs:
     def test_single_edge(self):
         tree = make_tree("path", 2)
         snap = build_snapshot(single_linkage_dendrogram(tree, algorithm="sequf"))
-        assert snap.m == 1 and snap.leaf_parent.tolist() == [0, 0]
+        assert snap.m == 1 and sorted(snap.pos.tolist()) == [0, 1]
+        assert snap.by_rank.tolist() == [0] and snap.table.tolist() == [[0]]
