@@ -16,7 +16,7 @@ from repro.structures import make_heap
 from repro.structures.unionfind import UnionFind
 from repro.trees.boruvka import boruvka_mst
 from repro.trees.generators import knuth_tree
-from repro.trees.mst import kruskal_mst, prim_mst
+from repro.trees.mst import kruskal_mst, mst_ids
 from repro.trees.weights import apply_scheme
 
 
@@ -103,7 +103,7 @@ def test_time_rc_tree_build_fast(benchmark):
     run_once(benchmark, build_rc_tree_fast, tree, record_events=False)
 
 
-@pytest.mark.parametrize("method", ["kruskal", "prim", "boruvka"])
+@pytest.mark.parametrize("method", ["kruskal", "boruvka", "mst_ids"])
 def test_time_mst_methods(benchmark, method):
     rng = np.random.default_rng(0)
     n = min(benchmark_n(), 2000)
@@ -117,7 +117,7 @@ def test_time_mst_methods(benchmark, method):
             edges.append((u, v))
     edge_arr = np.array(edges, dtype=np.int64)
     weights = rng.permutation(len(edges)).astype(np.float64)
-    fn = {"kruskal": kruskal_mst, "prim": prim_mst, "boruvka": boruvka_mst}[method]
+    fn = {"kruskal": kruskal_mst, "boruvka": boruvka_mst, "mst_ids": mst_ids}[method]
     benchmark.group = "micro:mst"
     ids = run_once(benchmark, fn, n, edge_arr, weights)
     assert len(ids) == n - 1

@@ -55,10 +55,11 @@ def main() -> None:
         print("\ndendrogram:")
         print(res.dendrogram.render(show_leaves=False))
 
-        # Compare MST methods: the hierarchy must be identical.
-        alt = graph_single_linkage(n, edges, weights, mst_method="boruvka")
+        # Compare backends: the reference pipeline runs the scalar Boruvka
+        # round loop and dendrogram code, and its hierarchy must be identical.
+        alt = graph_single_linkage(n, edges, weights, algorithm="rctt", backend="reference")
         ks, scores = fowlkes_mallows_curve(res.mst, alt.mst, ks=[2, 3, 4])
-        print(f"\nB_k agreement Kruskal vs Boruvka pipelines: {scores.tolist()}")
+        print(f"\nB_k agreement array vs reference pipelines: {scores.tolist()}")
         assert (scores == 1.0).all()
 
         out = Path(tmp) / "linkage.csv"

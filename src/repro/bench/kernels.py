@@ -28,7 +28,7 @@ from repro.datasets.ladders import FAMILY_BUILDERS
 from repro.datasets.synthetic_graphs import preferential_attachment_graph
 from repro.runtime.cost_model import CostTracker
 from repro.trees.boruvka import boruvka_mst
-from repro.trees.mst import kruskal_mst
+from repro.trees.mst import kruskal_mst, mst_ids
 
 __all__ = ["Kernel", "KERNELS", "kernel_names"]
 
@@ -182,7 +182,7 @@ def _ref_dynamic_update(payload: Any, tracker: CostTracker | None) -> np.ndarray
     nn, edges, weights, _engine, batches = payload
 
     def recompute(es: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        ids = np.sort(kruskal_mst(nn, es, ws))
+        ids = mst_ids(nn, es, ws)
         tree = WeightedTree(nn, es[ids].copy(), ws[ids].copy(), validate=False)
         return sequf(tree)
 
@@ -223,7 +223,7 @@ def _pipeline_points_runner(backend: str) -> Callable[[Any, CostTracker | None],
         # End-to-end: k-NN graph -> Boruvka MST -> dendrogram, one backend
         # throughout.  No charged abstract ops at this layer (the stage
         # kernels carry the accounting), so the tracker is unused.
-        result = single_linkage(pts, k=8, mst_method="boruvka", backend=backend)
+        result = single_linkage(pts, k=8, backend=backend)
         return result.dendrogram.parents
 
     return run
@@ -234,9 +234,7 @@ def _pipeline_graph_runner(backend: str) -> Callable[[Any, CostTracker | None], 
         from repro.cluster.graph_linkage import graph_single_linkage
 
         n, edges, weights = payload
-        result = graph_single_linkage(
-            n, edges, weights, mst_method="boruvka", backend=backend
-        )
+        result = graph_single_linkage(n, edges, weights, backend=backend)
         return result.dendrogram.parents
 
     return run

@@ -124,9 +124,7 @@ def run_speedup(m: int = SPEEDUP_EDGES, repeats: int = 2, seed: int = 0) -> dict
         best = np.inf
         for _ in range(repeats):
             t0 = time.perf_counter()
-            result = graph_single_linkage(
-                n, edges, weights, mst_method="boruvka", backend=backend
-            )
+            result = graph_single_linkage(n, edges, weights, backend=backend)
             best = min(best, time.perf_counter() - t0)
         walls[backend] = best
         parents[backend] = result.dendrogram.parents

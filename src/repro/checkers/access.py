@@ -20,9 +20,9 @@ Cells
 -----
 A *cell* is a ``(provenance label, field)`` pair, e.g.
 ``("UnionFind#0", ("parent", 7))`` or ``("status", 12)``.  Provenance
-labels are assigned per recorder: registered names via :func:`register`,
-otherwise ``ClassName#k`` in first-touch order (stable for a fixed task
-schedule, which is what the reports need).
+labels are assigned per recorder as ``ClassName#k`` in first-touch order
+(stable for a fixed task schedule, which is what the reports need);
+strings label themselves.
 
 Exemptions
 ----------
@@ -59,7 +59,6 @@ __all__ = [
     "record_write",
     "record_atomic",
     "record_slab_write",
-    "register",
     "commit_phase",
 ]
 
@@ -208,14 +207,6 @@ def recording() -> bool:
     """True when a recorder is installed and a task segment is open."""
     rec = RECORDER
     return rec is not None and rec._current is not None
-
-
-def register(obj: object, name: str) -> None:
-    """Give ``obj`` a stable provenance ``name`` in the active recorder."""
-    rec = RECORDER
-    if rec is not None and not isinstance(obj, str):
-        rec.label_for(obj)  # ensure keepalive
-        rec._names[id(obj)] = name
 
 
 # -- hot-path hooks --------------------------------------------------------

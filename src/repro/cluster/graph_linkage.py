@@ -18,7 +18,8 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.core.api import resolve_algorithm, single_linkage_dendrogram
 from repro.dendrogram.structure import Dendrogram
-from repro.trees.mst import _check_graph, minimum_spanning_tree
+from repro.trees.mst import minimum_spanning_tree
+from repro.trees.validation import check_graph
 from repro.trees.wtree import WeightedTree
 
 __all__ = ["graph_single_linkage", "GraphLinkageResult"]
@@ -45,7 +46,7 @@ def graph_single_linkage(
     edges: np.ndarray,
     weights: np.ndarray,
     algorithm: str = "rctt",
-    mst_method: str = "kruskal",
+    mst_method: str = "boruvka",
     backend: str = "auto",
     **algorithm_options,
 ) -> GraphLinkageResult:
@@ -60,9 +61,19 @@ def graph_single_linkage(
     ``backend`` is forwarded to the MST and dendrogram stages
     (every backend returns a bit-identical result); ``(algorithm,
     backend)`` is checked before any work.
+
+    The MST stage (:func:`~repro.trees.mst.mst_ids`) picks its algorithm
+    from the graph's density.  ``mst_method`` selects nothing: it is
+    accepted only as ``"boruvka"``, for callers that still name it.
     """
+    if mst_method != "boruvka":
+        raise ValueError(
+            f"unknown MST method {mst_method!r}: the MST stage picks its "
+            "algorithm from the graph's density, and mst_method accepts "
+            "only 'boruvka'"
+        )
     resolve_algorithm(algorithm, backend)
-    edges, weights = _check_graph(n, edges, weights)
+    edges, weights = check_graph(n, edges, weights)
     ends = edges.reshape(-1, 2)
     ones = np.ones(ends.shape[0], dtype=np.int8)
     n_components, labels = connected_components(
@@ -77,7 +88,7 @@ def graph_single_linkage(
         edges = np.concatenate([ends, bridge_rows])
         weights = np.concatenate([weights, base + np.arange(n_components - 1, dtype=np.float64)])
 
-    mst = minimum_spanning_tree(n, edges, weights, method=mst_method, backend=backend)
+    mst = minimum_spanning_tree(n, edges, weights, backend=backend)
     dend = single_linkage_dendrogram(
         mst, algorithm=algorithm, backend=backend, **algorithm_options
     )

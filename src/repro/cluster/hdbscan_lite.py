@@ -71,7 +71,7 @@ def hdbscan_lite(
     edges = np.stack([iu, ju], axis=1).astype(np.int64)
     mreach = np.maximum(np.maximum(core[iu], core[ju]), dists[iu, ju])
 
-    mst = minimum_spanning_tree(n, edges, mreach, method="kruskal")
+    mst = minimum_spanning_tree(n, edges, mreach)
     dend = single_linkage_dendrogram(mst, algorithm=algorithm)
 
     if cut_distance is None:

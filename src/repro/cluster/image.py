@@ -79,6 +79,6 @@ def alpha_tree(image: np.ndarray, algorithm: str = "rctt", **options) -> AlphaTr
     if n == 1:
         tree = WeightedTree(1, np.zeros((0, 2), dtype=np.int64), np.zeros(0))
     else:
-        tree = minimum_spanning_tree(n, edges, weights, method="kruskal")
+        tree = minimum_spanning_tree(n, edges, weights)
     dend = single_linkage_dendrogram(tree, algorithm=algorithm, **options)
     return AlphaTreeResult(shape=(img.shape[0], img.shape[1]), mst=tree, dendrogram=dend)

@@ -47,7 +47,6 @@ def single_linkage(
     points: np.ndarray,
     k: int | None = None,
     algorithm: str = "rctt",
-    mst_method: str = "kruskal",
     backend: str = "auto",
     **algorithm_options,
 ) -> SingleLinkageResult:
@@ -63,8 +62,6 @@ def single_linkage(
         graph (exact single linkage, quadratic).
     algorithm:
         Dendrogram algorithm name (see :data:`repro.core.api.ALGORITHMS`).
-    mst_method:
-        ``kruskal`` / ``prim`` / ``scipy`` / ``boruvka``.
     backend:
         Forwarded to both the MST stage and the dendrogram stage
         (``"auto"`` / ``"reference"`` / ``"array"``, see
@@ -78,7 +75,7 @@ def single_linkage(
         n, edges, weights = complete_graph(pts)
     else:
         n, edges, weights = knn_graph(pts, k)
-    mst = minimum_spanning_tree(n, edges, weights, method=mst_method, backend=backend)
+    mst = minimum_spanning_tree(n, edges, weights, backend=backend)
     dend = single_linkage_dendrogram(
         mst, algorithm=algorithm, backend=backend, **algorithm_options
     )

@@ -69,7 +69,7 @@ from repro.checkers.bounds import cost_bound
 from repro.core.fast import sequf_fast
 from repro.dendrogram.structure import Dendrogram
 from repro.errors import InvalidGraphError, InvalidWeightsError, NotConnectedError
-from repro.trees.mst import kruskal_mst
+from repro.trees.mst import mst_ids
 from repro.trees.weights import ranks_of
 from repro.trees.wtree import WeightedTree
 
@@ -144,7 +144,7 @@ class DynamicSLD:
         """
         edges = np.asarray(edges, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
-        tree_ids = np.sort(kruskal_mst(n, edges, weights))
+        tree_ids = mst_ids(n, edges, weights)
         if edges.shape[0]:
             canon = np.sort(edges, axis=1)
             if np.unique(canon, axis=0).shape[0] != edges.shape[0]:

@@ -51,9 +51,17 @@ __all__ = ["sequf_fast"]
 
 _BIG = np.iinfo(np.int64).max
 
-#: Edge count above which the larger window pays for itself (measured;
-#: see EXPERIMENTS.md).
+#: Edges per window, and from ``_WIDE_INPUT`` edges on, the larger window
+#: that pays for itself there (measured; see EXPERIMENTS.md).
+_WINDOW = 8192
+_WIDE_WINDOW = 16384
 _WIDE_INPUT = 98304
+
+#: A window's residue of at most this many edges goes to the scalar drain.
+_DRAIN_BELOW = 128
+
+#: Vectorized rounds per window before the scalar drain takes the rest.
+_MAX_ROUNDS = 4
 
 
 @cost_bound(
@@ -71,19 +79,12 @@ _WIDE_INPUT = 98304
     },
     returns="int64",
 )
-def sequf_fast(
-    tree: WeightedTree,
-    tracker: CostTracker | None = None,
-    window: int | None = None,
-    drain_below: int = 128,
-    max_rounds: int = 4,
-) -> np.ndarray:
+def sequf_fast(tree: WeightedTree, tracker: CostTracker | None = None) -> np.ndarray:
     """Parent array of the SLD, by windowed array union-find merging.
 
-    Bit-identical to :func:`repro.core.sequf.sequf` on every input.
-    ``window``/``drain_below``/``max_rounds`` tune the batching; the
-    defaults are the measured sweet spot (``window`` adapts to the input
-    size when ``None``).
+    Bit-identical to :func:`repro.core.sequf.sequf` on every input.  The
+    batching constants (``_WINDOW``, ``_DRAIN_BELOW``, ``_MAX_ROUNDS``)
+    are the measured sweet spot.
     """
     if instrumented(tracker):
         return sequf(tree, tracker=tracker)
@@ -91,10 +92,9 @@ def sequf_fast(
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
-    if window is None:
-        window = 16384 if m >= _WIDE_INPUT else 8192
+    window = _WIDE_WINDOW if m >= _WIDE_INPUT else _WINDOW
     order = np.argsort(tree.ranks, kind="stable")
-    _merge_windowed(tree, order, parents, window, drain_below, max_rounds)
+    _merge_windowed(tree, order, parents, window, _DRAIN_BELOW, _MAX_ROUNDS)
     return parents
 
 
@@ -379,7 +379,7 @@ def _drain_local(
     kk = w.size
     # The scalar drain is the point of this helper: the residue is small,
     # and CPython-level list walking beats vectorized passes below ~128
-    # elements (measured, see drain_below).  Host handoff is deliberate.
+    # elements (measured, see _DRAIN_BELOW).  Host handoff is deliberate.
     lu = inv[:kk].tolist()  # noqa: RPR205 -- scalar drain by design
     lv = inv[kk:].tolist()  # noqa: RPR205 -- scalar drain by design
     lp = list(range(uniq.size))

@@ -101,7 +101,6 @@ def preferential_attachment_graph(
 def social_mst(
     n: int,
     edges: np.ndarray,
-    mst_method: str = "kruskal",
     seed: int | np.random.Generator | None = None,
 ) -> WeightedTree:
     """The paper's real-world-tree pipeline on a (possibly disconnected)
@@ -129,4 +128,4 @@ def social_mst(
         weights = np.concatenate(
             [weights, np.full(len(extra), bridge_w) + rng.random(len(extra))]
         )
-    return minimum_spanning_tree(n, edges, weights, method=mst_method)
+    return minimum_spanning_tree(n, edges, weights)

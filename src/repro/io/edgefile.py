@@ -12,7 +12,7 @@ On top of the reader sit the two halves of an external sort by the
 deterministic ``(weight, edge-id)`` rank key:
 
 * :func:`spill_runs` reads the file chunk-by-chunk, validates each chunk
-  (the streamed twin of ``repro.trees.mst._check_graph``), sorts it by
+  (the streamed twin of ``repro.trees.validation.check_graph``), sorts it by
   the rank key (a stable weight sort -- ids are ascending within a
   chunk), and writes each sorted run to a spill directory as packed
   :data:`RUN_DTYPE` records.
@@ -108,7 +108,7 @@ def iter_edge_chunks(
 
     Chunks arrive in file (= edge-id) order; ``start_id`` is the global id
     of the chunk's first edge.  With ``validate=True`` each chunk is
-    checked like ``_check_graph`` (endpoint range, self loops, finite
+    checked like ``check_graph`` (endpoint range, self loops, finite
     weights) and the first offending chunk raises
     :class:`~repro.errors.InvalidGraphError`.
     """

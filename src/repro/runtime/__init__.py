@@ -12,7 +12,7 @@ See DESIGN.md section 1 for why this substitution preserves the paper's
 experimental shape.
 """
 
-from repro.runtime.brent import brent_time, calibrated_times, self_speedup, speedup_curve
+from repro.runtime.brent import calibrated_times
 from repro.runtime.cost_model import CostTracker, WorkDepth, combine_parallel
 from repro.runtime.instrumentation import recording, span
 from repro.runtime.scheduler import Scheduler
@@ -21,10 +21,7 @@ __all__ = [
     "CostTracker",
     "WorkDepth",
     "combine_parallel",
-    "brent_time",
-    "speedup_curve",
     "calibrated_times",
-    "self_speedup",
     "recording",
     "span",
     "Scheduler",

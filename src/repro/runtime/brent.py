@@ -26,23 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.util import geomean
-
-__all__ = [
-    "brent_time",
-    "time_scale",
-    "speedup_curve",
-    "calibrated_times",
-    "self_speedup",
-    "geomean_speedup",
-]
-
-
-def brent_time(work: float, depth: float, p: int) -> float:
-    """Greedy-scheduler time bound ``W/P + D`` (abstract units)."""
-    if p < 1:
-        raise ValueError(f"processor count must be >= 1, got {p}")
-    return work / p + depth
+__all__ = ["time_scale", "calibrated_times"]
 
 
 def time_scale(work: float, depth: float, p: int) -> float:
@@ -61,11 +45,6 @@ def time_scale(work: float, depth: float, p: int) -> float:
     return min(1.0, (work / p + depth) / work)
 
 
-def speedup_curve(work: float, depth: float, ps: Sequence[int]) -> list[float]:
-    """Predicted speedup ``T(1)/T(P)`` for each processor count in ``ps``."""
-    return [1.0 / time_scale(work, depth, p) for p in ps]
-
-
 def calibrated_times(
     t1_seconds: float, work: float, depth: float, ps: Sequence[int]
 ) -> list[float]:
@@ -77,13 +56,3 @@ def calibrated_times(
     if t1_seconds < 0:
         raise ValueError("t1_seconds must be non-negative")
     return [t1_seconds * time_scale(work, depth, p) for p in ps]
-
-
-def self_speedup(work: float, depth: float, p: int) -> float:
-    """Simulated self-relative speedup on ``p`` processors."""
-    return 1.0 / time_scale(work, depth, p)
-
-
-def geomean_speedup(speedups: Sequence[float]) -> float:
-    """Geometric-mean speedup, as reported in the paper's Section 5."""
-    return geomean(list(speedups))

@@ -16,8 +16,8 @@ from repro.trees.generators import (
     star_of_stars,
     star_tree,
 )
-from repro.trees.boruvka import boruvka_mst, boruvka_tree
-from repro.trees.mst import kruskal_mst, minimum_spanning_tree, prim_mst
+from repro.trees.boruvka import boruvka_mst
+from repro.trees.mst import kruskal_mst, minimum_spanning_tree, mst_ids
 from repro.trees.validation import validate_tree_edges, validate_weights
 from repro.trees.weights import apply_scheme, ranks_of, WEIGHT_SCHEMES
 from repro.trees.wtree import WeightedTree
@@ -38,8 +38,7 @@ __all__ = [
     "validate_tree_edges",
     "validate_weights",
     "minimum_spanning_tree",
+    "mst_ids",
     "kruskal_mst",
-    "prim_mst",
     "boruvka_mst",
-    "boruvka_tree",
 ]

@@ -1,12 +1,13 @@
 """Boruvka's MST algorithm (the classic parallel-friendly MST).
 
 The paper's pipelines reduce graphs to trees via an MST (Section 2.3);
-Kruskal and Prim (in :mod:`repro.trees.mst`) are inherently sequential,
-while Boruvka proceeds in ``O(log n)`` rounds -- in each round every
-component selects its minimum-rank incident edge and components merge
-along the selected edges.  This is the MST algorithm a parallel SLD
-pipeline would actually pair with, so it is instrumented with the same
-work/depth charges as the dendrogram algorithms.
+Kruskal (in :mod:`repro.trees.mst`) is inherently sequential, while
+Boruvka proceeds in ``O(log n)`` rounds -- in each round every component
+selects its minimum-rank incident edge and components merge along the
+selected edges.  This is the MST algorithm a parallel SLD pipeline would
+actually pair with, so it is instrumented with the same work/depth
+charges as the dendrogram algorithms, and it is the one
+:func:`repro.trees.mst.mst_ids` runs on sparse graphs.
 
 Ties are broken by edge id (rank order), which also guarantees the
 selected edge set is acyclic without needing the usual
@@ -21,12 +22,11 @@ from repro.errors import NotConnectedError
 from repro.runtime.cost_model import CostTracker, WorkDepth, check_backend, instrumented
 from repro.structures.unionfind import UnionFind
 from repro.trees.boruvka_fast import spanning_forest
-from repro.trees.mst import _check_graph
+from repro.trees.validation import check_graph
 from repro.trees.weights import ranks_of
-from repro.trees.wtree import WeightedTree
 from repro.util import log2ceil
 
-__all__ = ["boruvka_mst", "boruvka_rounds", "boruvka_tree"]
+__all__ = ["boruvka_mst", "boruvka_rounds"]
 
 
 def boruvka_mst(
@@ -60,7 +60,7 @@ def boruvka_rounds(
     permutation, so min-edge selection has no ties.
     """
     check_backend(backend)
-    edges, weights = _check_graph(n, edges, weights)
+    edges, weights = check_graph(n, edges, weights)
     ranks = ranks_of(weights)
     if backend == "reference" or instrumented(tracker):
         uf = UnionFind(n)
@@ -125,17 +125,3 @@ def _boruvka_loop(
         if added == 0:
             break
     return chosen, rounds
-
-
-def boruvka_tree(
-    n: int,
-    edges: np.ndarray,
-    weights: np.ndarray,
-    tracker: CostTracker | None = None,
-    backend: str = "auto",
-) -> WeightedTree:
-    """Boruvka MST packaged as a :class:`~repro.trees.wtree.WeightedTree`."""
-    edge_arr = np.asarray(edges, dtype=np.int64)
-    weight_arr = np.asarray(weights, dtype=np.float64)
-    ids = boruvka_mst(n, edge_arr, weight_arr, tracker=tracker, backend=backend)
-    return WeightedTree(n, edge_arr[ids], weight_arr[ids], validate=False)

@@ -2,39 +2,39 @@
 
 Single-linkage clustering of a weighted connected graph equals single
 linkage on its MST (Gower & Ross 1969; paper Section 2.3), so the
-clustering pipelines in :mod:`repro.cluster` and the real-world-input
-benchmarks (Figure 8) run one of these MST routines before the dendrogram
-algorithms.
+clustering pipelines in :mod:`repro.cluster`, the dynamic engine and the
+real-world-input benchmarks (Figure 8) build one before the dendrogram
+algorithms.  They all call one MST stage, :func:`mst_ids` (or
+:func:`minimum_spanning_tree`, its ids packaged as a tree), which picks
+the algorithm from the graph's density:
 
-The routines:
+* below :data:`KRUSKAL_DENSITY` edges per vertex, Borůvka
+  (:func:`repro.trees.boruvka.boruvka_rounds`: the array spanning-forest
+  kernel, or the instrumented round loop);
+* from there on, :func:`kruskal_mst` -- Kruskal with union-find (batched
+  when uninstrumented), whose rank-order scan stops once the tree is
+  complete, so most of a dense graph's edges are never scanned.
 
-* :func:`kruskal_mst` -- Kruskal with union-find (batched when
-  uninstrumented);
-* :func:`prim_mst` -- Prim with a binary heap;
-* :func:`scipy_mst` -- SciPy's csgraph, for cross-checking;
-* :func:`streaming_kruskal_mst` -- out-of-core Kruskal over a REDG1 edge
-  file: external sort into spill runs, then a k-way merge in rank order
-  whose batches are solved by the spanning-forest kernel;
-* Borůvka (:mod:`repro.trees.boruvka`), reached through
-  :func:`minimum_spanning_tree` with ``method="boruvka"``.
+:func:`kruskal_mst` is also the independent oracle the tests, the fuzzer
+and the benchmark check every other MST against, and
+:func:`streaming_kruskal_mst` is out-of-core Kruskal over a REDG1 edge
+file: external sort into spill runs, then a k-way merge in rank order
+whose batches are solved by the spanning-forest kernel.
 
-Ties are broken by edge id (rank order) everywhere except SciPy, so the
-others return the same tree on every input.
+Ties are broken by edge id (rank order) everywhere, so ranks are unique,
+the MST is unique, and every routine returns the same tree.
 """
 
 from __future__ import annotations
 
-import heapq
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree as _scipy_mst
 
 from repro.checkers.bounds import cost_bound
 from repro.checkers.contracts import slab_contract
-from repro.errors import InvalidGraphError, NotConnectedError
+from repro.errors import NotConnectedError
 from repro.runtime.cost_model import (
     CostTracker,
     WorkDepth,
@@ -43,37 +43,27 @@ from repro.runtime.cost_model import (
     instrumented,
 )
 from repro.structures.unionfind import UnionFind
+from repro.trees import boruvka
 from repro.trees.boruvka_fast import spanning_forest
+from repro.trees.validation import check_graph
 from repro.trees.weights import ranks_of
 from repro.trees.wtree import WeightedTree
 
 __all__ = [
+    "KRUSKAL_DENSITY",
     "kruskal_mst",
-    "prim_mst",
-    "scipy_mst",
+    "mst_ids",
     "streaming_kruskal_mst",
     "minimum_spanning_tree",
 ]
 
+#: Edges per vertex from which :func:`mst_ids` runs Kruskal instead of
+#: Borůvka: the largest density at which Borůvka was no slower at every
+#: measured size (the crossover falls as n grows; see EXPERIMENTS.md).
+KRUSKAL_DENSITY = 24
+
 #: Edges per vectorized Kruskal batch (the fast-path inner-loop grain).
 _KRUSKAL_CHUNK = 4096
-
-
-def _check_graph(n: int, edges: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.asarray(edges, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if edges.ndim != 2 or (edges.size and edges.shape[1] != 2):
-        raise InvalidGraphError(f"edges must have shape (m, 2), got {edges.shape}")
-    if weights.shape != (edges.shape[0],):
-        raise InvalidGraphError("need exactly one weight per edge")
-    if edges.size:
-        if edges.min() < 0 or edges.max() >= n:
-            raise InvalidGraphError(f"edge endpoints must lie in [0, {n})")
-        if (edges[:, 0] == edges[:, 1]).any():
-            raise InvalidGraphError("self loops are not allowed")
-    if not np.isfinite(weights).all():
-        raise InvalidGraphError("weights must be finite")
-    return edges, weights
 
 
 def kruskal_mst(
@@ -95,7 +85,7 @@ def kruskal_mst(
     intra-component edges the same way.  The instrumented path keeps the
     classic per-edge scan so charged find steps stay exact per element.
     """
-    edges, weights = _check_graph(n, edges, weights)
+    edges, weights = check_graph(n, edges, weights)
     ranks = ranks_of(weights)
     order = np.argsort(ranks)
     uf = UnionFind(n)
@@ -176,76 +166,6 @@ def _kruskal_scan_batched(
     return chosen
 
 
-def prim_mst(n: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Edge ids of the MST, by Prim's algorithm with a binary heap."""
-    edges, weights = _check_graph(n, edges, weights)
-    ranks = ranks_of(weights)
-    # adjacency as CSR over both directions
-    m = edges.shape[0]
-    endpoints = edges.reshape(-1)
-    order = np.argsort(endpoints, kind="stable")
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(endpoints, minlength=n), out=offsets[1:])
-    nbr_vertex = endpoints[order ^ 1]
-    nbr_edge = order >> 1
-    in_tree = np.zeros(n, dtype=bool)
-    chosen: list[int] = []
-    heap: list[tuple[int, int, int]] = []  # (rank, edge_id, far_vertex)
-
-    def push_incident(v: int) -> None:
-        for s in range(int(offsets[v]), int(offsets[v + 1])):
-            w = int(nbr_vertex[s])
-            if not in_tree[w]:
-                e = int(nbr_edge[s])
-                heapq.heappush(heap, (int(ranks[e]), e, w))
-
-    in_tree[0] = True
-    push_incident(0)
-    while heap and len(chosen) < n - 1:
-        _, e, w = heapq.heappop(heap)
-        if in_tree[w]:
-            continue
-        in_tree[w] = True
-        chosen.append(e)
-        push_incident(w)
-    if len(chosen) != n - 1:
-        raise NotConnectedError(
-            f"graph is not connected: reached {int(in_tree.sum())} of {n} vertices"
-        )
-    return np.asarray(chosen, dtype=np.int64)
-
-
-def scipy_mst(n: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Edge ids of an MST computed by SciPy's csgraph (cross-check backend).
-
-    SciPy breaks weight ties arbitrarily, so on tied inputs this may return
-    a different (equal-weight) tree than Kruskal/Prim; dendrogram *heights*
-    are identical either way.
-    """
-    edges, weights = _check_graph(n, edges, weights)
-    # Encode edge ids so they can be recovered from the csgraph output:
-    # shift weights to strictly positive values and use data = weight only;
-    # match returned coordinates back to input edges via a dict.
-    lookup: dict[tuple[int, int], int] = {}
-    for e in range(edges.shape[0]):
-        u, v = int(edges[e, 0]), int(edges[e, 1])
-        key = (min(u, v), max(u, v))
-        prev = lookup.get(key)
-        if prev is None or weights[e] < weights[prev]:
-            lookup[key] = e
-    graph = coo_matrix(
-        (weights - weights.min() + 1.0, (edges[:, 0], edges[:, 1])), shape=(n, n)
-    )
-    mst = _scipy_mst(graph).tocoo()
-    if mst.nnz != n - 1:
-        raise NotConnectedError(f"graph is not connected: MST has {mst.nnz} edges, need {n - 1}")
-    chosen = []
-    for u, v in zip(mst.row, mst.col):
-        key = (min(int(u), int(v)), max(int(u), int(v)))
-        chosen.append(lookup[key])
-    return np.asarray(sorted(chosen), dtype=np.int64)
-
-
 @cost_bound(
     work="m * log(m)",
     depth="m",
@@ -281,8 +201,8 @@ def streaming_kruskal_mst(
     so each batch's forest is unique.  Peak memory is ``O(n + chunk)``
     regardless of ``m``.  Raises :class:`NotConnectedError` when the
     graph does not span ``n`` vertices,
-    :class:`~repro.io.FormatError` / :class:`InvalidGraphError` for
-    malformed files.
+    :class:`~repro.io.FormatError` /
+    :class:`~repro.errors.InvalidGraphError` for malformed files.
     """
     from repro.io.edgefile import merge_runs, read_edge_header, spill_runs
 
@@ -354,40 +274,46 @@ def _scan_rank_batch(
     return ids[cross][picked]
 
 
-_METHODS = {"kruskal": kruskal_mst, "prim": prim_mst, "scipy": scipy_mst}
+def mst_ids(
+    n: int,
+    edges: np.ndarray,
+    weights: np.ndarray,
+    backend: str = "auto",
+) -> np.ndarray:
+    """Ascending edge ids of the MST, by the algorithm the density picks.
+
+    Below :data:`KRUSKAL_DENSITY` edges per vertex this runs Borůvka
+    (:func:`repro.trees.boruvka.boruvka_rounds`, looked up at call time):
+    the array spanning-forest kernel, or the reference round loop under
+    ``backend="reference"`` or instrumentation.  From there on it runs
+    :func:`kruskal_mst`, which picks its fast path from instrumentation
+    state and ignores ``backend``.  The ids are the same either way:
+    ranks are unique, so the MST is.
+
+    Raises :class:`~repro.errors.InvalidGraphError` for malformed input
+    and :class:`NotConnectedError` if the graph does not span ``n``
+    vertices.
+    """
+    check_backend(backend)
+    if len(edges) >= KRUSKAL_DENSITY * n:
+        return np.sort(kruskal_mst(n, edges, weights))
+    return boruvka.boruvka_rounds(n, edges, weights, backend=backend)[0]
+
 
 def minimum_spanning_tree(
     n: int,
     edges: np.ndarray,
     weights: np.ndarray,
-    method: str = "kruskal",
     backend: str = "auto",
 ) -> WeightedTree:
-    """MST of a weighted graph as a :class:`WeightedTree`.
+    """MST of a weighted graph (the :func:`mst_ids` stage) as a
+    :class:`WeightedTree`.
 
     The returned tree's edges keep their graph weights; edge ids are
-    renumbered 0..n-2 in increasing original-edge-id order.  ``method``
-    is one of ``"kruskal"``, ``"prim"``, ``"scipy"``, or ``"boruvka"``
-    (the parallel-friendly round algorithm, see
-    :mod:`repro.trees.boruvka`).  ``backend`` selects the Boruvka round
-    implementation (``"reference"`` scalar loop vs the vectorized
-    ``"array"``/``"auto"`` kernel); the other methods pick their fast
-    path from instrumentation state and accept but ignore it.
+    renumbered 0..n-2 in increasing original-edge-id order.  ``backend``
+    is forwarded to :func:`mst_ids`.
     """
-    check_backend(backend)
     edge_arr = np.asarray(edges, dtype=np.int64)
     weight_arr = np.asarray(weights, dtype=np.float64)
-    if method == "boruvka":
-        from repro.trees.boruvka import boruvka_mst  # mst <-> boruvka cycle
-
-        ids = boruvka_mst(n, edge_arr, weight_arr, backend=backend)  # already sorted
-    else:
-        try:
-            fn = _METHODS[method]
-        except KeyError:
-            raise ValueError(
-                f"unknown MST method {method!r}; expected one of "
-                f"{sorted([*_METHODS, 'boruvka'])}"
-            ) from None
-        ids = np.sort(fn(n, edge_arr, weight_arr))
+    ids = mst_ids(n, edge_arr, weight_arr, backend=backend)
     return WeightedTree(n, edge_arr[ids], weight_arr[ids], validate=False)

@@ -1,4 +1,4 @@
-"""Structural validation of tree inputs.
+"""Structural validation of tree and graph inputs.
 
 Raises the typed exceptions from :mod:`repro.errors` with messages that name
 the first offending edge/vertex, so pipeline failures are diagnosable.
@@ -8,9 +8,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import InvalidTreeError, InvalidWeightsError
+from repro.errors import InvalidGraphError, InvalidTreeError, InvalidWeightsError
 
-__all__ = ["validate_tree_edges", "validate_weights"]
+__all__ = ["check_graph", "validate_tree_edges", "validate_weights"]
+
+
+def check_graph(n: int, edges: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A graph's ``(edges, weights)`` as int64/float64 arrays, checked.
+
+    Raises :class:`~repro.errors.InvalidGraphError` unless ``edges`` is
+    ``(m, 2)`` with endpoints in ``[0, n)`` and no self loops, and
+    ``weights`` holds one finite weight per edge.
+    """
+    edges = np.asarray(edges, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if edges.ndim != 2 or (edges.size and edges.shape[1] != 2):
+        raise InvalidGraphError(f"edges must have shape (m, 2), got {edges.shape}")
+    if weights.shape != (edges.shape[0],):
+        raise InvalidGraphError("need exactly one weight per edge")
+    if edges.size:
+        if edges.min() < 0 or edges.max() >= n:
+            raise InvalidGraphError(f"edge endpoints must lie in [0, {n})")
+        if (edges[:, 0] == edges[:, 1]).any():
+            raise InvalidGraphError("self loops are not allowed")
+    if not np.isfinite(weights).all():
+        raise InvalidGraphError("weights must be finite")
+    return edges, weights
 
 
 def validate_tree_edges(n: int, edges: np.ndarray) -> None:

@@ -126,9 +126,7 @@ def test_graph_pipeline_end_to_end_bit_identical(kind, family):
         n, edges = _graph_from_tree(kind, n, rng)
         weights = weights_of(edges.shape[0], rng)
         results = {
-            backend: graph_single_linkage(
-                n, edges, weights, mst_method="boruvka", backend=backend
-            )
+            backend: graph_single_linkage(n, edges, weights, backend=backend)
             for backend in ("reference", "array", "auto")
         }
         ref = results["reference"]
@@ -140,17 +138,20 @@ def test_graph_pipeline_end_to_end_bit_identical(kind, family):
 
 
 @pytest.mark.parametrize("mst_method", ["kruskal", "boruvka"])
-def test_points_pipeline_end_to_end_bit_identical(mst_method):
+def test_points_pipeline_end_to_end_bit_identical(mst_method, monkeypatch):
     """``single_linkage(backend="array")`` on point clouds (both the k-NN
-    and complete-graph front ends) must match the reference backend."""
+    and complete-graph front ends) must match the reference backend, on
+    either side of the MST stage's density threshold (forced here)."""
     from repro.cluster.single_linkage import single_linkage
+    from repro.trees import mst
 
+    monkeypatch.setattr(mst, "KRUSKAL_DENSITY", 0 if mst_method == "kruskal" else 2**40)
     rng = np.random.default_rng(20240808)
     # Duplicate coordinates force tied distances through the whole stack.
     pts = rng.integers(0, 6, size=(60, 2)).astype(np.float64)
     for k in (None, 3):
-        ref = single_linkage(pts, k=k, mst_method=mst_method, backend="reference")
-        arr = single_linkage(pts, k=k, mst_method=mst_method, backend="array")
+        ref = single_linkage(pts, k=k, backend="reference")
+        arr = single_linkage(pts, k=k, backend="array")
         assert np.array_equal(arr.mst.edges, ref.mst.edges)
         assert arr.mst.weights.tobytes() == ref.mst.weights.tobytes()
         assert np.array_equal(arr.dendrogram.parents, ref.dendrogram.parents)

@@ -13,6 +13,7 @@ from repro.cluster.single_linkage import single_linkage
 from repro.datasets.points import gaussian_blobs, noisy_rings
 from repro.errors import InvalidGraphError
 from repro.structures.unionfind import UnionFind
+from repro.trees import mst
 
 
 class TestPairwiseDistances:
@@ -166,13 +167,16 @@ class TestSingleLinkage:
         assert res.mst.n == 30
         assert res.mst.m == 29
 
-    @pytest.mark.parametrize("mst_method", ["kruskal", "prim"])
-    def test_mst_method_equivalent(self, rng, mst_method):
+    @pytest.mark.parametrize("mst_method", ["kruskal", "boruvka"])
+    def test_mst_method_equivalent(self, rng, mst_method, monkeypatch):
+        # Whichever algorithm the density threshold picks (forced here),
+        # the pipeline's tree is Kruskal's.
+        monkeypatch.setattr(mst, "KRUSKAL_DENSITY", 0 if mst_method == "kruskal" else 2**40)
         pts = rng.random((25, 2))
-        a = single_linkage(pts, mst_method=mst_method)
-        b = single_linkage(pts, mst_method="kruskal")
+        a = single_linkage(pts)
+        n, edges, weights = complete_graph(pts)
         np.testing.assert_allclose(
-            np.sort(a.mst.weights), np.sort(b.mst.weights)
+            np.sort(a.mst.weights), np.sort(weights[mst.kruskal_mst(n, edges, weights)])
         )
 
 

@@ -51,13 +51,27 @@ class TestGraphLinkage:
         bridge_ranks = sorted(int(ranks[e]) for e in res.bridge_edges)
         assert bridge_ranks == [3, 4]  # the two max ranks
 
-    @pytest.mark.parametrize("mst_method", ["kruskal", "prim", "boruvka"])
-    def test_mst_methods(self, rng, mst_method):
+    @pytest.mark.parametrize("mst_method", ["kruskal", "boruvka"])
+    def test_mst_methods(self, rng, mst_method, monkeypatch):
         from test_trees_mst import random_connected_graph
 
+        from repro.trees import mst
+
+        # Force each side of the density threshold: the tree is Kruskal's.
+        monkeypatch.setattr(mst, "KRUSKAL_DENSITY", 0 if mst_method == "kruskal" else 2**40)
         n, edges, weights = random_connected_graph(rng, 18)
-        res = graph_single_linkage(n, edges, weights, mst_method=mst_method)
+        res = graph_single_linkage(n, edges, weights)
         assert res.dendrogram.m == n - 1
+        ids = np.sort(mst.kruskal_mst(n, edges, weights))
+        assert np.array_equal(res.mst.edges, edges[ids])
+
+    def test_mst_method_keyword_accepts_only_boruvka(self):
+        edges, weights = np.array([[0, 1], [1, 2]]), np.array([1.0, 2.0])
+        res = graph_single_linkage(3, edges, weights, mst_method="boruvka")
+        assert res.dendrogram.m == 2
+        for name in ("kruskal", "prim"):
+            with pytest.raises(ValueError, match="MST method"):
+                graph_single_linkage(3, edges, weights, mst_method=name)
 
     def test_malformed(self):
         with pytest.raises(InvalidGraphError, match="shape"):

@@ -22,6 +22,7 @@ from repro.core.api import (
     resolve_algorithm,
     single_linkage_dendrogram,
 )
+from repro.core import fast
 from repro.core.fast import sequf_fast
 from repro.core.fast_contraction import tree_contraction_fast
 from repro.core.rctt import rctt
@@ -75,37 +76,38 @@ def _expected(tree):
 @pytest.mark.parametrize(
     "config",
     [
-        {"window": 8},  # many tiny windows: every round classification runs
-        {"window": 8, "drain_below": 0},  # never drain early
-        {"window": 4, "max_rounds": 1},  # drain immediately after one round
-        {"window": 1_000_000},  # single window covering everything
-        {"drain_below": 1_000_000},  # pure drain path, no windowed rounds
+        {"_WINDOW": 8},  # many tiny windows: every round classification runs
+        {"_WINDOW": 8, "_DRAIN_BELOW": 0},  # never drain early
+        {"_WINDOW": 4, "_MAX_ROUNDS": 1},  # drain immediately after one round
+        {"_WINDOW": 1_000_000},  # single window covering everything
+        {"_DRAIN_BELOW": 1_000_000},  # pure drain path, no windowed rounds
     ],
 )
-def test_sequf_fast_window_configs(config):
+def test_sequf_fast_window_configs(config, monkeypatch):
+    for name, value in config.items():
+        monkeypatch.setattr(fast, name, value)
     for kind, n in (("random", 97), ("caterpillar", 64), ("star", 33)):
         tree = make_tree(kind, n)
-        got = sequf_fast(tree, **config)
+        got = sequf_fast(tree)
         assert np.array_equal(got, _expected(tree)), (kind, n, config)
 
 
-def test_sequf_fast_monotone_weights_trigger_scalar_bailout():
+def test_sequf_fast_monotone_weights_trigger_scalar_bailout(monkeypatch):
     # A path with sorted weights makes every window a single rank-chain of
     # hard edges: round-1 progress stalls and the scalar mode must engage.
+    monkeypatch.setattr(fast, "_WINDOW", 64)
     n = 4096
     tree = path_tree(n).with_weights(np.arange(n - 1, dtype=np.float64))
-    got = sequf_fast(tree, window=64)
+    got = sequf_fast(tree)
     assert np.array_equal(got, _expected(tree))
     rev = path_tree(n).with_weights(np.arange(n - 1, 0, -1, dtype=np.float64))
-    assert np.array_equal(sequf_fast(rev, window=64), _expected(rev))
+    assert np.array_equal(sequf_fast(rev), _expected(rev))
 
 
 def test_sequf_fast_wide_input_window_default():
     # Just above the wide-input threshold the default window widens; the
     # result must stay identical either way.
-    from repro.core.fast import _WIDE_INPUT
-
-    tree = random_tree(_WIDE_INPUT + 2, seed=3)
+    tree = random_tree(fast._WIDE_INPUT + 2, seed=3)
     assert np.array_equal(sequf_fast(tree), _expected(tree))
 
 

@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
-from repro.runtime.brent import (
-    brent_time,
-    calibrated_times,
-    geomean_speedup,
-    self_speedup,
-    speedup_curve,
-    time_scale,
-)
+from repro.runtime.brent import calibrated_times, time_scale
 from repro.runtime.cost_model import (
     CostTracker,
     WorkDepth,
@@ -26,6 +19,7 @@ from repro.runtime.cost_model import (
 )
 from repro.runtime.instrumentation import recording, span
 from repro.runtime.scheduler import Scheduler
+from repro.util import geomean
 
 
 class TestWorkDepth:
@@ -100,8 +94,9 @@ class TestCostTracker:
 
 class TestBrent:
     def test_brent_time_bound(self):
-        assert brent_time(100, 10, 1) == 110
-        assert brent_time(100, 10, 10) == 20
+        # T(p) = W/p + D over T(1) = W, clamped at 1.
+        assert time_scale(100, 10, 1) == 1.0
+        assert time_scale(100, 10, 10) == pytest.approx(20 / 100)
 
     def test_time_scale_sequential_phase_gains_nothing(self):
         assert time_scale(100, 100, 192) == 1.0
@@ -114,18 +109,16 @@ class TestBrent:
 
     def test_bad_processors(self):
         with pytest.raises(ValueError):
-            brent_time(1, 1, 0)
-        with pytest.raises(ValueError):
             time_scale(1, 1, 0)
 
     def test_speedup_curve_monotone(self):
-        curve = speedup_curve(10_000, 10, [1, 2, 4, 8, 192])
+        curve = [1.0 / time_scale(10_000, 10, p) for p in [1, 2, 4, 8, 192]]
         assert curve[0] == 1.0
         assert all(a <= b + 1e-12 for a, b in zip(curve, curve[1:]))
 
     def test_self_speedup_capped_by_parallelism(self):
         # speedup can never exceed W/D
-        assert self_speedup(1000, 100, 10**6) <= 1000 / 100 + 1e-9
+        assert 1.0 / time_scale(1000, 100, 10**6) <= 1000 / 100 + 1e-9
 
     def test_calibrated_times_anchor(self):
         times = calibrated_times(2.0, 1000, 10, [1, 10])
@@ -144,8 +137,8 @@ class TestBrent:
             assert calibrated_times(3.5, work, depth, [1]) == [3.5]
 
     def test_geomean_speedup(self):
-        assert geomean_speedup([2.0, 8.0]) == pytest.approx(4.0)
-        assert math.isnan(geomean_speedup([]))
+        assert geomean([2.0, 8.0]) == pytest.approx(4.0)
+        assert math.isnan(geomean([]))
 
 
 class TestPhaseTimer:
