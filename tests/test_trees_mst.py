@@ -63,6 +63,34 @@ def csgraph_total(n, edges, weights):
     return csgraph_mst(graph).sum() - (n - 1) * shift
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**31 - 1))
+def test_kruskal_prim_scipy_agree_on_distinct_weights(n, seed):
+    """Distinct weights make the MST unique, so every MST routine must
+    pick the same edges: Kruskal, Borůvka on both backends (which took
+    over from Prim as Kruskal's counterpart), the MST stage, and SciPy's
+    csgraph MST (mapped back to edge ids; the graph has no parallel
+    edges)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree as csgraph_mst
+
+    from repro.trees.boruvka import boruvka_mst
+
+    rng = np.random.default_rng(seed)
+    n, edges, weights = random_connected_graph(rng, n)
+    k = np.sort(kruskal_mst(n, edges, weights))
+    assert np.array_equal(boruvka_mst(n, edges, weights), k)
+    assert np.array_equal(boruvka_mst(n, edges, weights, backend="reference"), k)
+    assert np.array_equal(mst_ids(n, edges, weights), k)
+    lo, hi = np.sort(edges, axis=1).T
+    # Weights are 0..m-1; shift them, since csgraph drops zero entries.
+    graph = coo_matrix((weights + 1.0, (lo, hi)), shape=(n, n))
+    s = csgraph_mst(graph).tocoo()
+    a, b = np.minimum(s.row, s.col), np.maximum(s.row, s.col)
+    id_of = {(int(u), int(v)): e for e, (u, v) in enumerate(zip(lo, hi))}
+    assert sorted(id_of[int(u), int(v)] for u, v in zip(a, b)) == k.tolist()
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 25), seed=st.integers(0, 2**31 - 1), past_threshold=st.booleans())
 def test_mst_weight_minimal_vs_bruteforce_total(n, seed, past_threshold):
