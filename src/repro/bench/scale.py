@@ -18,15 +18,15 @@ sizes cannot reach:
 * **points** -- one ``single_linkage(gaussian_blobs(n, centers=16,
   dim=4), k=8)`` run at ``n = 32 768`` points in a child process, metered
   the same way.  The run must complete (``n - 1`` MST edges) under
-  :func:`points_rss_budget_mb`, the k-NN stage's O(n*k + 1024*n) bound;
-  the dense n x n distance matrix alone would be 8 GiB.
+  :func:`points_rss_budget_mb`, the k-NN stage's O(n*k) bound; the dense
+  n x n distance matrix alone would be 8 GiB.
 
 ``--merge PATH`` injects the results as a top-level ``"scale"`` section
 into an existing ``BENCH_*.json`` (the baseline schema tolerates extra
 top-level keys and the regression gate ignores them), which is how the
 numbers are pinned in-repo and gated by ``tests/test_bench_perf.py``.
 ``--smoke`` runs the streaming leg at ``m = 10**6`` and the points leg
-at ``n = 16 384`` (512 MiB budget) -- the CI job that gates both
+at ``n = 16 384`` (160 MiB budget) -- the CI job that gates both
 memory bounds under slab contracts on every push.
 """
 
@@ -79,12 +79,15 @@ POINTS_N = 32_768
 def points_rss_budget_mb(n: int) -> float:
     """Peak-RSS ceiling for the points child at ``n`` points.
 
-    Three ``1024 x n`` float64 blocks -- the k-NN stage holds two at its
-    peak, one distance block and its ``argpartition`` -- plus 128 MiB for
-    the interpreter, numpy and scipy: 512 MiB at ``n = 16 384``, where the
+    128 MiB for the interpreter, numpy and scipy (``scipy.spatial``
+    included), plus 2 KiB per point for the k-NN stage's O(n*k) arrays at
+    k = 8 -- eleven k-d tree candidates per point with their distances
+    and helper weights, then the selected pairs -- which measured about
+    0.7 KiB per point (82.7 MiB peak at n = 16 384 and 93.4 MiB at
+    32 768, on a 65 MiB baseline): 160 MiB at ``n = 16 384``, where the
     dense distance matrix alone would be 2 GiB.
     """
-    return 128.0 + 3 * 1024 * n * 8 / 2**20
+    return 128.0 + 2048 * n / 2**20
 
 
 def random_connected_graph(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.knn import complete_graph, knn_graph
+from repro.cluster.knn import complete_mst, knn_graph
 from repro.core.api import resolve_algorithm, single_linkage_dendrogram
 from repro.dendrogram.linkage import cut_height, cut_k, to_scipy_linkage
 from repro.dendrogram.structure import Dendrogram
@@ -58,12 +58,15 @@ def single_linkage(
         ``(n, d)`` array of coordinates.
     k:
         Use a symmetrized exact ``k``-NN graph (the scalable choice, and
-        the paper's BigANN pipeline shape); ``None`` uses the complete
-        graph (exact single linkage, quadratic).
+        the paper's BigANN pipeline shape); ``None`` is exact single
+        linkage: the complete graph's MST by a dense Prim
+        (:func:`~repro.cluster.knn.complete_mst`, quadratic time, O(n)
+        memory), the same tree the MST stage would build from
+        :func:`~repro.cluster.knn.complete_graph`.
     algorithm:
         Dendrogram algorithm name (see :data:`repro.core.api.ALGORITHMS`).
     backend:
-        Forwarded to both the MST stage and the dendrogram stage
+        Forwarded to the k-NN graph's MST stage and to the dendrogram stage
         (``"auto"`` / ``"reference"`` / ``"array"``, see
         :func:`repro.core.api.single_linkage_dendrogram`); every backend
         returns a bit-identical result.  ``(algorithm, backend)`` is
@@ -72,10 +75,9 @@ def single_linkage(
     resolve_algorithm(algorithm, backend)
     pts = np.asarray(points, dtype=np.float64)
     if k is None:
-        n, edges, weights = complete_graph(pts)
+        mst = complete_mst(pts)
     else:
-        n, edges, weights = knn_graph(pts, k)
-    mst = minimum_spanning_tree(n, edges, weights, backend=backend)
+        mst = minimum_spanning_tree(*knn_graph(pts, k), backend=backend)
     dend = single_linkage_dendrogram(
         mst, algorithm=algorithm, backend=backend, **algorithm_options
     )

@@ -46,7 +46,6 @@ from repro.structures.unionfind import UnionFind
 from repro.trees import boruvka
 from repro.trees.boruvka_fast import spanning_forest
 from repro.trees.validation import check_graph
-from repro.trees.weights import ranks_of
 from repro.trees.wtree import WeightedTree
 
 __all__ = [
@@ -86,8 +85,7 @@ def kruskal_mst(
     classic per-edge scan so charged find steps stay exact per element.
     """
     edges, weights = check_graph(n, edges, weights)
-    ranks = ranks_of(weights)
-    order = np.argsort(ranks)
+    order = np.argsort(weights, kind="stable")  # rank order: (weight, edge id)
     uf = UnionFind(n)
     if not instrumented(tracker):
         chosen = _kruskal_scan_batched(uf, edges, order, n)

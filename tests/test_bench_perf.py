@@ -231,9 +231,9 @@ class TestCommittedScaleSection:
 
 def test_points_leg_spans_the_cloud_within_its_budget():
     """The scale bench's points leg: a child process runs the k-NN
-    pipeline and must stay under three 1024 x n blocks plus 128 MiB
-    (512 MiB at the smoke size)."""
-    assert points_rss_budget_mb(POINTS_N // 2) == 512.0
+    pipeline and must stay under 2 KiB per point plus 128 MiB (160 MiB
+    at the smoke size)."""
+    assert points_rss_budget_mb(POINTS_N // 2) == 160.0
     leg = run_points(2048)
     assert leg["completed"] and leg["mst_edges"] == 2047
     assert leg["peak_rss_mb"] <= leg["rss_budget_mb"] == points_rss_budget_mb(2048)

@@ -1,34 +1,78 @@
-"""Blocked k-NN graph construction vs the dense-matrix scalar oracles.
+"""k-NN graph construction and bridging vs dense scalar oracles.
 
-``knn_graph`` streams aligned distance blocks and ``_bridge_components``
-runs Prim over components; the original dict/scalar implementations over
-the dense :func:`pairwise_distances` matrix are kept here as
-``_knn_pairs_reference`` / ``_bridge_components_reference`` and every
-test is a strict equality against them.  Inputs past one 1024-row block
-(n = 1025, 2100) pin the row each weight is read from: the dense matrix
-is not exactly symmetric there.
+``knn_graph`` takes candidates from a k-d tree or a block pass
+(:data:`repro.cluster.knn.KDTREE_MAX_DIM`), weights them with the
+per-pair helper :func:`pair_distances` and keeps each row's ``k``
+smallest by ``(weight, index)``; ``_bridge_components`` runs Prim over
+components.  The oracles here work on the dense helper matrix instead --
+``_knn_pairs_reference`` / ``_bridge_components_reference`` are the
+original dict/scalar implementations -- and every test is a strict
+equality against them, run under both candidate sources, whose outputs
+must match byte for byte.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.knn import _bridge_components, knn_graph, pairwise_distances
+from repro.cluster import knn
+from repro.cluster.knn import _bridge_components, knn_graph, pair_distances, pairwise_distances
 from repro.datasets.points import gaussian_blobs
 from repro.structures.unionfind import UnionFind
+
+#: Module constants that force each candidate source everywhere.
+SOURCES = {
+    "blocks": {"KDTREE_MAX_DIM": 0},
+    "kdtree": {"KDTREE_MAX_DIM": 10**9, "_TREE_MIN_MEMBERS": 1},
+}
+
+
+def _from_both_sources(build):
+    """``build()`` under each candidate source; the two results must be
+    equal byte for byte.  Returns the k-d tree's."""
+    results = {}
+    for name, constants in SOURCES.items():
+        with pytest.MonkeyPatch.context() as mp:
+            for attr, value in constants.items():
+                mp.setattr(knn, attr, value)
+            results[name] = build()
+    assert _bytes(results["blocks"]) == _bytes(results["kdtree"])
+    return results["kdtree"]
+
+
+def _bytes(value):
+    """A comparable image of nested tuples/lists of arrays and scalars
+    that tells apart float bits and dtypes."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (tuple, list)):
+        return tuple(_bytes(v) for v in value)
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value
+
+
+def _dense(pts: np.ndarray) -> np.ndarray:
+    """The n x n helper matrix (the oracles' distances), in cache-sized
+    row blocks."""
+    blocks = range(0, pts.shape[0], 128)
+    return np.concatenate([pair_distances(pts[lo : lo + 128, None], pts[None]) for lo in blocks])
 
 
 def _knn_pairs_reference(
     n: int, nbrs: np.ndarray, dists: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The original dict-based pair build (kept as the test oracle for the
-    symmetrize/dedupe in :func:`knn_graph`).  Pair ``(a, b)``, ``a < b``,
-    is weighted from row ``a`` whichever endpoint selected it."""
+    symmetrize/dedupe in :func:`knn_graph`)."""
     pair_weight: dict[tuple[int, int], float] = {}
     for i in range(n):
         for j in nbrs[i]:
@@ -63,25 +107,33 @@ def _bridge_components_reference(
     return extra_e, extra_w
 
 
+def _nearest_reference(dists: np.ndarray, k: int) -> np.ndarray:
+    """Each row's ``k`` nearest other points by ``(weight, index)``: a
+    stable sort of the row with the diagonal masked."""
+    masked = dists.copy()
+    np.fill_diagonal(masked, np.inf)
+    return np.argsort(masked, axis=1, kind="stable")[:, :k]
+
+
 def _dense_oracle(
-    pts: np.ndarray, k: int
+    dists: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, list[list[int]], list[float]]:
-    """k-NN pairs and bridges computed the original way, from the dense
-    distance matrix with its diagonal masked."""
-    n = pts.shape[0]
-    dists = pairwise_distances(pts)
-    np.fill_diagonal(dists, np.inf)
-    nbrs = np.argpartition(dists, k, axis=1)[:, :k]
-    edges, weights = _knn_pairs_reference(n, nbrs, dists)
+    """k-NN pairs and bridges computed from the dense helper matrix."""
+    n = dists.shape[0]
+    edges, weights = _knn_pairs_reference(n, _nearest_reference(dists, k), dists)
     extra_e, extra_w = _bridge_components_reference(n, edges, dists)
     return edges, weights, extra_e, extra_w
 
 
-def _assert_matches_dense_oracle(pts: np.ndarray, k: int) -> list[list[int]]:
-    """``knn_graph(pts, k)`` is the oracle pairs followed by the oracle
-    bridges, weights byte for byte; returns the bridges."""
-    ref_edges, ref_weights, extra_e, extra_w = _dense_oracle(pts, k)
-    got_n, got_edges, got_weights = knn_graph(pts, k)
+def _assert_matches_dense_oracle(
+    pts: np.ndarray, k: int, dists: np.ndarray | None = None
+) -> list[list[int]]:
+    """``knn_graph(pts, k)`` from either candidate source is the oracle
+    pairs followed by the oracle bridges, weights byte for byte; returns
+    the bridges.  ``dists`` is ``_dense(pts)`` if the caller has it."""
+    dists = _dense(pts) if dists is None else dists
+    ref_edges, ref_weights, extra_e, extra_w = _dense_oracle(dists, k)
+    got_n, got_edges, got_weights = _from_both_sources(lambda: knn_graph(pts, k))
     assert got_n == pts.shape[0]
     bridges = np.asarray(extra_e, dtype=np.int64).reshape(-1, 2)
     assert np.array_equal(got_edges, np.concatenate([ref_edges, bridges]))
@@ -111,21 +163,45 @@ GRID = [
 
 @pytest.mark.parametrize("n,d,kind", GRID)
 def test_multi_block_grid_matches_dense_oracle(n, d, kind):
-    """Past one block: identical edges, weight bytes and bridge list."""
+    """Identical edges, weight bytes and bridge list, on both sides of the
+    k-d tree's dimension limit, with duplicates and several components."""
     pts = _grid_points(n, d, kind)
+    dists = _dense(pts)
     for k in (3, 8):
-        extra_e = _assert_matches_dense_oracle(pts, k)
+        extra_e = _assert_matches_dense_oracle(pts, k, dists)
         if kind == "groups":
             assert len(extra_e) >= 2
 
 
-def test_grid_includes_an_asymmetric_dense_matrix():
-    """The grid keeps exercising the row-min(a, b) weight rule only while
-    some grid input's dense matrix differs from its transpose."""
-    assert any(
-        not np.array_equal(dists, dists.T)
-        for dists in (pairwise_distances(_grid_points(*case)) for case in GRID)
-    )
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 33, 128])
+def test_pairwise_distances_is_the_helper_bit_for_bit(d, scale):
+    """SciPy's ``cdist`` behind :func:`pairwise_distances` sums in the
+    helper's coordinate order; at the extreme scales squares overflow
+    past 1e300 or fall into subnormals."""
+    rng = np.random.default_rng(d)
+    pts = (rng.random((70, d)) - 0.5) * scale
+    pts[5] = pts[3]
+    assert pairwise_distances(pts).tobytes() == _dense(pts).tobytes()
+
+
+@pytest.mark.parametrize("n,d,kind", [c for c in GRID if c[0] == 1025])
+def test_pairwise_distances_is_exactly_symmetric_with_a_zero_diagonal(n, d, kind):
+    dists = pairwise_distances(_grid_points(n, d, kind))
+    assert np.array_equal(dists, dists.T)
+    assert not np.diagonal(dists).any()
+
+
+def test_pair_distances_do_not_depend_on_the_batch():
+    """One pair's weight is the same alone, in a batch, reversed, and in
+    the dense matrix."""
+    pts = np.random.default_rng(3).random((200, 7)) * 10.0
+    a, b = np.triu_indices(200, k=1)
+    batch = pair_distances(pts[a], pts[b])
+    assert batch.tobytes() == pair_distances(pts[b], pts[a]).tobytes()
+    assert batch.tobytes() == _dense(pts)[a, b].tobytes()
+    single = [pair_distances(pts[i], pts[j]) for i, j in zip(a[:50], b[:50])]
+    assert np.array(single).tobytes() == batch[:50].tobytes()
 
 
 def test_k1_lattice_many_components_prim_tie_order():
@@ -137,18 +213,60 @@ def test_k1_lattice_many_components_prim_tie_order():
     assert len(extra_e) >= 20
 
 
-def test_knn_graph_memory_stays_blocked():
-    """n = 8192: the tracemalloc peak stays under three 1024 x n float64
-    blocks (192 MiB); the dense matrix plus its argpartition is 1 GiB."""
-    n = 8192
-    pts, _ = gaussian_blobs(n, centers=16, dim=4, seed=0)
-    tracemalloc.start()
-    try:
-        knn_graph(pts, 8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 1024 * n * 8, peak / 2**20
+@pytest.mark.parametrize("d", [2, 12])
+def test_k_is_n_minus_one(d):
+    """k + slack >= n: every point is a candidate, and the graph is complete."""
+    pts = _grid_points(60, d, "ties")
+    _assert_matches_dense_oracle(pts, 59)
+    _, edges, _ = knn_graph(pts, 59)
+    assert edges.shape[0] == 60 * 59 // 2
+
+
+@pytest.mark.parametrize("copies", [3, 12, 40])
+def test_more_copies_of_a_point_than_k_plus_one(copies):
+    """Copies tie at distance 0 beyond the k-th neighbor, so the tie rule
+    picks the smallest indices, and a copy may sort before the point
+    itself."""
+    rng = np.random.default_rng(copies)
+    base = rng.random((30, 3))
+    pts = np.concatenate([np.repeat(base[:2], copies, axis=0), base[2:]])
+    pts = pts[rng.permutation(pts.shape[0])]
+    dists = _dense(pts)
+    for k in (1, 4, 8):
+        _assert_matches_dense_oracle(pts, k, dists)
+
+
+def test_knn_weights_are_accurate_to_the_last_bits():
+    """Against extended precision, every k-NN weight on a blobs input is
+    within 1e-15 relative (the expansion |a|^2 + |b|^2 - 2ab lost up to
+    ~1e-10 here)."""
+    pts, _ = gaussian_blobs(4096, centers=16, dim=4, seed=0)
+    _, edges, weights = knn_graph(pts, 8)
+    diff = pts[edges[:, 0]].astype(np.longdouble) - pts[edges[:, 1]].astype(np.longdouble)
+    exact = np.sqrt((diff * diff).sum(axis=1))
+    rel = np.abs(weights.astype(np.longdouble) - exact) / exact
+    assert float(rel.max()) <= 1e-15
+
+
+def test_knn_graph_memory_is_linear_in_n_k_and_components():
+    """n = 8192, k = 8, 16 blobs: the tracemalloc peak stays under 48
+    bytes per (point, neighbor-or-component) slot, 9 MiB, plus three
+    8 MiB blocks when the block pass is the source.  Three 1024 x n
+    blocks were 192 MiB; the dense matrix is 512 MiB."""
+    n, k, components = 8192, 8, 16
+    pts, _ = gaussian_blobs(n, centers=components, dim=4, seed=0)
+    for name, constants in SOURCES.items():
+        blocks = 3 * 8 * knn._BLOCK_ENTRIES if name == "blocks" else 0
+        with pytest.MonkeyPatch.context() as mp:
+            for attr, value in constants.items():
+                mp.setattr(knn, attr, value)
+            tracemalloc.start()
+            try:
+                knn_graph(pts, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 48 * n * (k + components) + blocks, (name, peak / 2**20)
 
 
 @settings(max_examples=40, deadline=None)
@@ -165,13 +283,12 @@ def test_pair_build_matches_dict_oracle(n, d, k, seed, quantize):
     pts = rng.random((n, d))
     if quantize:  # duplicate coordinates: tied distances, repeated pairs
         pts = np.round(pts * 3) / 3.0
-    dists = pairwise_distances(pts)
-    np.fill_diagonal(dists, np.inf)
-    nbrs = np.argpartition(dists, k, axis=1)[:, :k]
+    dists = _dense(pts)
+    ref_edges, ref_weights = _knn_pairs_reference(n, _nearest_reference(dists, k), dists)
 
-    ref_edges, ref_weights = _knn_pairs_reference(n, nbrs, dists)
-
-    got_n, got_edges, got_weights = knn_graph(pts, k, ensure_connected=False)
+    got_n, got_edges, got_weights = _from_both_sources(
+        lambda: knn_graph(pts, k, ensure_connected=False)
+    )
     assert got_n == n
     assert np.array_equal(got_edges, ref_edges)
     assert got_weights.tobytes() == ref_weights.tobytes()
@@ -184,7 +301,7 @@ def test_bridge_components_matches_scalar_oracle(n, seed, ncomp):
     components must produce the identical bridge list (same order)."""
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
-    dists = pairwise_distances(pts)
+    dists = _dense(pts)
     groups = rng.integers(0, ncomp, size=n)
     rows = []
     for g in range(ncomp):
@@ -195,7 +312,7 @@ def test_bridge_components_matches_scalar_oracle(n, seed, ncomp):
         if rows
         else np.zeros((0, 2), dtype=np.int64)
     )
-    got_e, got_w = _bridge_components(pts, edges)
+    got_e, got_w = _from_both_sources(lambda: _bridge_components(pts, edges))
     ref_e, ref_w = _bridge_components_reference(n, edges, dists)
     assert got_e == ref_e
     assert got_w == ref_w
@@ -208,3 +325,21 @@ def test_knn_graph_connected_end_to_end():
     # Two well-separated blobs so k=2 leaves the graph disconnected.
     pts = np.concatenate([rng.random((12, 2)), rng.random((12, 2)) + 50.0])
     assert _assert_matches_dense_oracle(pts, 2)  # the input must need a bridge
+
+
+def test_importing_the_pipelines_leaves_scipy_spatial_unloaded():
+    """``scipy.spatial`` costs ~0.1 s to import; only the functions that
+    search or fill a matrix load it."""
+    src = Path(knn.__file__).resolve().parents[2]
+    code = (
+        "import sys, repro, repro.cluster, repro.cluster.single_linkage\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"

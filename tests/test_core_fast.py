@@ -222,7 +222,7 @@ def test_unknown_backend_is_an_algorithm_error(entry, monkeypatch):
 
     for module, stage in [
         (points_linkage, "knn_graph"),
-        (points_linkage, "complete_graph"),
+        (points_linkage, "complete_mst"),
         (points_linkage, "minimum_spanning_tree"),
         (graph_linkage, "minimum_spanning_tree"),
     ]:

@@ -92,6 +92,33 @@ def test_kruskal_prim_scipy_agree_on_distinct_weights(n, seed):
 
 
 @settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**31 - 1), levels=st.integers(1, 3))
+def test_kruskal_scans_in_the_order_its_ranks_define(n, seed, levels):
+    """``kruskal_mst`` sorts once (a stable argsort of the weights); on
+    tie-heavy weights and parallel edges that is the old order,
+    ``argsort(ranks_of(weights))``, and both scans take the ids a per-edge
+    scan in that order takes, in the same order."""
+    from repro.runtime.cost_model import CostTracker
+    from repro.structures.unionfind import UnionFind
+    from repro.trees.weights import ranks_of
+
+    rng = np.random.default_rng(seed)
+    n, edges, weights = random_connected_graph(rng, n, extra=2 * n)
+    edges, weights = with_parallel_edges(rng, edges, weights)
+    weights = rng.integers(0, levels, size=weights.size).astype(np.float64)
+    order = np.argsort(ranks_of(weights))
+    assert np.array_equal(np.argsort(weights, kind="stable"), order)
+    uf, chosen = UnionFind(n), []
+    for e in order.tolist():
+        u, v = int(edges[e, 0]), int(edges[e, 1])
+        if uf.find(u) != uf.find(v):
+            uf.union(u, v)
+            chosen.append(e)
+    assert kruskal_mst(n, edges, weights).tolist() == chosen
+    assert kruskal_mst(n, edges, weights, tracker=CostTracker()).tolist() == chosen
+
+
+@settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 25), seed=st.integers(0, 2**31 - 1), past_threshold=st.booleans())
 def test_mst_weight_minimal_vs_bruteforce_total(n, seed, past_threshold):
     """The chosen tree's weight must equal SciPy's csgraph MST total, on
@@ -215,10 +242,13 @@ def test_every_mst_consumer_matches_the_kruskal_oracle(side, backend, monkeypatc
         assert tree.weights.tobytes() == weights[ids].tobytes()
         return ids
 
-    # k-NN and complete-graph point pipelines, on tied coordinates.
+    # k-NN and complete-graph point pipelines, on tied coordinates; the
+    # dense Prim behind k=None also past 1024 points.
     pts = rng.integers(0, 8, size=(150, 2)).astype(np.float64)
     expect(single_linkage(pts, k=8, backend=backend).mst, *knn_graph(pts, 8))
     expect(single_linkage(pts[:60], backend=backend).mst, *complete_graph(pts[:60]))
+    big = np.random.default_rng(12).integers(0, 40, size=(1030, 2)).astype(np.float64)
+    expect(single_linkage(big, backend=backend).mst, *complete_graph(big))
 
     # HDBSCAN*'s mutual-reachability complete graph.
     res = hdbscan_lite(pts[:80], min_samples=4)
