@@ -100,7 +100,7 @@ def test_time_rc_tree_build_fast(benchmark):
     n = benchmark_n()
     tree = knuth_tree(n, seed=0).with_weights(apply_scheme("perm", n - 1, seed=1))
     benchmark.group = "micro:rc-tree"
-    run_once(benchmark, build_rc_tree_fast, tree, record_events=False)
+    run_once(benchmark, build_rc_tree_fast, tree)
 
 
 @pytest.mark.parametrize("method", ["kruskal", "boruvka", "mst_ids"])

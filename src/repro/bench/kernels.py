@@ -118,7 +118,7 @@ def _run_dendro_query(payload: Any, tracker: CostTracker | None) -> np.ndarray:
 
 def _ref_dendro_query(payload: Any, tracker: CostTracker | None) -> np.ndarray:
     # The pre-vectorization serving path: one scalar O(log h) lift per
-    # pair and a union-find sweep per cut.
+    # pair and a component pass over the tree per cut.
     from repro.dendrogram.linkage import cut_height
 
     tree, _, index, pairs, thresholds = payload
@@ -285,8 +285,9 @@ KERNELS: tuple[Kernel, ...] = (
     Kernel("sld-merge", 2048, 512, _ladder_tree, _algo_runner("divide-conquer")),
     Kernel("mst-kruskal", 30000, 6000, _pa_graph, _run_kruskal),
     Kernel("mst-boruvka", 30000, 6000, _pa_graph, _run_boruvka),
-    # Array-backend kernels: 4-16x larger inputs than their reference
-    # twins (the batching only pays off at scale), timed against the twin.
+    # Array-backend kernels: 8-32x larger inputs than their reference
+    # kernels, timed against the reference (``sequf`` and ``rctt`` are
+    # their own array backends, so theirs read ~1x).
     Kernel(
         "sequf-fast",
         262144,

@@ -1169,7 +1169,6 @@ def _workers(mod: Module) -> Iterator[Finding]:
 _PACKAGE = (".",)
 
 _SLAB_TARGETS = (
-    "core/fast.py",
     "core/fast_contraction.py",
     "core/fast_merge.py",
     "core/rctt.py",

@@ -1,7 +1,7 @@
 """Runtime slab contracts: the ``@slab_contract`` layer.
 
-The flat-array backends (``sequf_fast``, ``HeapPool``,
-``tree_contraction_fast``, ``rctt``) live or die on properties
+The flat-array backends (``HeapPool``, ``tree_contraction_fast``,
+``sld_merge_fast``, ``rctt``) live or die on properties
 Python cannot see: slab dtypes (an accidental int64 promotion doubles
 memory), contiguity (a strided view silently de-vectorizes kernels), and
 write footprints (a kernel scribbling on an input slab breaks the

@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.knn import pairwise_distances
+from repro.dendrogram.linkage import linkage_from_merges
 from repro.errors import InvalidGraphError
-from repro.structures.unionfind import UnionFind
 
 __all__ = ["nn_chain_linkage", "LINKAGE_METHODS"]
 
@@ -102,25 +102,6 @@ def nn_chain_linkage(points: np.ndarray, method: str = "average") -> np.ndarray:
         else:
             chain.append(b)
 
-    return _merges_to_linkage(n, merges)
-
-
-def _merges_to_linkage(n: int, merges: list[tuple[int, int, float]]) -> np.ndarray:
-    """Sort chain merges by height and relabel with SciPy cluster ids."""
+    # Chain merges come out of height order: replay them by (height, discovery).
     order = sorted(range(len(merges)), key=lambda i: (merges[i][2], i))
-    Z = np.zeros((n - 1, 4), dtype=np.float64)
-    uf = UnionFind(n)
-    cluster_id = np.arange(n, dtype=np.int64)
-    for out_row, i in enumerate(order):
-        a, b, height = merges[i]
-        ra, rb = uf.find(a), uf.find(b)
-        ca, cb = int(cluster_id[ra]), int(cluster_id[rb])
-        if ca > cb:
-            ca, cb = cb, ca
-        r = uf.union(ra, rb)
-        Z[out_row, 0] = ca
-        Z[out_row, 1] = cb
-        Z[out_row, 2] = height
-        Z[out_row, 3] = uf.set_size(r)
-        cluster_id[r] = n + out_row
-    return Z
+    return linkage_from_merges(n, [merges[i] for i in order])

@@ -39,7 +39,6 @@ import numpy as np
 from repro.checkers.bounds import cost_bound
 from repro.checkers.contracts import slab_contract
 from repro.contraction.rctree import KIND_COMPRESS, KIND_RAKE, KIND_ROOT, RCTree
-from repro.contraction.schedule import CompressEvent, RakeEvent
 from repro.runtime.cost_model import CostTracker, WorkDepth
 from repro.trees.wtree import WeightedTree
 from repro.util import check_random_state, log2ceil
@@ -66,13 +65,12 @@ def build_rc_tree_fast(
     seed: int | np.random.Generator | None = 0,
     tracker: CostTracker | None = None,
     priorities: str = "random",
-    record_events: bool = True,
 ) -> RCTree:
     """Contract ``tree`` with vectorized rounds; return the RC-tree.
 
-    ``record_events=False`` skips materializing the per-round event lists
-    (RCTT only needs the parent/edge arrays), saving the Python-object
-    cost on large inputs.
+    Its callers read only the arrays, so ``rounds`` records each round's
+    kind with an empty event list (``num_rounds`` still counts them);
+    :func:`~repro.contraction.schedule.build_rc_tree` records the events.
     """
     if priorities not in ("random", "id"):
         raise ValueError(f"unknown priority rule {priorities!r}; expected 'random' or 'id'")
@@ -152,18 +150,7 @@ def build_rc_tree_fast(
             rc_round[v_r] = round_index
             rc_kind[v_r] = KIND_RAKE
             alive_count -= int(v_r.size)
-            if record_events:
-                rounds.append(
-                    (
-                        "rake",
-                        [
-                            RakeEvent(int(v), int(uu), int(ee))
-                            for v, uu, ee in zip(v_r, u_r, e_r)
-                        ],
-                    )
-                )
-            else:
-                rounds.append(("rake", []))
+            rounds.append(("rake", []))
             round_index += 1
             if tracker is not None:
                 tracker.add(WorkDepth(float(leaves.size), float(log2ceil(n) + 1)))
@@ -216,18 +203,7 @@ def build_rc_tree_fast(
                 rc_round[v_c] = round_index
                 rc_kind[v_c] = KIND_COMPRESS
                 alive_count -= int(v_c.size)
-                if record_events:
-                    rounds.append(
-                        (
-                            "compress",
-                            [
-                                CompressEvent(int(v), int(u), int(e1), int(w), int(e2))
-                                for v, u, e1, w, e2 in zip(v_c, u_c, e1_c, w_c, e2_c)
-                            ],
-                        )
-                    )
-                else:
-                    rounds.append(("compress", []))
+                rounds.append(("compress", []))
                 round_index += 1
             if tracker is not None:
                 tracker.add(WorkDepth(float(cand.size), float(log2ceil(n) + 1)))

@@ -29,7 +29,8 @@ KIND_COMPRESS = 1
 class RCTree:
     """Output of :func:`repro.contraction.schedule.build_rc_tree` and of
     :func:`repro.contraction.fast.build_rc_tree_fast` (same schedule for
-    the same seed)."""
+    the same seed; only the reference builder fills the event lists of
+    ``rounds``, so only its trees replay through :meth:`validate`)."""
 
     n: int
     root: int

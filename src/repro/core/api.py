@@ -4,14 +4,15 @@ Backends
 --------
 Four of the registered algorithms have a flat-array *array backend*
 producing bit-identical output (the SLD is unique under the
-deterministic (weight, edge-id) rank order).  Three are wall-clock twins
-of their reference; RCTT's reference is itself array-native, so it is
-its own array backend:
+deterministic (weight, edge-id) rank order).  Two are wall-clock twins
+of their reference.  RCTT's reference is itself array-native, and
+SeqUF's is the sequential baseline whose uninstrumented merge loop is
+already its fast path, so each is its own array backend:
 
 =================== ==============================================
 algorithm           array backend
 =================== ==============================================
-``sequf``           :func:`repro.core.fast.sequf_fast`
+``sequf``           :func:`repro.core.sequf.sequf` (the reference itself)
 ``tree-contraction``:func:`repro.core.fast_contraction.tree_contraction_fast`
 ``rctt``            :func:`repro.core.rctt.rctt` (the reference itself)
 ``divide-conquer``  :func:`repro.core.fast_merge.sld_merge_fast`
@@ -39,7 +40,6 @@ import numpy as np
 from repro.checkers.bounds import cost_bound
 from repro.core.brute import brute_force_sld
 from repro.core.cartesian import sld_path
-from repro.core.fast import sequf_fast
 from repro.core.fast_contraction import tree_contraction_fast
 from repro.core.fast_merge import sld_merge_fast
 from repro.core.merge import sld_divide_and_conquer
@@ -84,9 +84,10 @@ ALGORITHMS: dict[str, Callable[..., np.ndarray]] = {
     "brute": brute_force_sld,
 }
 
-#: Reference algorithm name -> its array backend (``rctt`` is its own).
+#: Reference algorithm name -> its array backend (``sequf`` and ``rctt``
+#: are their own).
 _ARRAY_TWINS: dict[str, Callable[..., np.ndarray]] = {
-    "sequf": sequf_fast,
+    "sequf": sequf,
     "rctt": rctt,
     "tree-contraction": tree_contraction_fast,
     "divide-conquer": sld_merge_fast,

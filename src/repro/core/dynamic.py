@@ -21,9 +21,10 @@ weight-divide-and-conquer gluing facts (see :mod:`repro.core.weight_dc`):
   held before or after the batch.  Edges of rank below ``lo`` kept both
   membership and relative order, so (Lemma 3.2) the internal structure of
   every low-forest component survives verbatim; only the dendrogram of the
-  **contracted high tree** (solved by the array SeqUF twin) and the **glue
-  parents** of the low components' roots (Lemma 4.2) are recomputed --
-  ``O((m - lo) log m)`` instead of a from-scratch solve.
+  **contracted high tree** (re-solved by RCTT, the static solver every
+  pipeline defaults to) and the **glue parents** of the low components'
+  roots (Lemma 4.2) are recomputed -- ``O((m - lo) log m)`` instead of a
+  from-scratch solve.
 
 The tree is held as a **rooted parent array**: ``_up[x]`` is ``x``'s
 parent vertex (``-1`` at the root) and ``_up_slot[x]`` the slot of that
@@ -66,7 +67,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from repro.checkers.bounds import cost_bound
-from repro.core.fast import sequf_fast
+from repro.core.rctt import rctt
 from repro.dendrogram.structure import Dendrogram
 from repro.errors import InvalidGraphError, InvalidWeightsError, NotConnectedError
 from repro.trees.mst import mst_ids
@@ -588,7 +589,7 @@ class DynamicSLD:
         vars=("n", "m", "k"),
         kind="helper",
         theorem="Lemma 3.2 (low components survive) + Lemma 4.2 (root glue); "
-        "O(n) low-forest components, array SeqUF on the contracted high tree",
+        "O(n) low-forest components, RCTT (Section 4.2) on the contracted high tree",
     )
     def _recompute_suffix(self, lo: int) -> None:
         """Recompute the dendrogram above rank ``lo``, reusing everything
@@ -597,8 +598,8 @@ class DynamicSLD:
         The low forest's components contract the high edges to a tree of
         ``m - lo`` edges.  ``high_arr`` is rank-ascending, so that tree's
         ``(weight, local index)`` order is the global ``(weight, slot)``
-        order, and its SeqUF parents map back through ``high_arr``
-        bit-identically.
+        order, and its parents (any exact solver's; RCTT's here) map back
+        through ``high_arr`` bit-identically.
         """
         order = self._order
         high_arr = order[lo:]
@@ -635,7 +636,7 @@ class DynamicSLD:
         contracted = WeightedTree(
             int(n_comp), high_edges, self.weights[high_arr], validate=False
         )
-        self.parents[high_arr] = high_arr[sequf_fast(contracted)]
+        self.parents[high_arr] = high_arr[rctt(contracted)]
 
         if roots is not None:
             pend = np.flatnonzero(roots >= 0)

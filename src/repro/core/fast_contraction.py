@@ -17,11 +17,10 @@ is bit-identical (the SLD is unique under the rank order, and Lemma 3.3
 makes every within-round processing order valid).
 
 The twin delegates to the reference implementation whenever
-instrumentation is active (a tracker, a shadow-access recorder, or the
-``protected_log`` diagnostic hook): the array backend is a wall-clock
-backend, and the reference owns the work/depth accounting.  RCTT needs
-no twin here: :func:`repro.core.rctt.rctt` is array-native and serves
-both backends.
+instrumentation is active (a tracker or a shadow-access recorder): the
+array backend is a wall-clock backend, and the reference owns the
+work/depth accounting.  RCTT needs no twin here:
+:func:`repro.core.rctt.rctt` is array-native and serves both backends.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ def tree_contraction_fast(
     tree: WeightedTree,
     seed: int | np.random.Generator | None = 0,
     tracker: CostTracker | None = None,
-    protected_log: dict | None = None,
     pool_cls: type[HeapPool] = HeapPool,
 ) -> np.ndarray:
     """Parent array of the SLD, by pooled-heap tree contraction.
@@ -66,17 +64,15 @@ def tree_contraction_fast(
     ``pool_cls`` is a test seam (the fuzz selftest injects a sabotaged
     pool through it); production callers never pass it.
     """
-    if instrumented(tracker) or protected_log is not None:
-        return sld_tree_contraction(
-            tree, mode="heap", seed=seed, tracker=tracker, protected_log=protected_log
-        )
+    if instrumented(tracker):
+        return sld_tree_contraction(tree, mode="heap", seed=seed, tracker=tracker)
     m = tree.m
     parents = np.arange(m, dtype=np.int64)
     if m == 0:
         return parents
     from repro.contraction.fast import build_rc_tree_fast
 
-    rct = build_rc_tree_fast(tree, seed=seed, record_events=False)
+    rct = build_rc_tree_fast(tree, seed=seed)
 
     # Contracted vertices in round order.  All events targeting a
     # vertex precede its own contraction (targets survive their event's

@@ -94,9 +94,7 @@ def rctt(
         if builder == "fast":
             from repro.contraction.fast import build_rc_tree_fast
 
-            rct = build_rc_tree_fast(
-                tree, seed=seed, tracker=tracker, record_events=False
-            )
+            rct = build_rc_tree_fast(tree, seed=seed, tracker=tracker)
         elif builder == "reference":
             rct = build_rc_tree(tree, seed=seed, tracker=tracker, race_check=race_check)
         else:

@@ -1,42 +1,65 @@
 """SciPy interop and flat clusterings.
 
-``to_scipy_linkage`` replays the single-linkage merge sequence (edges in
-rank order) to produce the standard ``(n-1, 4)`` linkage matrix ``Z`` used
-by :mod:`scipy.cluster.hierarchy` -- row ``i`` merges clusters ``Z[i,0]``
-and ``Z[i,1]`` at height ``Z[i,2]`` into new cluster ``n+i`` of size
-``Z[i,3]``.  The flat-clustering helpers cut the hierarchy by distance
-threshold or target cluster count.
+``linkage_from_merges`` replays a merge sequence to produce the standard
+``(n-1, 4)`` linkage matrix ``Z`` used by :mod:`scipy.cluster.hierarchy`
+-- row ``i`` merges clusters ``Z[i,0]`` and ``Z[i,1]`` at height
+``Z[i,2]`` into new cluster ``n+i`` of size ``Z[i,3]``.
+``to_scipy_linkage`` feeds it the single-linkage merges (edges in rank
+order); the NN-chain HAC feeds it its merges sorted by height.  The
+flat-clustering helpers cut the hierarchy by distance threshold or target
+cluster count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.structures.unionfind import UnionFind
 from repro.trees.wtree import WeightedTree
 
-__all__ = ["to_scipy_linkage", "leaf_parents", "cut_height", "cut_k", "canonical_labels"]
+__all__ = [
+    "to_scipy_linkage",
+    "linkage_from_merges",
+    "leaf_parents",
+    "cut_height",
+    "cut_k",
+    "canonical_labels",
+]
 
 
 def to_scipy_linkage(tree: WeightedTree) -> np.ndarray:
     """SciPy linkage matrix of the tree's single-linkage hierarchy."""
-    n, m = tree.n, tree.m
-    Z = np.zeros((m, 4), dtype=np.float64)
     order = np.argsort(tree.ranks)
+    merges = zip(
+        tree.edges[order, 0].tolist(),
+        tree.edges[order, 1].tolist(),
+        tree.weights[order].tolist(),
+    )
+    return linkage_from_merges(tree.n, merges)
+
+
+def linkage_from_merges(n: int, merges: Iterable[tuple[int, int, float]]) -> np.ndarray:
+    """SciPy linkage matrix of the ``n - 1`` merges of ``n`` points, in order.
+
+    Each ``(a, b, height)`` joins the clusters holding points ``a`` and
+    ``b``; its row names the two by SciPy cluster id, smaller first, and
+    records the merged cluster's size.
+    """
+    Z = np.zeros((n - 1, 4), dtype=np.float64)
     uf = UnionFind(n)
-    cluster_id = np.arange(n, dtype=np.int64)  # uf-root vertex -> scipy cluster id
-    for i, e in enumerate(order):
-        u, v = int(tree.edges[e, 0]), int(tree.edges[e, 1])
-        ru, rv = uf.find(u), uf.find(v)
-        ca, cb = int(cluster_id[ru]), int(cluster_id[rv])
+    cluster_id = np.arange(n, dtype=np.int64)  # uf-root point -> scipy cluster id
+    for i, (a, b, height) in enumerate(merges):
+        ra, rb = uf.find(a), uf.find(b)
+        ca, cb = int(cluster_id[ra]), int(cluster_id[rb])
         if ca > cb:
             ca, cb = cb, ca
-        w = uf.union(ru, rv)
-        Z[i, 0] = ca
-        Z[i, 1] = cb
-        Z[i, 2] = tree.weights[e]
-        Z[i, 3] = uf.set_size(w)
-        cluster_id[w] = n + i
+        r = uf.union(ra, rb)
+        Z[i] = (ca, cb, height, uf.set_size(r))
+        cluster_id[r] = n + i
     return Z
 
 
@@ -65,13 +88,7 @@ def cut_height(tree: WeightedTree, threshold: float) -> np.ndarray:
     Labels are consecutive integers starting at 0, ordered by each
     cluster's smallest vertex id.
     """
-    uf = UnionFind(tree.n)
-    for e in range(tree.m):
-        if tree.weights[e] <= threshold:
-            u, v = int(tree.edges[e, 0]), int(tree.edges[e, 1])
-            if uf.find(u) != uf.find(v):
-                uf.union(u, v)
-    return _labels(uf, tree.n)
+    return _component_labels(tree, tree.weights <= threshold)
 
 
 def cut_k(tree: WeightedTree, k: int) -> np.ndarray:
@@ -82,17 +99,18 @@ def cut_k(tree: WeightedTree, k: int) -> np.ndarray:
     """
     if not 1 <= k <= tree.n:
         raise ValueError(f"cluster count k must be in [1, {tree.n}], got {k}")
-    uf = UnionFind(tree.n)
-    order = np.argsort(tree.ranks)
-    for e in order[: tree.n - k]:
-        u, v = int(tree.edges[e, 0]), int(tree.edges[e, 1])
-        uf.union(u, v)
-    return _labels(uf, tree.n)
+    return _component_labels(tree, tree.ranks < tree.n - k)
 
 
-def _labels(uf: UnionFind, n: int) -> np.ndarray:
-    roots = uf.find_many(np.arange(n, dtype=np.int64))
-    return canonical_labels(roots)
+def _component_labels(tree: WeightedTree, keep: np.ndarray) -> np.ndarray:
+    """Canonical labels of the components the ``keep`` edges span."""
+    edges = tree.edges[keep]
+    graph = coo_matrix(
+        (np.ones(edges.shape[0], dtype=np.int8), (edges[:, 0], edges[:, 1])),
+        shape=(tree.n, tree.n),
+    )
+    _, components = connected_components(graph, directed=False)
+    return canonical_labels(components)
 
 
 def canonical_labels(keys: np.ndarray) -> np.ndarray:

@@ -86,7 +86,7 @@ def _differential_algorithms() -> dict[str, Callable[..., np.ndarray]]:
 
 #: Algorithms under differential test: what the registry dispatches --
 #: every :data:`~repro.core.api.ALGORITHMS` entry and every array twin
-#: (named by its function, e.g. ``sequf_fast``) -- except the brute
+#: (named by its function, e.g. ``sld_merge_fast``) -- except the brute
 #: oracle and the path-only ``cartesian``, plus the genuinely threaded
 #: ParUF variant, which the registry omits because it takes no tracker.
 #: The fuzzer calls these tracker-less, which is exactly the configuration

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.core.api import ALGORITHMS, resolve_algorithm
+from repro.errors import AlgorithmError
 from repro.trees.generators import (
     balanced_binary,
     broom,
@@ -36,20 +37,29 @@ TREE_KINDS = {
 
 SEEDED_KINDS = ("knuth", "random")
 
-#: Registry names that have an array twin, reached as ``resolve_algorithm(name, "array")``.
-TWINNED = tuple(
-    name for name, fn in ALGORITHMS.items() if resolve_algorithm(name, "auto") is not fn
-)
+
+def _has_array_backend(name: str) -> bool:
+    try:
+        resolve_algorithm(name, "array")
+    except AlgorithmError:
+        return False
+    return True
+
+
+#: Registry names with an array backend, reached as
+#: ``resolve_algorithm(name, "array")``; ``sequf`` and ``rctt`` are their own.
+ARRAY_BACKED = tuple(name for name in ALGORITHMS if _has_array_backend(name))
 
 
 def algorithm_backends(names: list[str]) -> list:
     """``pytest.param(name, backend)`` for each of ``names`` on the reference
-    backend, plus one on the array backend for each twinned name (test id
-    ``<name>-fast``), so every implementation the registry dispatches runs."""
+    backend, plus one on the array backend for each name that has one (test
+    id ``<name>-fast``), so every (algorithm, backend) pair the registry
+    dispatches runs."""
     return [
         pytest.param(name, backend, id=name if backend == "reference" else f"{name}-fast")
         for name in names
-        for backend in (("reference", "array") if name in TWINNED else ("reference",))
+        for backend in (("reference", "array") if name in ARRAY_BACKED else ("reference",))
     ]
 
 

@@ -19,14 +19,14 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import TREE_KINDS, TWINNED, make_tree
+from conftest import ARRAY_BACKED, TREE_KINDS, make_tree
 from repro.core.api import resolve_algorithm
 from repro.runtime.cost_model import CostTracker
 from repro.runtime.instrumentation import recording
 
 #: Options pinning the seeded twins so both backends contract identically.
 _OPTIONS = {"rctt": {"seed": 0}, "tree-contraction": {"seed": 0}}
-PAIRS = tuple((name, _OPTIONS.get(name, {})) for name in TWINNED)
+PAIRS = tuple((name, _OPTIONS.get(name, {})) for name in ARRAY_BACKED)
 
 SIZES = (2, 3, 33, 97)
 
@@ -81,7 +81,8 @@ def test_array_backend_bit_identical(kind, family, tracker_mode):
 
 @pytest.mark.parametrize("name,opts", PAIRS, ids=[f"{name}-fast" for name, _ in PAIRS])
 def test_array_backend_instrumented_accounting_matches_reference(name, opts):
-    """With an enabled tracker the twin delegates: identical work/depth."""
+    """With an enabled tracker the array backend charges what the
+    reference does (a twin delegates; ``sequf`` and ``rctt`` are their own)."""
     tree = make_tree("random", 64).with_weights(_duplicate(63, np.random.default_rng(7)))
     t_ref, t_fast = CostTracker(), CostTracker()
     ref = resolve_algorithm(name, "reference")(tree, tracker=t_ref, **opts)

@@ -220,12 +220,13 @@ class TestContractPresence:
     """Acceptance: every fast kernel and pool method carries a contract."""
 
     def test_fast_algorithms_all_declared(self):
-        from conftest import TWINNED
+        from conftest import ARRAY_BACKED
         from repro.checkers.contracts import get_contract
         from repro.core.api import resolve_algorithm
 
-        # rctt is its own array backend, so TWINNED leaves it out.
-        for name in (*TWINNED, "rctt"):
+        # sequf, the sequential baseline, is its own array backend and no
+        # slab kernel, so it carries no contract.
+        for name in (n for n in ARRAY_BACKED if n != "sequf"):
             contract = get_contract(resolve_algorithm(name, "array"))
             assert contract is not None, f"the {name!r} array twin lacks @slab_contract"
             assert contract.dtypes.get("tree.edges") == ("int64",)

@@ -2,10 +2,8 @@
 
 Equivalence across the full topology x weight-family x tracker grid lives
 in ``test_backend_equivalence.py``; this file covers the degenerate inputs,
-the window/drain/bail configuration knobs of ``sequf_fast`` (forcing every
-internal mode: windowed rounds, scalar bail-out, small-input drain), and
-the ``resolve_algorithm``/``single_linkage_dendrogram`` backend selection
-rules including the error cases.
+cycle rejection, and the ``resolve_algorithm``/``single_linkage_dendrogram``
+backend selection rules including the error cases.
 """
 
 from __future__ import annotations
@@ -22,14 +20,11 @@ from repro.core.api import (
     resolve_algorithm,
     single_linkage_dendrogram,
 )
-from repro.core import fast
-from repro.core.fast import sequf_fast
 from repro.core.fast_contraction import tree_contraction_fast
 from repro.core.rctt import rctt
 from repro.core.sequf import sequf
 from repro.core.tree_contraction_sld import sld_tree_contraction
-from repro.errors import AlgorithmError, InvalidTreeError
-from repro.trees.generators import path_tree, random_tree
+from repro.errors import AlgorithmError
 from repro.trees.wtree import WeightedTree
 
 
@@ -41,11 +36,11 @@ from repro.trees.wtree import WeightedTree
 @pytest.mark.parametrize(
     "fn,opts",
     [
-        (sequf_fast, {}),
+        (sequf, {}),
         (rctt, {"seed": 0}),
         (tree_contraction_fast, {"seed": 0}),
     ],
-    ids=["sequf-fast", "rctt", "tree-contraction-fast"],
+    ids=["sequf", "rctt", "tree-contraction-fast"],
 )
 def test_degenerate_inputs(fn, opts):
     one = WeightedTree(1, np.empty((0, 2), dtype=np.int64), np.empty(0))
@@ -54,61 +49,15 @@ def test_degenerate_inputs(fn, opts):
     assert np.array_equal(fn(two, **opts), np.array([0]))
 
 
-def test_sequf_fast_rejects_cycles():
-    # Duplicate edge => not a tree; the windowed merge must notice instead
-    # of looping or silently dropping the edge (construction validation
-    # bypassed to reach the algorithm's own cycle check).
+def test_sequf_rejects_cycles():
+    # Duplicate edge => not a tree; the merge loop must notice instead of
+    # silently dropping the edge (construction validation bypassed to
+    # reach the algorithm's own cycle check).
     edges = np.array([[0, 1], [0, 1], [1, 2], [2, 3]], dtype=np.int64)
     cyclic = WeightedTree(4, edges, np.array([1.0, 2.0, 3.0, 4.0]), validate=False)
-    with pytest.raises(InvalidTreeError):
-        sequf_fast(cyclic)
-
-
-# ---------------------------------------------------------------------------
-# sequf_fast internal modes
-# ---------------------------------------------------------------------------
-
-
-def _expected(tree):
-    return sequf(tree)
-
-
-@pytest.mark.parametrize(
-    "config",
-    [
-        {"_WINDOW": 8},  # many tiny windows: every round classification runs
-        {"_WINDOW": 8, "_DRAIN_BELOW": 0},  # never drain early
-        {"_WINDOW": 4, "_MAX_ROUNDS": 1},  # drain immediately after one round
-        {"_WINDOW": 1_000_000},  # single window covering everything
-        {"_DRAIN_BELOW": 1_000_000},  # pure drain path, no windowed rounds
-    ],
-)
-def test_sequf_fast_window_configs(config, monkeypatch):
-    for name, value in config.items():
-        monkeypatch.setattr(fast, name, value)
-    for kind, n in (("random", 97), ("caterpillar", 64), ("star", 33)):
-        tree = make_tree(kind, n)
-        got = sequf_fast(tree)
-        assert np.array_equal(got, _expected(tree)), (kind, n, config)
-
-
-def test_sequf_fast_monotone_weights_trigger_scalar_bailout(monkeypatch):
-    # A path with sorted weights makes every window a single rank-chain of
-    # hard edges: round-1 progress stalls and the scalar mode must engage.
-    monkeypatch.setattr(fast, "_WINDOW", 64)
-    n = 4096
-    tree = path_tree(n).with_weights(np.arange(n - 1, dtype=np.float64))
-    got = sequf_fast(tree)
-    assert np.array_equal(got, _expected(tree))
-    rev = path_tree(n).with_weights(np.arange(n - 1, 0, -1, dtype=np.float64))
-    assert np.array_equal(sequf_fast(rev), _expected(rev))
-
-
-def test_sequf_fast_wide_input_window_default():
-    # Just above the wide-input threshold the default window widens; the
-    # result must stay identical either way.
-    tree = random_tree(fast._WIDE_INPUT + 2, seed=3)
-    assert np.array_equal(sequf_fast(tree), _expected(tree))
+    for backend in BACKENDS:
+        with pytest.raises(ValueError, match="already-connected"):
+            resolve_algorithm("sequf", backend)(cyclic)
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +84,9 @@ def test_backends_tuple_pinned():
 
 
 def test_resolve_algorithm_matrix():
-    assert resolve_algorithm("sequf", "reference") is ALGORITHMS["sequf"]
-    assert resolve_algorithm("sequf", "array") is sequf_fast
-    assert resolve_algorithm("sequf", "auto") is sequf_fast
-    assert resolve_algorithm("rctt", "array") is rctt  # array-native reference
+    for backend in BACKENDS:  # both are their own array backend
+        assert resolve_algorithm("sequf", backend) is sequf
+        assert resolve_algorithm("rctt", backend) is rctt
     assert resolve_algorithm("tree-contraction", "array") is tree_contraction_fast
     from repro.core.fast_merge import sld_merge_fast
 
@@ -163,7 +111,7 @@ def test_resolve_algorithm_errors():
 def test_fast_registry_consistent():
     """The registry holds reference algorithms only; the array backends
     hang off four of them and are reached through ``resolve_algorithm``.
-    RCTT's reference is array-native, so its array backend is itself."""
+    SeqUF and RCTT are their own array backends."""
     registered = set(ALGORITHMS.values())
     with_twin = set()
     for name, fn in ALGORITHMS.items():
@@ -174,8 +122,8 @@ def test_fast_registry_consistent():
         except AlgorithmError:
             assert resolve_algorithm(name, "auto") is fn
             continue
-        if name == "rctt":
-            assert twin is fn  # array-native: its own array backend
+        if name in ("sequf", "rctt"):
+            assert twin is fn  # its own array backend
         else:
             assert twin not in registered
         assert resolve_algorithm(name, "auto") is twin

@@ -297,19 +297,33 @@ def test_reserve_only_batches_allocate_what_they_touch():
 
 
 @pytest.mark.parametrize(
-    ("kind", "n"),
-    [pytest.param(kind, 18, id=kind) for kind in sorted(TREE_KINDS)]
-    + [pytest.param(kind, 300, id=f"{kind}-300") for kind in sorted(TREE_KINDS)],
+    ("kind", "n", "tied"),
+    [
+        pytest.param(
+            kind, n, tied, id=kind + ("-300" if n == 300 else "") + ("-tied" if tied else "")
+        )
+        for tied in (False, True)
+        for n in (18, 300)
+        for kind in sorted(TREE_KINDS)
+    ],
 )
-def test_batched_streams_stay_exact_across_topologies(kind, n):
+def test_batched_streams_stay_exact_across_topologies(kind, n, tied):
     """Mixed insert/delete/update streams over every topology: the
     maintained parent array is bit-identical to recompute-from-scratch
     after every batch (the tentpole acceptance oracle).  At n = 300 the
-    path and caterpillar kinds relink slots across long root paths."""
-    rng = np.random.default_rng(zlib.crc32(f"{kind}/{n}".encode()))
-    tree = make_tree(kind, n, seed=5).with_weights(
-        rng.permutation(n - 1).astype(np.float64)
-    )
+    path and caterpillar kinds relink slots across long root paths.  The
+    ``tied`` family draws every weight from {0, 1, 2}, so most ranks are
+    settled by the ``(weight, slot)`` tie-break."""
+    rng = np.random.default_rng(zlib.crc32(f"{kind}/{n}{'/tied' if tied else ''}".encode()))
+
+    def weight() -> float:
+        return float(rng.integers(0, 3)) if tied else float(rng.standard_normal())
+
+    if tied:
+        weights = rng.integers(0, 3, size=n - 1).astype(np.float64)
+    else:
+        weights = rng.permutation(n - 1).astype(np.float64)
+    tree = make_tree(kind, n, seed=5).with_weights(weights)
     dyn = DynamicSLD(tree)
     shadow = dyn.graph_weights()
     for _ in range(8):
@@ -319,7 +333,7 @@ def test_batched_streams_stay_exact_across_topologies(kind, n):
             key = (min(u, v), max(u, v))
             if u == v or key in shadow or any(key == (min(a, b), max(a, b)) for a, b, _ in inserts):
                 continue
-            inserts.append((u, v, float(rng.standard_normal())))
+            inserts.append((u, v, weight()))
         pend = dict(shadow)
         pend.update({(min(u, v), max(u, v)): w for u, v, w in inserts})
         deletes = []
@@ -338,7 +352,7 @@ def test_batched_streams_stay_exact_across_topologies(kind, n):
         assert dyn.graph_weights() == shadow
         _assert_exact(dyn)
         e = int(rng.integers(0, dyn.m))
-        dyn.update_weight(e, float(rng.standard_normal()))
+        dyn.update_weight(e, weight())
         key = tuple(sorted((int(dyn.edges[e, 0]), int(dyn.edges[e, 1]))))
         shadow = dyn.graph_weights()
         _assert_exact(dyn)

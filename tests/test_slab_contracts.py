@@ -178,17 +178,6 @@ class TestCheckedMode:
 class TestCheckedKernels:
     """The shipped kernels stay bit-identical under checking."""
 
-    def test_sequf_fast_checked_bit_identity(self):
-        from conftest import make_tree
-        from repro.core.fast import sequf_fast
-        from repro.core.sequf import sequf
-
-        tree = make_tree("random", 64, seed=7)
-        expected = sequf(tree)
-        got = checked(sequf_fast)(tree)
-        assert np.array_equal(got, expected)
-        assert got.dtype == np.int64
-
     def test_heap_pool_checked_methods(self):
         from repro.structures.heap_pool import HeapPool
 
@@ -203,17 +192,17 @@ class TestCheckedKernels:
 class TestEnabledAtImport:
     def test_env_flag_wraps_at_decoration(self):
         code = (
-            "from repro.core.fast import sequf_fast\n"
+            "from repro.core.rctt import rctt\n"
             "from repro.structures.heap_pool import HeapPool\n"
             "import repro.checkers.contracts as c\n"
             "assert c.contracts_enabled()\n"
-            "assert getattr(sequf_fast, '__slab_contract_checked__', False)\n"
+            "assert getattr(rctt, '__slab_contract_checked__', False)\n"
             "assert getattr(HeapPool.meld, '__slab_contract_checked__', False)\n"
             "import numpy as np\n"
             "from repro.trees.generators import random_tree\n"
             "from repro.core.sequf import sequf\n"
             "t = random_tree(40, seed=1)\n"
-            "assert np.array_equal(sequf_fast(t), sequf(t))\n"
+            "assert np.array_equal(rctt(t), sequf(t))\n"
         )
         env = dict(os.environ, REPRO_SLAB_CONTRACTS="1", PYTHONPATH=SRC)
         proc = subprocess.run(
@@ -222,6 +211,6 @@ class TestEnabledAtImport:
         assert proc.returncode == 0, proc.stderr
 
     def test_env_flag_off_means_unwrapped(self):
-        from repro.core.fast import sequf_fast
+        from repro.core.rctt import rctt
 
-        assert not getattr(sequf_fast, "__slab_contract_checked__", False)
+        assert not getattr(rctt, "__slab_contract_checked__", False)
