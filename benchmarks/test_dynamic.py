@@ -1,7 +1,8 @@
 """Dynamic SLD maintenance (extension experiment, beyond the paper).
 
 Times updates at different rank quantiles and asserts the locality shape:
-recompute size shrinks monotonically as the updated edge's rank rises.
+the splice visits at most 3h + 2 dendrogram nodes per update (h the
+height), fewer than the suffix above the updated rank for the lower half.
 Times reserve-only batches at two graph sizes: their cost is what the
 batch touches, so it should not grow with n.
 """
@@ -45,19 +46,25 @@ def test_dynamic_locality_shape(benchmark, bn):
     def measure():
         dyn = _dyn(bn)
         order = np.argsort(dyn.ranks)
-        sizes = {}
+        rows = {}
         for q in (0.99, 0.9, 0.5, 0.1):
             e = int(order[int(q * (bn - 2))])
+            lo, h = int(dyn.ranks[e]), dyn.dendrogram().height
             # +1.5 crosses exactly one integer-valued neighbor, so the
-            # suffix recompute starts at the edge's own rank (~q * m).
-            sizes[q] = dyn.update_weight(e, float(dyn.weights[e]) + 1.5)
-        return sizes
+            # edge's rank moves and the splice runs.
+            visits = dyn.update_weight(e, float(dyn.weights[e]) + 1.5)
+            rows[q] = (visits, (bn - 1) - lo, max(h, dyn.dendrogram().height))
+        return rows
 
-    sizes = benchmark.pedantic(measure, rounds=1, iterations=1)
-    # higher-rank updates recompute fewer edges, roughly (1-q) * m
-    assert sizes[0.99] < sizes[0.9] < sizes[0.5] < sizes[0.1]
-    assert sizes[0.99] <= 0.05 * (bn - 1)
-    assert sizes[0.1] >= 0.8 * (bn - 1)
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    # The splice's shape: an update visits O(h) nodes -- the edge's strict
+    # ancestors (< h), its children (<= 2), the slot and two spines
+    # (<= h each) -- wherever its rank sits, instead of the m - lo nodes
+    # of the suffix above its rank.
+    for visits, _suffix, h in rows.values():
+        assert 0 < visits <= 3 * h + 2
+    assert rows[0.5][0] < rows[0.5][1]
+    assert rows[0.1][0] < rows[0.1][1]
 
 
 def _reserve_only_batch(n):

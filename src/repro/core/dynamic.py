@@ -5,8 +5,8 @@ updates; the same authors' follow-up ("Fully-Dynamic Parallel Algorithms
 for Single-Linkage Clustering", arXiv 2506.18384) shows the shape of the
 answer: maintain a minimum spanning tree of the evolving graph and repair
 only the part of the dendrogram the MST change can reach.  This module
-implements that shape sequentially on flat arrays, built on the
-weight-divide-and-conquer gluing facts (see :mod:`repro.core.weight_dc`):
+implements that shape sequentially on flat arrays, built on the source
+paper's SLD-Merge facts (see :mod:`repro.core.merge`):
 
 * **Insert (cycle rule).**  A new edge ``(u, v, w)`` closes one cycle with
   the tree path ``u..v``.  If ``w`` beats the path maximum, the maximum is
@@ -17,14 +17,25 @@ weight-divide-and-conquer gluing facts (see :mod:`repro.core.weight_dc`):
   tree edge splits the tree in two; the lightest reserve edge crossing the
   cut is promoted into the vacated slot (:class:`~repro.errors.NotConnectedError`
   if none exists -- the whole batch rolls back, leaving the engine intact).
-* **Dendrogram repair.**  Let ``lo`` be the smallest rank any touched slot
-  held before or after the batch.  Edges of rank below ``lo`` kept both
-  membership and relative order, so (Lemma 3.2) the internal structure of
-  every low-forest component survives verbatim; only the dendrogram of the
-  **contracted high tree** (re-solved by RCTT, the static solver every
-  pipeline defaults to) and the **glue parents** of the low components'
-  roots (Lemma 4.2) are recomputed -- ``O((m - lo) log m)`` instead of a
-  from-scratch solve.
+* **Dendrogram repair (splice).**  A *slot rewrite* deletes slot ``e``'s
+  edge ``f`` and inserts an edge ``g`` into the same slot at ``g``'s own
+  rank.  Each rewrite is spliced into the parent array where it happens,
+  and only spines move (the source paper's SLD-Merge, Section 3.1,
+  Lemma 3.4 / Theorem 3.5):
+
+  - *delete f*: only ``f``'s node children and strict ancestors get new
+    parents.  Each lies on one side of ``f``'s cut.  An ancestor moves to
+    the next ancestor above it on its side, a child to the lowest ancestor
+    on its side, and the top ancestor of each side becomes a root;
+  - *insert g = (u, v)*: the top nodes of ``u``'s and ``v``'s clusters
+    below ``g``'s rank hang from ``g``.  Their spines above it are merged
+    by rank, and ``g`` hangs from the lower of the two heads; a parent
+    changes only where the merged order switches spines.
+
+  Every other node keeps its parent: its cluster, and the edges leaving
+  it, do not change.  A rewrite visits at most ``3h + 2`` nodes (``h``
+  the dendrogram height) on top of the cut side the cut and cycle rules
+  compute, and writes only the parents that change.
 
 The tree is held as a **rooted parent array**: ``_up[x]`` is ``x``'s
 parent vertex (``-1`` at the root) and ``_up_slot[x]`` the slot of that
@@ -34,9 +45,11 @@ path (``O(depth)``); the side of a cut is marked by pointer doubling over
 ``_up`` (``O(n log depth)``, vectorized).  The reserve is two flat arrays
 of pair codes ``u * n + v`` (``u < v``) and weights plus a code -> cell
 dict: membership, add and delete are ``O(1)``, and the lightest crossing
-edge is one masked minimum.  While a batch is open every slot rewrite and
-reserve write logs its inverse, so a rollback replays only what the batch
-touched.
+edge is one masked minimum.  Spines are walked over ``_plist``, a Python
+list mirror of ``parents`` that the first splice makes (a numpy scalar
+read costs ~3x a list read), and every parent write goes to both.  While a batch is open every slot
+rewrite, parent write and reserve write logs its inverse, so a rollback
+replays only what the batch touched.
 
 Replacement edges inherit the evicted edge's array *slot*, so edge ids
 stay dense in ``[0, m)``, ``m`` stays ``n - 1``, and the maintained parent
@@ -61,10 +74,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.checkers.bounds import cost_bound
 from repro.core.rctt import rctt
@@ -72,7 +86,7 @@ from repro.dendrogram.structure import Dendrogram
 from repro.errors import InvalidGraphError, InvalidWeightsError, NotConnectedError
 from repro.trees.mst import mst_ids
 from repro.trees.weights import ranks_of
-from repro.trees.wtree import WeightedTree
+from repro.trees.wtree import WeightedTree, _adopt_ranks
 
 __all__ = ["DynamicSLD"]
 
@@ -82,6 +96,13 @@ Pair = tuple[int, int]
 
 def _norm_pair(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
+
+
+def _corrupt(e: int) -> RuntimeError:
+    """A spine walk at slot ``e`` ran past ``m`` nodes: ``parents`` is no
+    longer a forest of rank-ascending paths (an engine bug, not an input
+    error).  Bounding the walks turns that into an error, not a hang."""
+    return RuntimeError(f"dendrogram spine at slot {e} does not end: parents are corrupt")
 
 
 class DynamicSLD:
@@ -97,8 +118,13 @@ class DynamicSLD:
         (slots or weights).  Batches that only touch the reserve, empty
         batches, and same-value weight updates do not bump it.
     last_update_size:
-        Number of edges whose subproblem was recomputed by the most
-        recent update (``m`` for the initial build, ``0`` for a no-op).
+        Dendrogram nodes the most recent update's repair visited: per
+        slot rewrite, the old edge's strict ancestors and node children,
+        the slot itself, and the nodes of the new edge's two spines below
+        the point where they join the old edge's ancestors (``m`` for the
+        initial build, ``0`` for a no-op or a reserve-only batch).
+    total_recomputed:
+        Running sum of ``last_update_size`` since construction.
     """
 
     def __init__(self, tree: WeightedTree) -> None:
@@ -106,7 +132,10 @@ class DynamicSLD:
         self.edges = tree.edges.copy()
         self.weights = tree.weights.copy()
         self.m = self.edges.shape[0]
-        self.parents = np.arange(self.m, dtype=np.int64)
+        self.parents = rctt(tree)
+        #: List mirror of ``parents`` for the spine walks.  The first splice
+        #: fills it, so an engine that never rewrites a slot never pays it.
+        self._plist: list[int] = []
         self._up = np.full(self.n, -1, dtype=np.int64)
         self._up_slot = np.full(self.n, -1, dtype=np.int64)
         if self.m:
@@ -128,9 +157,7 @@ class DynamicSLD:
         self._sorted_weights = self.weights[self._order].copy()
         self.generation = 0
         self.last_update_size = self.m
-        self.total_recomputed = 0
-        if self.m:
-            self._recompute_suffix(0)
+        self.total_recomputed = self.m
 
     @classmethod
     def from_graph(cls, n: int, edges: np.ndarray, weights: np.ndarray) -> "DynamicSLD":
@@ -186,10 +213,15 @@ class DynamicSLD:
         return Dendrogram(self.tree(), self.parents.copy())
 
     def snapshot(self) -> object:
-        """Serving snapshot of the current dendrogram, generation-stamped."""
+        """Serving snapshot of the current dendrogram, generation-stamped.
+
+        The tree it is built from carries a copy of the engine's ranks, so
+        the build does not sort the weights again.
+        """
         from repro.dendrogram.snapshot import build_snapshot
 
-        return build_snapshot(self.dendrogram(), generation=self.generation)
+        tree = _adopt_ranks(self.tree(), self._ranks.copy())
+        return build_snapshot(Dendrogram(tree, self.parents.copy()), generation=self.generation)
 
     def graph_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """All current graph edges: tree slots first, then sorted reserve."""
@@ -212,65 +244,63 @@ class DynamicSLD:
         return {(a, b): x for a, b, x in zip(u, v, w)}
 
     @cost_bound(
-        work="log(m) + (m - k) * log(m)",
-        depth="log(m) + (m - k) * log(m)",
-        vars=("m", "k"),
+        work="m + n * log(n) + h",
+        depth="m + n * log(n) + h",
+        vars=("m", "n", "h"),
         kind="structure_op",
-        theorem="Lemma 3.2/4.2 suffix repair; k = rank window floor",
+        theorem="O(log m) early-out when no rank moves; else an O(m) rank-window "
+        "shift, the O(n log depth) cut side and one O(h) spine splice (Section 3.1)",
     )
     def update_weight(self, e: int, new_weight: float) -> int:
-        """Set ``weights[e] = new_weight``; return #edges recomputed.
+        """Set ``weights[e] = new_weight``; return #dendrogram nodes visited.
 
         ``e`` addresses a tree slot (reserve edges are updated by
         delete + insert).  Same-value updates are free no-ops; updates
-        that move no rank skip the suffix solve entirely
+        that move no rank skip the repair entirely
         (``last_update_size == 0``) but still bump :attr:`generation`,
         because the merge heights changed.  A weight *increase* while the
         reserve is non-empty re-certifies the cycle rule: if a reserve
-        edge now beats slot ``e`` across its cut, they swap.
+        edge now beats slot ``e`` across its cut, it takes the slot and
+        ``e``'s edge goes to the reserve at the new weight.  Either way
+        the update is one slot rewrite, spliced once.
         """
         if not 0 <= e < self.m:
             raise ValueError(f"edge id {e} out of range [0, {self.m})")
         w = float(new_weight)
         if not np.isfinite(w):
             raise InvalidWeightsError(f"weight must be finite, got {new_weight}")
-        old_w = float(self.weights[e])
-        if w == old_w:
-            self.last_update_size = 0
-            return 0
+        if w == float(self.weights[e]):
+            return self._settle(0)
+        self.generation += 1
+        side: np.ndarray | None = None
+        if w > float(self.weights[e]) and self._res_len:
+            side = self._cut_side(e)
+            visited = self._recertify_slot(e, w, side)
+            if visited:
+                return self._settle(visited)
         self.weights[e] = w
         old_rank, new_rank = self._shift_rank(e)
-        self.generation += 1
-        lo = min(old_rank, new_rank)
-        structural = old_rank != new_rank
-        if w > old_w and self._res_len:
-            swap_lo = self._recertify_slot(e)
-            if swap_lo < self.m:
-                lo = min(lo, swap_lo)
-                structural = True
-        if not structural:
-            self.last_update_size = 0
-            return 0
-        self._recompute_suffix(lo)
-        return self.last_update_size
+        if old_rank == new_rank:
+            return self._settle(0)
+        return self._settle(self._splice(e, self._cut_side(e) if side is None else side))
 
     @cost_bound(
-        work="b * (n * log(n) + s) + (m - k) * log(m)",
-        depth="b * (n * log(n) + s) + (m - k) * log(m)",
-        vars=("n", "m", "b", "k", "s"),
+        work="b * (n * log(n) + s + h)",
+        depth="b * (n * log(n) + s + h)",
+        vars=("n", "b", "s", "h"),
         kind="structure_op",
         theorem="insert = cycle rule, an O(depth) path max on the rooted tree; "
         "delete = cut rule, O(n log depth + s) vectorized cut side and crossing "
-        "scan (s = reserve size), O(1) on a reserve edge; rollback replays "
-        "only the batch's undo log; one Lemma 3.2/4.2 suffix repair per batch "
-        "(arXiv 2506.18384 shape)",
+        "scan (s = reserve size), O(1) on a reserve edge; each slot rewrite is "
+        "an O(m) rank-window shift plus one O(h) spine splice (Section 3.1, "
+        "arXiv 2506.18384); rollback replays only the batch's undo log",
     )
     def apply_batch(
         self,
         inserts: Iterable[tuple[int, int, float]] = (),
         deletes: Iterable[tuple[int, int]] = (),
     ) -> int:
-        """Insert/delete graph edges; return #dendrogram edges recomputed.
+        """Insert/delete graph edges; return #dendrogram nodes visited.
 
         Semantics (documented contract, pinned by tests):
 
@@ -283,8 +313,8 @@ class DynamicSLD:
           :class:`~repro.errors.NotConnectedError`;
         * **any** error rolls the whole batch back -- the engine is left
           exactly as before the call (strong exception guarantee);
-        * the dendrogram is repaired once, from the lowest rank any
-          touched slot held, not per operation;
+        * the dendrogram is spliced at every slot rewrite, so the return
+          value is positive exactly when some tree slot changed;
         * :attr:`generation` bumps iff some tree slot changed -- batches
           that only touch the reserve leave it (and the dendrogram) alone.
         """
@@ -308,34 +338,28 @@ class DynamicSLD:
             if key in seen_dels:
                 raise ValueError(f"duplicate delete of edge {key} in one batch")
             seen_dels.add(key)
-        if not ins and not dels:
-            self.last_update_size = 0
-            return 0
 
-        lo = self.m
-        tree_changed = False
+        visited = 0
         self._undo = []
         try:
             for u, v, w in ins:
-                op_lo, changed = self._insert_edge(u, v, w)
-                lo = min(lo, op_lo)
-                tree_changed = tree_changed or changed
+                visited += self._insert_edge(u, v, w)
             for u, v in dels:
-                op_lo, changed = self._delete_edge(u, v)
-                lo = min(lo, op_lo)
-                tree_changed = tree_changed or changed
+                visited += self._delete_edge(u, v)
         except Exception:
             self._rollback()
             raise
         finally:
             self._undo = None
-        if tree_changed:
+        if visited:
             self.generation += 1
-        if lo < self.m:
-            self._recompute_suffix(lo)
-        else:
-            self.last_update_size = 0
-        return self.last_update_size
+        return self._settle(visited)
+
+    def _settle(self, visited: int) -> int:
+        """Record the finished update's repair size and return it."""
+        self.last_update_size = visited
+        self.total_recomputed += visited
+        return visited
 
     # -- MST surgery --------------------------------------------------------
     def _check_endpoints(self, u: int, v: int) -> None:
@@ -359,57 +383,69 @@ class DynamicSLD:
             return int(self._up_slot[v])
         return -1
 
-    def _insert_edge(self, u: int, v: int, w: float) -> tuple[int, bool]:
-        """Cycle rule: returns ``(lowest disturbed rank, tree changed?)``."""
+    def _insert_edge(self, u: int, v: int, w: float) -> int:
+        """Cycle rule; returns the dendrogram nodes visited (0: reserve only)."""
         code = self._code(u, v)
         if self._tree_slot(u, v) >= 0 or code in self._res_cell:
             raise ValueError(f"edge {_norm_pair(u, v)} is already in the graph")
         f = self._tree_path_max(u, v)
         if w < float(self.weights[f]):
-            return self._swap_in(f, (u, v), w), True
+            return self._swap_in(f, (u, v), w, self._cut_side(f))
         # Ties keep the incumbent: the tree stays a valid MST either way.
         self._reserve_add(code, w)
-        return self.m, False
+        return 0
 
-    def _delete_edge(self, u: int, v: int) -> tuple[int, bool]:
-        """Cut rule: returns ``(lowest disturbed rank, tree changed?)``."""
+    def _delete_edge(self, u: int, v: int) -> int:
+        """Cut rule; returns the dendrogram nodes visited (0: reserve only)."""
         code = self._code(u, v)
         if code in self._res_cell:
             self._reserve_del(code)
-            return self.m, False
+            return 0
         f = self._tree_slot(u, v)
         if f < 0:
             raise ValueError(f"edge {_norm_pair(u, v)} is not in the graph")
-        best = self._best_crossing(self._cut_side(f))
+        side = self._cut_side(f)
+        best = self._best_crossing(side)
         if best is None:
             raise NotConnectedError(
                 f"deleting edge {_norm_pair(u, v)} disconnects the graph"
             )
         best_code, bw = best
         self._reserve_del(best_code)
-        return self._set_slot(f, divmod(best_code, self.n), bw), True
+        return self._splice(f, side, divmod(best_code, self.n), bw)
 
-    def _recertify_slot(self, e: int) -> int:
-        """Cycle-rule re-check after slot ``e``'s weight increased.
+    def _recertify_slot(self, e: int, w: float, side: np.ndarray) -> int:
+        """Cycle-rule re-check before slot ``e``'s weight rises to ``w``.
 
-        Returns the lowest rank a swap disturbed, or ``m`` if the
-        incumbent is still (weakly) the lightest edge across its cut.
+        If the lightest reserve edge across ``e``'s cut (``side``) is
+        strictly lighter than ``w``, it takes the slot and ``e``'s edge
+        enters the reserve at ``w``; returns the nodes the splice visited,
+        or 0 when the incumbent stays.
         """
-        best = self._best_crossing(self._cut_side(e))
-        if best is None or best[1] >= float(self.weights[e]):
-            return self.m
+        best = self._best_crossing(side)
+        if best is None or best[1] >= w:
+            return 0
         best_code, bw = best
         self._reserve_del(best_code)
-        return self._swap_in(e, divmod(best_code, self.n), bw)
+        return self._swap_in(e, divmod(best_code, self.n), bw, side, w)
 
-    def _swap_in(self, e: int, pair: tuple[int, int], w: float) -> int:
+    def _swap_in(
+        self,
+        e: int,
+        pair: tuple[int, int],
+        w: float,
+        side: np.ndarray,
+        evicted_w: float | None = None,
+    ) -> int:
         """Put ``pair`` at weight ``w`` into slot ``e`` and move the edge it
-        held to the reserve; returns the lowest rank the swap disturbed."""
+        held to the reserve (at ``evicted_w``, default its current weight);
+        returns the nodes the splice visited."""
         evicted = self._code(int(self.edges[e, 0]), int(self.edges[e, 1]))
-        evicted_w = float(self.weights[e])
-        lo = self._set_slot(e, pair, w)
+        if evicted_w is None:
+            evicted_w = float(self.weights[e])
+        visited = self._splice(e, side, pair, w)
         self._reserve_add(evicted, evicted_w)
-        return lo
+        return visited
 
     def _root_path(self, x: int) -> list[int]:
         """Vertices from ``x`` up to its root, both included."""
@@ -440,7 +476,11 @@ class DynamicSLD:
 
         After round ``k``, ``side[x]`` says whether one of ``x``'s first
         ``2**k`` ancestors (``x`` included) is the child end of ``e``, and
-        ``jump[x]`` is its ``2**k``-th ancestor, pinned at the root.
+        ``jump[x]`` is its ``2**k``-th ancestor, pinned at the root.  A
+        round that marks nothing new ends it: the marked vertices are
+        those within ``2**k - 1`` of the child end, and a vertex deeper
+        below it would put one of its ancestors in the range just missed.
+        So the rounds follow the height of the subtree below ``e``.
         """
         up = self._up
         a, b = int(self.edges[e, 0]), int(self.edges[e, 1])
@@ -448,12 +488,14 @@ class DynamicSLD:
         jump = np.where(up >= 0, up, np.arange(self.n, dtype=np.int64))
         side = np.zeros(self.n, dtype=bool)
         side[child] = True
+        marked = 1
         while True:
             side |= side[jump]
-            nxt = jump[jump]
-            if np.array_equal(nxt, jump):
+            now = int(np.count_nonzero(side))
+            if now == marked:
                 return side
-            jump = nxt
+            marked = now
+            jump = jump[jump]
 
     def _best_crossing(self, side: np.ndarray) -> tuple[int, float] | None:
         """Lightest reserve edge crossing the cut as ``(code, weight)``;
@@ -468,9 +510,8 @@ class DynamicSLD:
         cell = int(tied[np.argmin(codes[tied])])
         return int(codes[cell]), float(self._res_w[cell])
 
-    def _set_slot(self, e: int, pair: tuple[int, int], w: float) -> int:
-        """Rewire slot ``e`` to new endpoints/weight; returns the lowest
-        rank the rewrite disturbed (old or new rank of ``e``).
+    def _set_slot(self, e: int, pair: tuple[int, int], w: float) -> None:
+        """Rewire slot ``e`` to new endpoints/weight and re-rank it.
 
         Slot reuse keeps edge ids dense and stable: the replacement edge
         inherits the evicted edge's id, so ``m`` never changes and the
@@ -496,7 +537,157 @@ class DynamicSLD:
         up[a], up_slot[a] = b, e
         self.edges[e] = pair
         self.weights[e] = w
-        return min(self._shift_rank(e))
+        self._shift_rank(e)
+
+    # -- dendrogram repair ----------------------------------------------------
+    @cost_bound(
+        work="n + h",
+        depth="n + h",
+        vars=("n", "h"),
+        kind="helper",
+        theorem="Section 3.1, Lemma 3.4 / Theorem 3.5: only the characteristic "
+        "spines change; O(h) list walks, an O(n) child scan and leaf-parent "
+        "probes, and a stable sort of two rank-sorted runs (an O(h) merge)",
+    )
+    def _splice(
+        self,
+        e: int,
+        side: np.ndarray,
+        pair: tuple[int, int] | None = None,
+        w: float = 0.0,
+    ) -> int:
+        """Rewrite slot ``e`` and repair the dendrogram; returns nodes visited.
+
+        ``side`` marks the vertices below slot ``e``'s current edge ``f``
+        (:meth:`_cut_side`).  With ``pair`` the slot takes that edge at
+        weight ``w`` (:meth:`_set_slot`); without, the caller has already
+        moved ``e``'s weight and rank and ``f`` itself is re-inserted.
+        """
+        if not self._plist:
+            self._plist = self.parents.tolist()
+        plist, ranks, edges = self._plist, self._ranks, self.edges
+        # Delete f.  Its strict ancestors, bottom-up, are rank-ascending.
+        chain: list[int] = []
+        step = chain.append
+        x = e
+        for _ in repeat(None, self.m):
+            p = plist[x]
+            if p == x:
+                break
+            step(p)
+            x = p
+        else:
+            raise _corrupt(e)
+        anc = np.fromiter(chain, dtype=np.int64, count=len(chain))
+        anc_below = side[edges[:, 0][anc]]
+        # Per side, f's former ancestors: the spine above f's child there.
+        parts = (anc[~anc_below], anc[anc_below])
+        below_f = np.flatnonzero(self.parents == e)
+        kids: list[int] = below_f[below_f != e].tolist()
+        moved: list[int] = []
+        to: list[int] = []
+        for part in parts:
+            if part.size:
+                up_next = np.append(part[1:], part[-1])
+                switch = self.parents[part] != up_next
+                moved += part[switch].tolist()
+                to += up_next[switch].tolist()
+        # Each side's new root: its top former ancestor, else f's child there.
+        roots = [part[-1] for part in parts if part.size]
+        for k in kids:
+            part = parts[int(side[edges[k, 0]])]
+            moved.append(k)
+            to.append(int(part[0]) if part.size else k)
+            if not part.size:
+                roots.append(k)
+        self._relink(moved, to)
+
+        if pair is not None:
+            self._set_slot(e, pair, w)
+        # Insert g = (u, v) at rank r.  Each endpoint's spine is walked up
+        # to the first former ancestor of f or to its side's root; above a
+        # former ancestor it goes on as that side's part.
+        r = int(ranks[e])
+        stop = np.zeros(self.m, dtype=bool)
+        stop[anc] = True
+        stop[roots] = True
+        joined = stop.tobytes()
+        tops: list[int] = []
+        highs: list[np.ndarray] = []
+        walked = 0
+        for end in (int(edges[e, 0]), int(edges[e, 1])):
+            y = self._lowest_slot_at(end, e)
+            if y < 0:
+                continue
+            walk: list[int] = []
+            step = walk.append
+            for _ in repeat(None, self.m):
+                if joined[y]:
+                    break
+                step(y)
+                y = plist[y]
+            else:
+                raise _corrupt(e)
+            part = parts[int(side[end])]
+            if part.size:
+                part = part[int(np.searchsorted(ranks[part], ranks[y])) :]
+            else:
+                step(y)  # the side's root, f's child on this side
+            walked += len(walk)
+            spine = np.concatenate([np.fromiter(walk, dtype=np.int64, count=len(walk)), part])
+            cut = int(np.searchsorted(ranks[spine], r))
+            if cut:
+                tops.append(int(spine[cut - 1]))
+            highs.append(spine[cut:])
+        # The tops below r hang from g, the spines above r merge, and g
+        # hangs from the lower head.
+        moved, to, head = self._merge(highs)
+        self._relink([*moved, *tops, e], [*to, *([e] * len(tops)), head if head >= 0 else e])
+        return int(anc.size) + len(kids) + walked + 1
+
+    def _merge(self, spines: list[np.ndarray]) -> tuple[list[int], list[int], int]:
+        """Merge rank-sorted spines by rank (SLD-Merge, Theorem 3.5).
+
+        Returns the nodes whose parent changes, their new parents, and the
+        merged order's lowest node (``-1`` if there is none).  A parent
+        changes only where the merged order switches spines; the top node
+        was its spine's root and stays one.  A stable sort of two sorted
+        runs is a linear merge.
+        """
+        if not spines:
+            return [], [], -1
+        both = np.concatenate(spines)
+        if not both.size:
+            return [], [], -1
+        by_rank = np.argsort(self._ranks[both], kind="stable")
+        merged = both[by_rank]
+        second = by_rank >= spines[0].size
+        switch = np.flatnonzero(second[1:] != second[:-1])
+        return merged[switch].tolist(), merged[switch + 1].tolist(), int(merged[0])
+
+    def _lowest_slot_at(self, x: int, skip: int) -> int:
+        """Lowest-rank tree slot at vertex ``x`` other than ``skip``, or
+        ``-1``: ``x``'s leaf parent in the dendrogram without ``skip``."""
+        up, up_slot = self._up, self._up_slot
+        slots = up_slot[up == x]
+        if up[x] >= 0:
+            slots = np.append(slots, up_slot[x])
+        slots = slots[slots != skip]
+        if not slots.size:
+            return -1
+        return int(slots[np.argmin(self._ranks[slots])])
+
+    def _relink(self, nodes: list[int], targets: list[int]) -> None:
+        """``parents[nodes] = targets`` in the array and its list mirror;
+        an open batch logs the old values first."""
+        if not nodes:
+            return
+        plist = self._plist
+        if self._undo is not None:
+            self._undo.append(partial(self._relink, nodes, [plist[x] for x in nodes]))
+        for x, p in zip(nodes, targets):
+            plist[x] = p
+        self.parents[nodes] = targets
 
     # -- reserve ------------------------------------------------------------
     def _reserve_add(self, code: int, w: float) -> None:
@@ -532,8 +723,9 @@ class DynamicSLD:
         """Undo the open batch: replay its log backwards.
 
         A slot entry goes back through :meth:`_set_slot`, which restores
-        the ranks and the rooted tree with it; ``parents`` and
-        ``generation`` are only written after a batch succeeds.
+        the ranks and the rooted tree with it; a parent entry restores the
+        parents one splice wrote; ``generation`` is only written after a
+        batch succeeds.
         """
         log, self._undo = self._undo or [], None
         for undo in reversed(log):
@@ -581,75 +773,3 @@ class DynamicSLD:
         lo, hi = (old_rank, new_rank) if old_rank < new_rank else (new_rank, old_rank)
         ranks[order[lo : hi + 1]] = np.arange(lo, hi + 1, dtype=np.int64)
         return old_rank, new_rank
-
-    # -- dendrogram repair ----------------------------------------------------
-    @cost_bound(
-        work="n + (m - k) * log(m)",
-        depth="n + (m - k) * log(m)",
-        vars=("n", "m", "k"),
-        kind="helper",
-        theorem="Lemma 3.2 (low components survive) + Lemma 4.2 (root glue); "
-        "O(n) low-forest components, RCTT (Section 4.2) on the contracted high tree",
-    )
-    def _recompute_suffix(self, lo: int) -> None:
-        """Recompute the dendrogram above rank ``lo``, reusing everything
-        strictly below it.
-
-        The low forest's components contract the high edges to a tree of
-        ``m - lo`` edges.  ``high_arr`` is rank-ascending, so that tree's
-        ``(weight, local index)`` order is the global ``(weight, slot)``
-        order, and its parents (any exact solver's; RCTT's here) map back
-        through ``high_arr`` bit-identically.
-        """
-        order = self._order
-        high_arr = order[lo:]
-        self.last_update_size = int(high_arr.size)
-        self.total_recomputed += int(high_arr.size)
-        if not high_arr.size:
-            # A fully-low window keeps everything; the max edge stays root.
-            return
-
-        n_comp = self.n
-        high_edges = self.edges[high_arr]
-        roots: np.ndarray | None = None
-        if lo:
-            low_arr = order[:lo]
-            graph = coo_matrix(
-                (
-                    np.ones(lo, dtype=np.int8),
-                    (self.edges[low_arr, 0], self.edges[low_arr, 1]),
-                ),
-                shape=(self.n, self.n),
-            )
-            n_comp, labels = connected_components(graph, directed=False)
-            labels = labels.astype(np.int64)
-            # Component roots: low_arr is rank-ascending and fancy-index
-            # assignment keeps the last write, so roots[c] is component
-            # c's max-rank low edge (its local root).
-            comp_of_low = labels[self.edges[low_arr, 0]]
-            roots = np.full(int(n_comp), -1, dtype=np.int64)
-            roots[comp_of_low] = low_arr
-            # Contract: supervertex labels replace raw endpoints
-            # (isolated vertices keep singleton components).
-            high_edges = labels[high_edges]
-
-        contracted = WeightedTree(
-            int(n_comp), high_edges, self.weights[high_arr], validate=False
-        )
-        self.parents[high_arr] = high_arr[rctt(contracted)]
-
-        if roots is not None:
-            pend = np.flatnonzero(roots >= 0)
-            if pend.size:
-                # Glue (Lemma 4.2): each component root adopts the first
-                # high edge incident to its supervertex.  high_arr is
-                # rank-ascending and each edge lists endpoint 0 before 1,
-                # so the first occurrence in the flattened endpoint stream
-                # is exactly what the reference scan loop picks
-                # (glue_scan_reference; bit-identity pinned in tests).
-                flat = high_edges.reshape(-1)
-                uniq, first = np.unique(flat, return_index=True)
-                # The maintained tree is connected, so every low component
-                # is incident to at least one high edge: pend \subseteq uniq.
-                pos = np.searchsorted(uniq, pend)
-                self.parents[roots[pend]] = high_arr[first[pos] // 2]

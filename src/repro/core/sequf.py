@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkers.bounds import cost_bound
+from repro.errors import InvalidTreeError
 from repro.runtime.cost_model import CostTracker, WorkDepth, comparison_sort_cost, instrumented
 from repro.runtime.instrumentation import span
 from repro.structures.unionfind import UnionFind
@@ -64,6 +65,8 @@ def sequf(tree: WeightedTree, tracker: CostTracker | None = None) -> np.ndarray:
             e = int(e)
             u, v = int(edges[e, 0]), int(edges[e, 1])
             ru, rv = uf.find(u), uf.find(v)
+            if ru == rv:
+                raise InvalidTreeError(_cycle_message(e))
             tu, tv = int(top[ru]), int(top[rv])
             if tu != -1:
                 parents[tu] = e
@@ -77,6 +80,10 @@ def sequf(tree: WeightedTree, tracker: CostTracker | None = None) -> np.ndarray:
             loop_work = float(m + uf.find_steps)
             tracker.add(WorkDepth(loop_work, loop_work))
     return parents
+
+
+def _cycle_message(e: int) -> str:
+    return f"edge {e} closes a cycle: its endpoints are already connected (not a tree)"
 
 
 @cost_bound(
@@ -112,7 +119,7 @@ def _merge_fast(tree: WeightedTree, order: np.ndarray, parents: np.ndarray) -> N
             parent[v] = parent[parent[v]]
             v = parent[v]
         if u == v:
-            raise ValueError(f"union of already-connected elements at edge {e}")
+            raise InvalidTreeError(_cycle_message(e))
         tu = top[u]
         tv = top[v]
         if tu != -1:

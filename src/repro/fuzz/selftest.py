@@ -42,9 +42,12 @@ Algorithm mutants:
 Dynamic-engine mutants (plausible maintenance bugs of the batch-dynamic
 ``DynamicSLD``):
 
-* ``dynamic-stale-suffix`` -- the dendrogram repair starts three ranks
-  above the lowest disturbed one, leaving a stale window; only the
-  dynamic-vs-recompute differential can see it.
+* ``dynamic-unmerged-spines`` -- the insert half of the dendrogram
+  splice hangs the new edge under the lower of the two spine heads but
+  never merges the spines above it, so the other spine's top stays a
+  root.  The dynamic-vs-recompute differential sees it after the batch;
+  a later rewrite in the same batch that walks the broken spine trips
+  the engine's bounded walk, and the error contract sees that.
 * ``dynamic-no-rollback`` -- a failed batch leaves its partial work
   applied instead of replaying its undo log; caught by the
   error-contract/rollback arm of the shadow-model oracle.
@@ -236,15 +239,17 @@ def mutant_heap_pool_broken_carry(tree: WeightedTree) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _stale_suffix_engine(n: int, edges: np.ndarray, weights: np.ndarray) -> object:
-    """Engine whose dendrogram repair starts 3 ranks too high."""
+def _unmerged_spines_engine(n: int, edges: np.ndarray, weights: np.ndarray) -> object:
+    """Engine whose insert splice hangs the new edge under the lower spine
+    head but never merges the two spines above it."""
     from repro.core.dynamic import DynamicSLD
 
-    class _StaleSuffix(DynamicSLD):
-        def _recompute_suffix(self, lo: int) -> None:
-            super()._recompute_suffix(min(lo + 3, self.m))
+    class _UnmergedSpines(DynamicSLD):
+        def _merge(self, spines: list[np.ndarray]) -> tuple[list[int], list[int], int]:
+            heads = [int(s[0]) for s in spines if s.size]
+            return [], [], min(heads, key=lambda x: int(self._ranks[x]), default=-1)
 
-    return _StaleSuffix.from_graph(n, edges, weights)
+    return _UnmergedSpines.from_graph(n, edges, weights)
 
 
 def _no_rollback_engine(n: int, edges: np.ndarray, weights: np.ndarray) -> object:
@@ -430,7 +435,9 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("label-tiebreak", replace(TREE, check=_label_tiebreak_relations), 150),
     _differential("heap-pool-broken-carry", mutant_heap_pool_broken_carry),
     _differential("windowed-lost-update", mutant_windowed_lost_update),
-    _override("dynamic-stale-suffix", DYNAMIC, dynamic_check, engine_factory=_stale_suffix_engine),
+    _override(
+        "dynamic-unmerged-spines", DYNAMIC, dynamic_check, engine_factory=_unmerged_spines_engine
+    ),
     _override("dynamic-no-rollback", DYNAMIC, dynamic_check, engine_factory=_no_rollback_engine),
     _override(
         "streaming-dropped-window", GRAPH, mst_check, streaming_fn=_streaming_dropped_window

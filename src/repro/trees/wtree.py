@@ -171,3 +171,15 @@ class WeightedTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WeightedTree(n={self.n}, m={self.m})"
+
+
+def _adopt_ranks(tree: WeightedTree, ranks: np.ndarray) -> WeightedTree:
+    """Fill ``tree``'s rank cache with ``ranks`` and return ``tree``.
+
+    For a producer that already maintains ``ranks_of(tree.weights)`` (the
+    dynamic engine), so a consumer of ``tree.ranks`` skips the sort.  The
+    caller vouches for the ranks and hands over an array it no longer
+    writes; nothing here checks them.
+    """
+    tree._ranks = ranks
+    return tree

@@ -1,4 +1,4 @@
-"""Dynamic SLD: exactness under updates and suffix-recompute locality."""
+"""Dynamic SLD: exactness under updates and the splice's locality."""
 
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ from conftest import TREE_KINDS, make_tree, weighted_trees
 from repro.core.brute import brute_force_sld
 from repro.core.dynamic import DynamicSLD
 from repro.core.weight_dc import _solve_base
+from repro.datasets.synthetic_graphs import preferential_attachment_graph
+from repro.dendrogram.metrics import dendrogram_height
 from repro.errors import InvalidWeightsError
 from repro.fuzz.generators import WEIGHT_FAMILIES
 from repro.trees.weights import ranks_of
@@ -26,14 +28,11 @@ def glue_scan_reference(
     pending: dict[int, int],
     parents: np.ndarray,
 ) -> None:
-    """The pre-vectorization glue step, kept as the differential oracle.
+    """The pre-vectorization glue step of the suffix repair.
 
     Scans the high edges in rank order and attaches each pending low
     component root to the first high edge incident to its supervertex
-    (Lemma 4.2).  The production path in
-    :meth:`DynamicSLD._recompute_suffix` computes the same assignment with
-    one ``np.unique`` first-occurrence pass; the tests pin bit-identity
-    between the two across the fuzz topologies.
+    (Lemma 4.2).
     """
     for f in high:
         if not pending:
@@ -45,20 +44,38 @@ def glue_scan_reference(
 
 
 class _PreVectorizationOracle(DynamicSLD):
-    """The pre-PR-9 suffix recompute: full argsort + Python glue scan.
+    """The engine with the suffix repair in place of the splice.
 
-    Kept verbatim (full `ranks_of`-style argsort, pending dict, and the
-    `glue_scan_reference` loop) so the vectorized production path can be
-    pinned bit-identical against it.
+    Every slot rewrite re-solves the dendrogram above the lowest rank the
+    rewrite touched: the low forest's components survive (Lemma 3.2), the
+    contracted high tree is solved from scratch (full argsort, the
+    weight-D&C base solver) and the low roots are glued by the Python scan
+    loop (Lemma 4.2).  The engine repaired this way until the splice
+    replaced it; the tests pin the splice's parents against it.
     """
+
+    def __init__(self, tree) -> None:
+        super().__init__(tree)
+        self._lo = self.m
+
+    def _shift_rank(self, e: int) -> tuple[int, int]:
+        old, new = super()._shift_rank(e)
+        if old != new:
+            self._lo = min(self._lo, old, new)
+        return old, new
+
+    def _splice(self, e, side, pair=None, w=0.0) -> int:
+        if pair is not None:
+            self._set_slot(e, pair, w)
+        lo, self._lo = self._lo, self.m
+        self._recompute_suffix(lo)
+        return self.m - lo
 
     def _recompute_suffix(self, lo: int) -> None:
         order = np.argsort(self._ranks)
         low_arr = order[:lo]
         high_arr = order[lo:]
         high = [int(x) for x in high_arr]
-        self.last_update_size = len(high)
-        self.total_recomputed += len(high)
         scratch = self.edges.copy()
         pending: dict[int, int] = {}
         if lo:
@@ -79,6 +96,37 @@ class _PreVectorizationOracle(DynamicSLD):
             self.parents[high_arr] = high_arr
             _solve_base(scratch, high, self.parents, self.n)
         glue_scan_reference(high, scratch, pending, self.parents)
+
+
+def _root_path(parents: np.ndarray, x: int) -> list[int]:
+    path = [int(x)]
+    while parents[path[-1]] != path[-1]:
+        path.append(int(parents[path[-1]]))
+    return path
+
+
+def _leaf_spine(dyn: DynamicSLD, parents: np.ndarray, x: int) -> list[int]:
+    """Nodes whose cluster holds vertex ``x``: from its lowest-rank slot up."""
+    slots = np.flatnonzero((dyn.edges[:, 0] == x) | (dyn.edges[:, 1] == x))
+    return _root_path(parents, int(slots[np.argmin(dyn.ranks[slots])]))
+
+
+def _splice_visits(dyn: DynamicSLD, before: np.ndarray, after: np.ndarray, e: int) -> int:
+    """What one rewrite of slot ``e`` visits, from the dendrograms alone.
+
+    The old edge's strict ancestors and node children, the slot itself,
+    and every node on the new edge's two spines (in ``after``, without
+    the slot) that was not an ancestor of the old edge.
+    """
+    anc = set(_root_path(before, e)[1:])
+    kids = int(np.count_nonzero(before == e)) - int(before[e] == e)
+    u, v = int(dyn.edges[e, 0]), int(dyn.edges[e, 1])
+    spines = set(_leaf_spine(dyn, after, u)) | set(_leaf_spine(dyn, after, v))
+    return len(anc) + kids + len(spines - {e} - anc) + 1
+
+
+def _height(dyn: DynamicSLD) -> int:
+    return dendrogram_height(dyn.parents, dyn.ranks)
 
 
 def test_initial_build_matches_oracle():
@@ -108,14 +156,15 @@ def test_update_sequences_stay_exact(tree, updates):
 
 
 def test_top_edge_update_is_local():
-    """Re-weighting an edge that keeps its rank recomputes *nothing*;
-    moving the global minimum to the top recomputes everything."""
+    """Re-weighting an edge that keeps its rank repairs *nothing*; moving
+    the global minimum of an ascending path to the top visits its n - 2
+    ancestors, which stay one spine, and the slot itself."""
     n = 500
     tree = make_tree("path", n).with_weights(np.arange(n - 1, dtype=float))
     dyn = DynamicSLD(tree)
     assert dyn.update_weight(n - 2, 10_000.0) == 0  # stays the max rank
     assert dyn.update_weight(0, -10.0) == 0  # stays the min rank
-    assert dyn.update_weight(0, 20_000.0) == n - 1  # min -> max: full suffix
+    assert dyn.update_weight(0, 20_000.0) == n - 1  # min -> max: one spine
     np.testing.assert_array_equal(dyn.parents, brute_force_sld(dyn.tree()))
 
 
@@ -123,9 +172,11 @@ def test_update_size_tracks_rank_window():
     n = 200
     tree = make_tree("path", n).with_weights(np.arange(n - 1, dtype=float))
     dyn = DynamicSLD(tree)
-    # move the median edge to the top: window = [median, max]
+    # Move edge 100 of the ascending path to the top.  The splice visits
+    # its n - 102 strict ancestors (101..n-2), its one node child (99),
+    # that child again as the root of vertex 100's side, and the slot.
     count = dyn.update_weight(100, 10_000.0)
-    assert count == (n - 1) - 100
+    assert count == (n - 102) + 1 + 1 + 1
     np.testing.assert_array_equal(dyn.parents, brute_force_sld(dyn.tree()))
 
 
@@ -198,17 +249,22 @@ def test_total_recomputed_accumulates():
     tree = make_tree("path", n).with_weights(np.arange(n - 1, dtype=float))
     dyn = DynamicSLD(tree)
     base = dyn.total_recomputed
-    dyn.update_weight(0, 1e5)  # min -> max: full suffix
-    dyn.update_weight(0, -1.0)  # max -> min: full suffix again
-    assert dyn.total_recomputed == base + 2 * (n - 1)
+    # min -> max: the n - 2 ancestors stay one spine, plus the slot.
+    assert dyn.update_weight(0, 1e5) == n - 1
+    # max -> min: the root's one node child (n - 2), then vertex 1's spine
+    # up to that child (edges 1..n-2), plus the slot.
+    assert dyn.update_weight(0, -1.0) == 1 + (n - 2) + 1
+    assert dyn.total_recomputed == base + (n - 1) + n
 
 
 @pytest.mark.parametrize("kind", sorted(TREE_KINDS))
 @pytest.mark.parametrize("wname", ["perm", "duplicates", "denormal", "all-equal"])
 def test_glue_vectorization_bit_identity(kind, wname):
-    """Regression pin (PR 9): the vectorized first-occurrence glue must
-    reproduce the original Python scan loop bit-for-bit, across every
-    topology and the tie-heavy weight families, after every update."""
+    """The splice reproduces the suffix repair (full re-solve above the
+    lowest touched rank, Python glue scan) bit for bit, across every
+    topology and the tie-heavy weight families, after every update; and
+    each update visits exactly the nodes the splice's definition names,
+    counted from the oracle's dendrograms before and after."""
     rng = np.random.default_rng(zlib.crc32(f"{kind}/{wname}".encode()))
     n = 24
     tree = make_tree(kind, n, seed=3).with_weights(
@@ -220,10 +276,77 @@ def test_glue_vectorization_bit_identity(kind, wname):
     for _ in range(12):
         e = int(rng.integers(0, n - 1))
         w = float(rng.standard_normal())
+        before = slow.parents.copy()
         fast.update_weight(e, w)
         slow.update_weight(e, w)
         np.testing.assert_array_equal(fast.parents, slow.parents)
-        assert fast.last_update_size == slow.last_update_size
+        if slow.last_update_size:
+            assert fast.last_update_size == _splice_visits(fast, before, slow.parents, e)
+        else:
+            assert fast.last_update_size == 0
+
+
+def test_splice_matches_the_suffix_repair_under_batches():
+    """Batches of cycle-rule inserts and cut-rule deletes over a graph:
+    the splice and the suffix repair agree on every parent."""
+    nn, edges = preferential_attachment_graph(300, m_attach=3, seed=4)
+    rng = np.random.default_rng(4)
+    weights = rng.random(edges.shape[0])
+    fast = DynamicSLD.from_graph(nn, edges, weights)
+    slow = _PreVectorizationOracle.from_graph(nn, edges, weights)
+    present = fast.graph_weights()
+    for _ in range(10):
+        fresh = []
+        while len(fresh) < 6:
+            u, v = sorted(int(x) for x in rng.integers(0, nn, size=2))
+            if u != v and (u, v) not in present and (u, v) not in fresh:
+                fresh.append((u, v))
+        inserts = [(u, v, float(rng.random())) for u, v in fresh]
+        for batch in ({"inserts": inserts}, {"deletes": fresh}):
+            assert (fast.apply_batch(**batch) > 0) == (slow.apply_batch(**batch) > 0)
+            np.testing.assert_array_equal(fast.parents, slow.parents)
+            np.testing.assert_array_equal(fast.edges, slow.edges)
+    assert fast.graph_weights() == present
+
+
+def test_splice_cost_follows_the_height():
+    """Every repair visits at most rewrites * (3h + 2) nodes, h the larger
+    dendrogram height before and after: per rewrite, f's strict ancestors
+    (< h), its node children (<= 2), the slot, and two spines (<= h each).
+    A knuth tree under update_weight (one rewrite each) and a
+    preferential-attachment engine under single-edge batches."""
+    n = 4_000
+    rng = np.random.default_rng(11)
+    tree = make_tree("knuth", n, seed=1).with_weights(rng.permutation(n - 1).astype(float))
+    dyn = DynamicSLD(tree)
+    # The suffix solve re-solved m - lo nodes from the lowest touched rank.
+    e = int(np.argsort(dyn.ranks)[int(0.1 * (n - 2))])
+    lo = int(dyn.ranks[e])
+    visits = dyn.update_weight(e, float(dyn.weights[e]) + 1.5)
+    assert 0 < visits < dyn.m - lo
+    for _ in range(40):
+        h = _height(dyn)
+        e = int(rng.integers(0, dyn.m))
+        visits = dyn.update_weight(e, float(rng.uniform(-10, n + 10)))
+        assert visits <= 3 * max(h, _height(dyn)) + 2
+    np.testing.assert_array_equal(dyn.parents, brute_force_sld(dyn.tree()))
+
+    nn, edges = preferential_attachment_graph(2_000, m_attach=4, seed=2)
+    dyn = DynamicSLD.from_graph(nn, edges, rng.random(edges.shape[0]))
+    present = dyn.graph_weights()
+    rewrites = 0
+    for _ in range(30):
+        u, v = sorted(int(x) for x in rng.integers(0, nn, size=2))
+        if u == v or (u, v) in present:
+            continue
+        for batch in ({"inserts": [(u, v, float(rng.random()) * 0.2)]}, {"deletes": [(u, v)]}):
+            h, gen = _height(dyn), dyn.generation
+            visits = dyn.apply_batch(**batch)
+            rewrites += dyn.generation - gen
+            assert visits <= (dyn.generation - gen) * (3 * max(h, _height(dyn)) + 2)
+    assert rewrites > 10
+    assert dyn.graph_weights() == present
+    np.testing.assert_array_equal(dyn.parents, brute_force_sld(dyn.tree()))
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,8 @@ from repro.core.fast_contraction import tree_contraction_fast
 from repro.core.rctt import rctt
 from repro.core.sequf import sequf
 from repro.core.tree_contraction_sld import sld_tree_contraction
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, InvalidTreeError
+from repro.runtime.cost_model import CostTracker
 from repro.trees.wtree import WeightedTree
 
 
@@ -52,12 +53,17 @@ def test_degenerate_inputs(fn, opts):
 def test_sequf_rejects_cycles():
     # Duplicate edge => not a tree; the merge loop must notice instead of
     # silently dropping the edge (construction validation bypassed to
-    # reach the algorithm's own cycle check).
+    # reach the algorithm's own cycle check).  Both merge loops report it
+    # as the package's InvalidTreeError, so the CLI's ReproError handler
+    # catches it: the list loop on every backend, the instrumented loop
+    # under a tracker.
     edges = np.array([[0, 1], [0, 1], [1, 2], [2, 3]], dtype=np.int64)
     cyclic = WeightedTree(4, edges, np.array([1.0, 2.0, 3.0, 4.0]), validate=False)
     for backend in BACKENDS:
-        with pytest.raises(ValueError, match="already-connected"):
+        with pytest.raises(InvalidTreeError, match="closes a cycle"):
             resolve_algorithm("sequf", backend)(cyclic)
+    with pytest.raises(InvalidTreeError, match="closes a cycle"):
+        sequf(cyclic, tracker=CostTracker())
 
 
 # ---------------------------------------------------------------------------

@@ -393,3 +393,39 @@ def test_unstamped_snapshots_are_never_stale(tmp_path):
     engine = QueryEngine(loaded)
     assert not engine.is_stale(0)
     assert not engine.is_stale(10**9)
+
+
+def test_snapshot_reuses_the_engine_ranks_slab_for_slab():
+    """``snapshot()`` hands the engine's ranks to the tree it builds from;
+    after every batch of a mixed stream its slabs equal a snapshot of
+    ``dendrogram()``, whose tree ranks its weights afresh.  A snapshot
+    keeps its own ranks when a later batch moves the engine's."""
+    from repro.dendrogram.snapshot import build_snapshot
+
+    slabs = ("edges", "weights", "ranks", "parents", "pos", "by_rank", "table")
+    nn, edges = preferential_attachment_graph(400, m_attach=3, seed=1)
+    rng = np.random.default_rng(1)
+    dyn = DynamicSLD.from_graph(nn, edges, rng.random(edges.shape[0]))
+    present = dyn.graph_weights()
+    for _ in range(6):
+        fresh = []
+        while len(fresh) < 5:
+            u, v = sorted(int(x) for x in rng.integers(0, nn, size=2))
+            if u != v and (u, v) not in present and (u, v) not in fresh:
+                fresh.append((u, v))
+        inserts = [(u, v, float(rng.random())) for u, v in fresh]
+        for batch in ({"inserts": inserts}, {"deletes": fresh}):
+            dyn.apply_batch(**batch)
+            snap = dyn.snapshot()
+            fresh_snap = build_snapshot(dyn.dendrogram(), generation=dyn.generation)
+            for name in slabs:
+                got, want = getattr(snap, name), getattr(fresh_snap, name)
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+            assert snap.generation == dyn.generation
+    early = dyn.snapshot()
+    kept = early.ranks.copy()
+    e = int(np.argmin(dyn.ranks))
+    dyn.update_weight(e, float(dyn.weights.max()) + 1.0)  # min rank -> max rank
+    assert not np.array_equal(dyn.snapshot().ranks, kept)
+    np.testing.assert_array_equal(early.ranks, kept)

@@ -109,8 +109,8 @@ def test_selftest_reproduces_the_committed_corpus(tmp_path):
         "csv-2eb2218bea20.json",
         "csv-a4e4e2be93f8.json",
         "csv-cb573798ae90.json",
+        "dynamic-0435daa37309.json",
         "dynamic-c20c33693efe.json",
-        "dynamic-caed5e2fc5b2.json",
         "graph-dfdc81f0d90c.json",
         "tree-4043640dc91c.json",
         "tree-8af54295bfd7.json",

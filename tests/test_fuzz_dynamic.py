@@ -11,7 +11,7 @@ from repro.fuzz.corpus import load_entry, save_finding
 from repro.fuzz.domains import DYNAMIC
 from repro.fuzz.generators import DynamicCase
 from repro.fuzz.oracles import Finding, dynamic_check
-from repro.fuzz.selftest import _no_rollback_engine, _stale_suffix_engine
+from repro.fuzz.selftest import _no_rollback_engine, _unmerged_spines_engine
 from repro.fuzz.shrink import shrink_dynamic_case
 
 
@@ -48,11 +48,11 @@ class TestOracle:
         report = run_fuzz(seed=2, max_cases=60, domains=("dynamic",))
         assert report.ok, [f.describe() for f in report.findings]
 
-    def test_stale_suffix_mutant_is_caught(self):
+    def test_unmerged_spines_mutant_is_caught(self):
         report = run_fuzz(
             seed=0,
             max_cases=150,
-            domains=(_engine_domain(_stale_suffix_engine),),
+            domains=(_engine_domain(_unmerged_spines_engine),),
             stop_on_finding=True,
             shrink=False,
         )
@@ -78,14 +78,14 @@ class TestOracle:
 
 class TestShrink:
     def test_shrinker_reduces_a_witness(self):
-        # Find a failing case for the stale-suffix mutant, then shrink it
+        # Find a failing case for the unmerged-spines mutant, then shrink it
         # against the same predicate the runner would use.
         witness = None
         for index in range(150):
             case = gen_dynamic_case(case_rng(0, index))
             if any(
                 f.check == "dynamic:vs-recompute"
-                for f in dynamic_check(case, engine_factory=_stale_suffix_engine)
+                for f in dynamic_check(case, engine_factory=_unmerged_spines_engine)
             ):
                 witness = case
                 break
@@ -94,7 +94,7 @@ class TestShrink:
         def still_fails(c: DynamicCase) -> bool:
             return any(
                 f.check == "dynamic:vs-recompute"
-                for f in dynamic_check(c, engine_factory=_stale_suffix_engine)
+                for f in dynamic_check(c, engine_factory=_unmerged_spines_engine)
             )
 
         small = shrink_dynamic_case(witness, still_fails)
