@@ -357,7 +357,7 @@ KERNELS: tuple[Kernel, ...] = (
         ref_run=_pipeline_graph_runner("reference"),
         backend="array",
     ),
-    # Out-of-core external-sort Kruskal over a REDG1 file (size = edge
+    # Out-of-core filter-Kruskal over a REDG1 file (size = edge
     # count); the reference twin is the in-memory scan of the same edges.
     Kernel(
         "mst-streaming",

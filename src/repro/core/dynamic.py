@@ -43,7 +43,7 @@ edge.  A path maximum walks both endpoints up to their meeting vertex
 (``O(depth)``); rewiring a slot reverses the parent pointers on one root
 path (``O(depth)``); the side of a cut is marked by pointer doubling over
 ``_up`` (``O(n log depth)``, vectorized).  The reserve is two flat arrays
-of pair codes ``u * n + v`` (``u < v``) and weights plus a code -> cell
+of pair codes ``(u << 32) | v`` (``u < v``) and weights plus a code -> cell
 dict: membership, add and delete are ``O(1)``, and the lightest crossing
 edge is one masked minimum.  Spines are walked over ``_plist``, a Python
 list mirror of ``parents`` that the first splice makes (a numpy scalar
@@ -92,6 +92,12 @@ __all__ = ["DynamicSLD"]
 
 #: Normalized ``(min, max)`` endpoint pair -- the identity of a graph edge.
 Pair = tuple[int, int]
+
+
+#: Reserve pair codes hold ``u`` above this many bits and ``v`` below, so
+#: a code decodes by shifts and code order is pair order.
+_CODE_SHIFT = 32
+_CODE_LOW = (1 << _CODE_SHIFT) - 1
 
 
 def _norm_pair(u: int, v: int) -> Pair:
@@ -188,7 +194,7 @@ class DynamicSLD:
         in_tree[tree_ids] = True
         rest = np.flatnonzero(~in_tree)
         pairs = np.sort(edges[rest], axis=1)
-        obj._res_code = pairs[:, 0] * obj.n + pairs[:, 1]
+        obj._res_code = (pairs[:, 0] << _CODE_SHIFT) | pairs[:, 1]
         obj._res_w = weights[rest]
         obj._res_len = int(rest.size)
         obj._res_cell = dict(zip(obj._res_code.tolist(), range(obj._res_len)))
@@ -228,7 +234,8 @@ class DynamicSLD:
         if not self._res_len:
             return self.edges.copy(), self.weights.copy()
         cells = np.argsort(self._res_code[: self._res_len])
-        res_e = np.column_stack(np.divmod(self._res_code[cells], self.n))
+        codes = self._res_code[cells]
+        res_e = np.column_stack([codes >> _CODE_SHIFT, codes & _CODE_LOW])
         return (
             np.concatenate([self.edges, res_e], axis=0),
             np.concatenate([self.weights, self._res_w[cells]]),
@@ -237,7 +244,8 @@ class DynamicSLD:
     def graph_weights(self) -> dict[Pair, float]:
         """Every current graph edge (tree + reserve), keyed by pair."""
         ends = np.sort(self.edges, axis=1)
-        res_u, res_v = np.divmod(self._res_code[: self._res_len], self.n)
+        codes = self._res_code[: self._res_len]
+        res_u, res_v = codes >> _CODE_SHIFT, codes & _CODE_LOW
         u = np.concatenate([ends[:, 0], res_u]).tolist()
         v = np.concatenate([ends[:, 1], res_v]).tolist()
         w = np.concatenate([self.weights, self._res_w[: self._res_len]]).tolist()
@@ -371,9 +379,9 @@ class DynamicSLD:
             raise InvalidGraphError(f"self-loop ({u}, {u}) is not a valid edge")
 
     def _code(self, u: int, v: int) -> int:
-        """Reserve key of the pair ``{u, v}``: ``min * n + max``."""
+        """Reserve key of the pair ``{u, v}``: ``(min << 32) | max``."""
         a, b = _norm_pair(u, v)
-        return a * self.n + b
+        return (a << _CODE_SHIFT) | b
 
     def _tree_slot(self, u: int, v: int) -> int:
         """Slot of the tree edge ``{u, v}``, or ``-1`` if it is not one."""
@@ -412,7 +420,7 @@ class DynamicSLD:
             )
         best_code, bw = best
         self._reserve_del(best_code)
-        return self._splice(f, side, divmod(best_code, self.n), bw)
+        return self._splice(f, side, (best_code >> _CODE_SHIFT, best_code & _CODE_LOW), bw)
 
     def _recertify_slot(self, e: int, w: float, side: np.ndarray) -> int:
         """Cycle-rule re-check before slot ``e``'s weight rises to ``w``.
@@ -427,7 +435,7 @@ class DynamicSLD:
             return 0
         best_code, bw = best
         self._reserve_del(best_code)
-        return self._swap_in(e, divmod(best_code, self.n), bw, side, w)
+        return self._swap_in(e, (best_code >> _CODE_SHIFT, best_code & _CODE_LOW), bw, side, w)
 
     def _swap_in(
         self,
@@ -501,8 +509,7 @@ class DynamicSLD:
         """Lightest reserve edge crossing the cut as ``(code, weight)``;
         equal weights go to the smallest code, i.e. the smallest pair."""
         codes = self._res_code[: self._res_len]
-        u, v = np.divmod(codes, self.n)
-        cross = np.flatnonzero(side[u] != side[v])
+        cross = np.flatnonzero(side[codes >> _CODE_SHIFT] != side[codes & _CODE_LOW])
         if not cross.size:
             return None
         w = self._res_w[cross]

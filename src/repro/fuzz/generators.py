@@ -22,7 +22,7 @@ to their checks lives in :mod:`repro.fuzz.domains`):
   size for the MST oracles (array-backend Boruvka and out-of-core
   streaming Kruskal vs. in-memory Kruskal); chunk sizes concentrate on
   the boundary values (1, 2, ``m - 1``, ``m``, power-of-two neighbors)
-  where the spill/merge windowing bugs live.
+  where the filter-window boundary bugs live.
 
 Everything is a pure function of the :class:`numpy.random.Generator` it is
 handed; :func:`case_rng` derives one Generator per ``(seed, index)`` via
@@ -121,7 +121,7 @@ class GraphCase:
 
     Input domain of the MST oracles: the graph is always connected and
     duplicate-free (the invalid-input surface belongs to the io domain);
-    ``chunk`` parameterizes the out-of-core path's spill/merge windows.
+    ``chunk`` parameterizes the out-of-core path's filter windows and reads.
     """
 
     n: int

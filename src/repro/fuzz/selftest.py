@@ -55,12 +55,13 @@ Dynamic-engine mutants (plausible maintenance bugs of the batch-dynamic
 Streaming-MST mutant:
 
 * ``streaming-dropped-window`` -- the out-of-core Kruskal consumer skips
-  the second merged batch, the classic off-by-one over a k-way-merge
-  window boundary: with one run (``chunk >= m``) or a tiny graph there is
-  no second batch and the mutant is invisible, so only the graph domain's
-  boundary-biased chunk distribution keeps it catchable.  Dropped edges
-  either leave the spanning forest short (a crash finding) or silently
-  promote heavier edges into the MST (a differential finding).
+  the second filter window, the classic off-by-one over a window
+  boundary: when the first window of ``chunk`` candidates already spans
+  the graph there is no second window and the mutant is invisible, so
+  only the graph domain's boundary-biased chunk distribution keeps it
+  catchable.  Dropped edges either leave the spanning forest short (a
+  crash finding) or silently promote heavier edges into the MST (a
+  differential finding).
 
 io mutants (the resurrected pre-fix ``load_edges_csv`` behaviors):
 
@@ -269,39 +270,25 @@ def _no_rollback_engine(n: int, edges: np.ndarray, weights: np.ndarray) -> objec
 
 
 def _streaming_dropped_window(path: "str | Path", chunk: int) -> "tuple[int, np.ndarray]":
-    """Streaming Kruskal that drops the second merged batch (window bug)."""
-    import tempfile
-
-    from repro.io.edgefile import merge_runs, read_edge_header, spill_runs
-    from repro.structures.unionfind import UnionFind
-    from repro.trees.mst import _scan_rank_batch
+    """Streaming Kruskal that drops the second filter window (window bug)."""
+    from repro.errors import NotConnectedError
+    from repro.io.edgefile import read_edge_header
+    from repro.trees.mst import _Components, _FilterWindows
 
     n, _ = read_edge_header(path)
-    uf = UnionFind(n)
-    chosen: list[np.ndarray] = []
-    with tempfile.TemporaryDirectory(prefix="repro-selftest-spill-") as sdir:
-        runs = spill_runs(path, sdir, chunk)
-        merge_block = max(1, chunk // max(1, len(runs)))
-        for index, batch in enumerate(merge_runs(runs, merge_block)):
-            if index == 1:
-                continue  # BUG: a whole merge window vanishes
-            chosen.append(
-                _scan_rank_batch(
-                    uf,
-                    np.ascontiguousarray(batch["id"]),
-                    np.ascontiguousarray(batch["u"]),
-                    np.ascontiguousarray(batch["v"]),
-                )
-            )
-            if uf.num_sets == 1:
-                break
-    if uf.num_sets != 1:
-        from repro.errors import NotConnectedError
-
+    forest = _Components(n)
+    chosen = [np.empty(0, dtype=np.int64)]
+    for index, window in enumerate(_FilterWindows(path, chunk, forest)):
+        if index == 1:
+            continue  # BUG: a whole filter window vanishes
+        chosen.append(forest.contract(*window))
+        if forest.count == 1:
+            break
+    if forest.count != 1:
         raise NotConnectedError(
-            f"graph has {uf.num_sets} connected components; cannot span {n} vertices"
+            f"graph has {forest.count} connected components; cannot span {n} vertices"
         )
-    return n, np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
+    return n, np.concatenate(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,27 @@
-"""Binary edge files and external-sort spill runs (the out-of-core layer).
+"""Binary edge files (the out-of-core layer).
 
 ``REDG1`` is a raw binary edge-list format sized for graphs that do not
 fit in RAM: a fixed 24-byte header (8-byte magic, ``n`` int64, ``m``
 int64) followed by the ``(m, 2)`` int64 endpoint table (C order) and the
 ``(m,)`` float64 weight vector.  Everything streams: the reader yields
-bounded chunks, never materializing the file.  Files are written with
-:func:`repro.io.atomic_write` and their header is checked by
+bounded chunks, never materializing the file, and validates each one
+(the streamed twin of ``repro.trees.validation.check_graph``).  Files are
+written with :func:`repro.io.atomic_write` and their header is checked by
 :func:`repro.io.read_header`, the idiom the snapshot format shares.
+``repro.trees.mst.streaming_kruskal_mst`` reads files only through
+:func:`iter_edge_chunks`, so it processes 10^7-edge files under a fixed
+budget.
 
-On top of the reader sit the two halves of an external sort by the
-deterministic ``(weight, edge-id)`` rank key:
+:func:`spill_runs`, :func:`merge_runs` and :data:`RUN_DTYPE` are the two
+halves of an external sort by the ``(weight, edge-id)`` rank key.
+Nothing in the package calls them; they stay only because the pipeline
+benchmark's ``io.spill`` and ``io.merge`` seams name them, and go once
+those seams are remapped.
 
-* :func:`spill_runs` reads the file chunk-by-chunk, validates each chunk
-  (the streamed twin of ``repro.trees.validation.check_graph``), sorts it by
-  the rank key (a stable weight sort -- ids are ascending within a
-  chunk), and writes each sorted run to a spill directory as packed
-  :data:`RUN_DTYPE` records.
+* :func:`spill_runs` reads the file chunk-by-chunk, validates each chunk,
+  sorts it by the rank key (a stable weight sort -- ids are ascending
+  within a chunk), and writes each sorted run to a spill directory as
+  packed :data:`RUN_DTYPE` records.
 * :func:`merge_runs` k-way-merges the runs back into globally
   rank-ordered batches while holding only one bounded block per run: per
   round every live run's block is topped up, the *bound* is the smallest
@@ -23,11 +29,7 @@ deterministic ``(weight, edge-id)`` rank key:
   compares strictly greater -- keys are unique), and all buffered
   records at or below the bound are emitted after one lexsort.  The
   bounding run drains its whole block, so each round makes at least one
-  block of progress.
-
-Peak memory is ``O(chunk)`` records in both halves regardless of ``m``,
-which is what lets ``repro.trees.mst.streaming_kruskal_mst`` process
-10^7-edge files under a fixed budget.
+  block of progress.  Peak memory is ``O(chunk)`` records in both halves.
 """
 
 from __future__ import annotations

@@ -18,8 +18,10 @@ the algorithm from the graph's density:
 :func:`kruskal_mst` is also the independent oracle the tests, the fuzzer
 and the benchmark check every other MST against, and
 :func:`streaming_kruskal_mst` is out-of-core Kruskal over a REDG1 edge
-file: external sort into spill runs, then a k-way merge in rank order
-whose batches are solved by the spanning-forest kernel.
+file: filter-Kruskal passes, each of which reads the file once, keeps a
+window of at most ``chunk`` rank-ordered edges that still join two
+components, and solves it with the spanning-forest kernel.  It sorts
+nothing on disk and writes no temporary files.
 
 Ties are broken by edge id (rank order) everywhere, so ranks are unique,
 the MST is unique, and every routine returns the same tree.
@@ -27,13 +29,12 @@ the MST is unique, and every routine returns the same tree.
 
 from __future__ import annotations
 
-import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from repro.checkers.bounds import cost_bound
-from repro.checkers.contracts import slab_contract
 from repro.errors import NotConnectedError
 from repro.runtime.cost_model import (
     CostTracker,
@@ -164,112 +165,218 @@ def _kruskal_scan_batched(
     return chosen
 
 
+#: Share of ``chunk`` a predicted window aims to fill: sampling noise
+#: then rarely pushes a window past ``chunk`` into a trim.
+_WINDOW_FILL = 0.9
+
+#: Window bounds are ``(weight, id)`` keys; weights are finite, so these
+#: lie below and above every record.
+_BOTTOM = (-np.inf, -1)
+_TOP = (np.inf, -1)
+
+
 @cost_bound(
-    work="m * log(m)",
-    depth="m",
-    vars=("m",),
+    work="m * n",
+    depth="m * n",
+    vars=("m", "n"),
     kind="helper",
-    theorem="external sort: O(m/chunk) sorted spill runs, bounded k-way "
-    "merge, then one spanning-forest kernel call per merged batch over "
-    "the union-find roots it touches",
+    theorem="filter-Kruskal: each pass reads the m records once and solves "
+    "one window of at most chunk crossing edges with the spanning-forest "
+    "kernel; a window's lightest candidate is a tree edge, so there are at "
+    "most n - 1 passes, about (n - 1) / chunk on simple graphs",
 )
-def streaming_kruskal_mst(
-    path: "str | Path",
-    chunk: int = 262144,
-    merge_block: int | None = None,
-    spill_dir: "str | Path | None" = None,
-) -> tuple[int, np.ndarray]:
+def streaming_kruskal_mst(path: "str | Path", chunk: int = 262144) -> tuple[int, np.ndarray]:
     """Out-of-core Kruskal over a REDG1 edge file; returns ``(n, ids)``.
 
-    An external-sort Kruskal for graphs larger than RAM: the file is
-    externally sorted by the ``(weight, edge-id)`` rank key in runs of
-    ``chunk`` edges (written to ``spill_dir``, a fresh temp directory by
-    default), the runs are k-way merged back in exact global rank order
-    holding only ``merge_block`` records per run (default: ``chunk``
-    split evenly across runs, so the merge never holds more than one
-    chunk of candidates), and each merged batch is solved at once: its
-    minimum spanning forest over the current union-find components
+    Filter-Kruskal (Osipov, Sanders and Singler; the filtering MST of
+    GBBS) for graphs larger than RAM.  Each pass reads the file in
+    ``chunk``-edge pieces and keeps the edges whose ``(weight, edge-id)``
+    rank key lies in the pass's window and whose endpoints are still in
+    different components; a window keeps at most ``chunk`` edges.  It is
+    sorted by rank and solved at once: its minimum spanning forest
+    over the current components
     (:func:`repro.trees.boruvka_fast.spanning_forest`) is exactly the set
-    a per-edge scan of the batch would take.  Once ``n - 1`` edges are
-    chosen the merge stops -- unread spill data is never touched.
+    a per-edge scan of it would take, and the kernel's component labels
+    relabel every vertex.  The next window starts above this one; its top
+    is predicted from a strided sample of the records, read by the first
+    pass, that lie above it and still cross, and a top-``chunk``
+    selection lowers it when the prediction overshoots.  The first pass
+    validates every record; once ``n - 1`` edges are chosen no further
+    pass runs.  Nothing is written to disk.
 
     The chosen ids are **bit-identical** to in-memory
     :func:`kruskal_mst` on the same ``(n, edges, weights)``, in the same
-    (rank) order, for every ``chunk``/``merge_block``: ranks are unique,
-    so each batch's forest is unique.  Peak memory is ``O(n + chunk)``
-    regardless of ``m``.  Raises :class:`NotConnectedError` when the
-    graph does not span ``n`` vertices,
-    :class:`~repro.io.FormatError` /
+    (rank) order, for every ``chunk``: ranks are unique, so each window's
+    forest is unique.  Peak memory is ``O(n + chunk)`` regardless of
+    ``m``.  Raises :class:`NotConnectedError` when the graph does not
+    span ``n`` vertices, :class:`~repro.io.FormatError` /
     :class:`~repro.errors.InvalidGraphError` for malformed files.
     """
-    from repro.io.edgefile import merge_runs, read_edge_header, spill_runs
+    from repro.io.edgefile import read_edge_header
 
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     n, _ = read_edge_header(path)
-    uf = UnionFind(n)
-    chosen: list[np.ndarray] = []
-    with tempfile.TemporaryDirectory(prefix="repro-spill-") if spill_dir is None else _keep_dir(
-        spill_dir
-    ) as sdir:
-        runs = spill_runs(path, sdir, chunk)
-        if merge_block is None:
-            merge_block = max(1, chunk // max(1, len(runs)))
-        for batch in merge_runs(runs, merge_block):
-            chosen.append(
-                _scan_rank_batch(
-                    uf,
-                    np.ascontiguousarray(batch["id"]),
-                    np.ascontiguousarray(batch["u"]),
-                    np.ascontiguousarray(batch["v"]),
-                )
-            )
-            if uf.num_sets == 1:
-                break
-    if uf.num_sets != 1:
+    forest = _Components(n)
+    chosen = [np.empty(0, dtype=np.int64)]
+    for window in _FilterWindows(path, chunk, forest):
+        chosen.append(forest.contract(*window))
+        if forest.count == 1:
+            break
+    if forest.count != 1:
         raise NotConnectedError(
-            f"graph has {uf.num_sets} connected components; cannot span {n} vertices"
+            f"graph has {forest.count} connected components; cannot span {n} vertices"
         )
-    return n, np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
+    return n, np.concatenate(chosen)
 
 
-class _keep_dir:
-    """Context manager handing back a caller-owned spill directory."""
+class _Components:
+    """Dense component labels of the vertices, ``0..count-1``."""
 
-    def __init__(self, path: "str | Path") -> None:
-        self.path = Path(path)
+    def __init__(self, n: int) -> None:
+        self.label = np.arange(n, dtype=np.int64)
+        self.count = n
 
-    def __enter__(self) -> "Path":
-        self.path.mkdir(parents=True, exist_ok=True)
-        return self.path
+    def contract(self, ids: np.ndarray, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+        """Kruskal over one rank-ordered window of edges between the
+        labels ``cu[i]`` and ``cv[i]``; returns the ids it takes.
 
-    def __exit__(self, *exc: object) -> None:
-        return None
+        The kernel runs over the window's labels compacted to ``0..k-1``.
+        In the new labelling its merged components come first and the
+        labels it did not touch follow, in order.
+        """
+        free = np.ones(self.count, dtype=bool)
+        free[cu] = False
+        free[cv] = False
+        # below[x]: labels up to x the window does not touch, so a touched
+        # label x compacts to x - below[x].
+        below = np.cumsum(free)
+        k = self.count - int(below[-1])
+        picked, _, merged = spanning_forest(
+            cu - below[cu], cv - below[cv], np.arange(ids.size, dtype=np.int64), k
+        )
+        left = k - picked.size
+        below += left - 1  # an untouched label's new one
+        below[~free] = merged
+        # In place: each slot reads its own old label before it is written,
+        # and the labels are in range, so no bounds buffer is needed.
+        np.take(below, self.label, out=self.label, mode="clip")
+        self.count += left - k
+        return ids[picked]
 
 
-@slab_contract(
-    dtypes={"ids": "int64", "eu": "int64", "ev": "int64"},
-    contiguous=("ids", "eu", "ev"),
-)
-def _scan_rank_batch(
-    uf: UnionFind, ids: np.ndarray, eu: np.ndarray, ev: np.ndarray
-) -> np.ndarray:
-    """Kruskal over one rank-ordered batch; returns the ids it takes.
+def _above(w: np.ndarray, ids: np.ndarray, key: tuple[float, int]) -> np.ndarray:
+    """Mask of the records whose ``(weight, id)`` key exceeds ``key``."""
+    return (w > key[0]) | ((w == key[0]) & (ids > key[1]))
 
-    The batch's minimum spanning forest over ``uf``'s components, with
-    rank = batch position, in rank order; the touched roots are then
-    relinked in one :meth:`~UnionFind.union_groups` write.
+
+class _FilterWindows:
+    """The filter-Kruskal windows of one REDG1 file, lightest first.
+
+    Iterating yields ``(ids, cu, cv)`` in rank order: the at most
+    ``chunk`` lightest edges above the previous window whose endpoints
+    carry different ``forest`` labels, with those labels.  The caller
+    contracts each window into ``forest`` before asking for the next,
+    which is filtered by the new labels; the windows end with the one
+    that reaches the last record.
     """
-    ru = uf.find_many(eu)
-    rv = uf.find_many(ev)
-    cross = ru != rv
-    roots, ends = np.unique(np.concatenate([ru[cross], rv[cross]]), return_inverse=True)
-    k = ends.size // 2
-    picked, _, comp = spanning_forest(
-        ends[:k], ends[k:], np.arange(k, dtype=np.int64), roots.size
-    )
-    uf.union_groups(roots, comp)
-    return ids[cross][picked]
+
+    def __init__(self, path: "str | Path", chunk: int, forest: _Components) -> None:
+        from repro.io.edgefile import read_edge_header
+
+        self.path, self.chunk, self.forest = path, chunk, forest
+        _, self.m = read_edge_header(path)
+        # Every stride-th record, read by the first pass: at most chunk / 4 + 1.
+        self.stride = max(1, -(-self.m // max(1, chunk // 4)))
+        size = -(-self.m // self.stride)
+        self.sample_w = np.empty(size, dtype=np.float64)
+        self.sample_ends = np.empty((size, 2), dtype=np.int64)
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        lo, hi = _BOTTOM, _TOP
+        while True:  # at most n - 1 passes: each window holds a tree edge
+            (w, ids, cu, cv), hi = self._read(lo, hi)
+            order = np.argsort(w)
+            ordered = w[order]
+            if (ordered[1:] == ordered[:-1]).any():
+                # Ties go by id, which ascends in w: a stable sort.
+                order = np.argsort(w, kind="stable")
+            ids, cu, cv = ids[order], cu[order], cv[order]
+            del w, order, ordered
+            yield ids, cu, cv
+            if hi == _TOP:
+                return
+            lo = hi
+            hi = self._predict_top(lo)
+
+    def _read(
+        self, lo: tuple[float, int], hi: tuple[float, int]
+    ) -> tuple[tuple[np.ndarray, ...], tuple[float, int]]:
+        """One pass over the file: the crossing records above ``lo`` and
+        at or below the window's top, in id order as ``(w, ids, cu, cv)``,
+        and that top (``hi``, or lower after a trim).  The first pass
+        also validates every record and reads the sample."""
+        from repro.io.edgefile import iter_edge_chunks
+
+        first = lo == _BOTTOM
+        label, chunk, stride = self.forest.label, self.chunk, self.stride
+        # The window's weights, ids and endpoint labels, in id order.  A
+        # trim leaves chunk records and one read adds at most chunk more.
+        cap = min(2 * chunk, self.m)
+        held = (np.empty(cap), *(np.empty(cap, dtype=np.int64) for _ in range(3)))
+        size = 0
+        for start, edges, weights in iter_edge_chunks(self.path, chunk, validate=first):
+            if first:
+                slot = -(-start // stride)
+                picked = slice(slot * stride - start, None, stride)
+                count = weights[picked].size
+                self.sample_w[slot : slot + count] = weights[picked]
+                self.sample_ends[slot : slot + count] = edges[picked]
+            # The window test, on the weights first and the labels last.
+            pos = np.flatnonzero((weights >= lo[0]) & (weights <= hi[0]))
+            w, ids = weights[pos], start + pos
+            pos = pos[_above(w, ids, lo) & ~_above(w, ids, hi)]
+            cu, cv = label[edges[pos, 0]], label[edges[pos, 1]]
+            cross = cu != cv
+            pos = pos[cross]
+            end = size + pos.size
+            for col, piece in zip(held, (weights[pos], start + pos, cu[cross], cv[cross])):
+                col[size:end] = piece
+            size = end
+            if size > chunk:
+                hi = _trim(held, size, chunk)
+                size = chunk
+        return tuple(col[:size] for col in held), hi
+
+    def _predict_top(self, lo: tuple[float, int]) -> tuple[float, int]:
+        """The key that should admit ``_WINDOW_FILL * chunk`` crossing
+        edges above ``lo``: each sampled record above it that still
+        crosses stands for ``stride`` records."""
+        label, ends = self.forest.label, self.sample_ends
+        ids = np.arange(self.sample_w.size, dtype=np.int64) * self.stride
+        keep = _above(self.sample_w, ids, lo) & (label[ends[:, 0]] != label[ends[:, 1]])
+        j = max(1, int(_WINDOW_FILL * self.chunk / self.stride)) - 1
+        if j >= np.count_nonzero(keep):
+            return _TOP
+        return _key_of_rank(self.sample_w[keep], ids[keep], j)
+
+
+def _trim(held: tuple[np.ndarray, ...], size: int, chunk: int) -> tuple[float, int]:
+    """Keep the ``chunk`` lightest of the first ``size`` id-ordered
+    records in ``held``, at its front; returns the key of the heaviest
+    record kept, the window's new top."""
+    top = _key_of_rank(held[0][:size], held[1][:size], chunk - 1)
+    keep = ~_above(held[0][:size], held[1][:size], top)
+    for col in held:
+        col[:chunk] = col[:size][keep]
+    return top
+
+
+def _key_of_rank(w: np.ndarray, ids: np.ndarray, k: int) -> tuple[float, int]:
+    """The ``(weight, id)`` key of rank ``k`` (from 0) among records whose
+    ids ascend."""
+    wk = np.partition(w, k)[k]
+    return float(wk), int(ids[w == wk][k - int(np.count_nonzero(w < wk))])
 
 
 def mst_ids(

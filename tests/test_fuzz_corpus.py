@@ -111,7 +111,7 @@ def test_selftest_reproduces_the_committed_corpus(tmp_path):
         "csv-cb573798ae90.json",
         "dynamic-0435daa37309.json",
         "dynamic-c20c33693efe.json",
-        "graph-dfdc81f0d90c.json",
+        "graph-67ae80ea796b.json",
         "tree-4043640dc91c.json",
         "tree-8af54295bfd7.json",
         "tree-ab93053e30d5.json",

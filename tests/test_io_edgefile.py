@@ -1,9 +1,9 @@
 """REDG1 binary edge files: roundtrip, error contract, spill/merge order.
 
-The out-of-core MST path (``streaming_kruskal_mst``) is only correct if
-``spill_runs`` + ``merge_runs`` reproduce the exact ``(weight, edge id)``
-scan order of the in-memory sort, so the merge property is tested as a
-strict sequence equality, not a multiset check.
+``spill_runs`` + ``merge_runs`` (an external sort kept for the pipeline
+benchmark's ``io.spill`` / ``io.merge`` seams) must reproduce the exact
+``(weight, edge id)`` order of the in-memory sort, so the merge property
+is tested as a strict sequence equality, not a multiset check.
 """
 
 from __future__ import annotations

@@ -138,39 +138,3 @@ def test_find_many_empty():
     uf = UnionFind(4)
     out = uf.find_many(np.empty(0, dtype=np.int64))
     assert out.size == 0 and out.dtype == np.int64
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(1, 40),
-    pairs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
-    links=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
-)
-def test_union_groups_matches_pairwise_unions(n, pairs, links):
-    """One bulk write over the touched roots equals the scalar unions:
-    same partition, exact ``num_sets`` and set sizes."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    bulk, scalar = UnionFind(n), UnionFind(n)
-    for a, b in pairs:
-        if not bulk.connected(a % n, b % n):
-            bulk.union(a % n, b % n)
-            scalar.union(a % n, b % n)
-    ends = np.asarray([(a % n, b % n) for a, b in links], dtype=np.int64).reshape(-1, 2)
-    for a, b in ends.tolist():
-        if not scalar.connected(a, b):
-            scalar.union(a, b)
-    roots, inv = np.unique(bulk.find_many(ends.ravel()), return_inverse=True)
-    pairs_of_roots = inv.reshape(-1, 2)
-    graph = coo_matrix(
-        (np.ones(len(ends), dtype=np.int8), (pairs_of_roots[:, 0], pairs_of_roots[:, 1])),
-        shape=(roots.size, roots.size),
-    )
-    _, group = connected_components(graph, directed=False)
-    bulk.union_groups(roots, group.astype(np.int64))
-    assert bulk.num_sets == scalar.num_sets
-    for i in range(n):
-        assert bulk.set_size(i) == scalar.set_size(i)
-        for j in range(i + 1, n):
-            assert bulk.connected(i, j) == scalar.connected(i, j)

@@ -270,7 +270,7 @@ def test_every_mst_consumer_matches_the_kruskal_oracle(side, backend, monkeypatc
     rest = np.setdiff1d(np.arange(edges.shape[0]), ids)
     lo, hi = np.sort(edges[rest], axis=1).T
     assert dyn.reserve_size == rest.size
-    assert np.array_equal(np.sort(dyn._res_code[: dyn.reserve_size]), np.sort(lo * n + hi))
+    assert np.array_equal(np.sort(dyn._res_code[: dyn.reserve_size]), np.sort(lo << 32 | hi))
     expected = single_linkage_dendrogram(dyn.tree(), algorithm="sequf", backend="reference")
     assert np.array_equal(dyn.parents, expected.parents)
 
